@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bounds, geometry, glm, solver
+from . import bounds, geometry, glm
 from .experiment import (
     ConfigError,
     ExperimentConfig,
@@ -28,6 +28,7 @@ from .experiment import (
     make_truth,
     prepare_sweep,
     run_sweep,
+    solve,
 )
 from .rng import stream
 
@@ -167,11 +168,7 @@ def _trial_instance(config: ExperimentConfig, n: int) -> tuple[glm.ProblemInstan
 def _cmd_solve(config: ExperimentConfig, out_path: str | None) -> None:
     n = int(config.n_grid[0])
     instance, c = _trial_instance(config, n)
-    gap_tol = None if config.solver_gap_tol == 0.0 else config.solver_gap_tol
-    if config.solver == "frank_wolfe":
-        report = solver.frank_wolfe(instance, c, config.solver_max_iter, gap_tol)
-    else:
-        report = solver.projected_gradient(instance, c, config.solver_max_iter, config.solver_tol)
+    report = solve(config, instance, c)
     err = report.theta_hat - instance.theta_true
     lines = [
         "n,method,objective,error_l2,error_l1,iterations,final_gap,l1_norm",

@@ -238,6 +238,14 @@ def prepare_sweep(config: ExperimentConfig) -> SweepContext:
     )
 
 
+def solve(config: ExperimentConfig, instance: glm.ProblemInstance, c: float) -> solver.SolveReport:
+    """Run the configured solver; ``solver_gap_tol = 0`` means the default tolerance."""
+    gap_tol = None if config.solver_gap_tol == 0.0 else config.solver_gap_tol
+    if config.solver == "frank_wolfe":
+        return solver.frank_wolfe(instance, c, config.solver_max_iter, gap_tol)
+    return solver.projected_gradient(instance, c, config.solver_max_iter, config.solver_tol, gap_tol=gap_tol)
+
+
 @dataclass(frozen=True)
 class TrialRecord:
     n: int
@@ -282,11 +290,7 @@ def run_trial(
     )
     instance = glm.ProblemInstance(design, responses, ctx.theta, ctx.family, config.ensemble)
 
-    gap_tol = None if config.solver_gap_tol == 0.0 else config.solver_gap_tol
-    if config.solver == "frank_wolfe":
-        report = solver.frank_wolfe(instance, ctx.c, config.solver_max_iter, gap_tol)
-    else:
-        report = solver.projected_gradient(instance, ctx.c, config.solver_max_iter, config.solver_tol)
+    report = solve(config, instance, ctx.c)
 
     err = report.theta_hat - ctx.theta
     error_l2 = float(np.linalg.norm(err))
@@ -513,9 +517,9 @@ def resolve_workers() -> int:
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(config: ExperimentConfig) -> None:
+def _worker_init(config: ExperimentConfig, ctx: SweepContext) -> None:
     _WORKER_STATE["config"] = config
-    _WORKER_STATE["ctx"] = prepare_sweep(config)
+    _WORKER_STATE["ctx"] = ctx
 
 
 def _worker_run(task: tuple[int, int]) -> TrialRecord:
@@ -541,7 +545,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     workers = resolve_workers()
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=(config,)
+            max_workers=workers, initializer=_worker_init, initargs=(config, ctx)
         ) as pool:
             records = list(pool.map(_worker_run, tasks))
     else:

@@ -172,20 +172,26 @@ def _check_theta(instance: ProblemInstance, theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def loss(instance: ProblemInstance, theta: np.ndarray) -> float:
-    """Empirical loss ``(1/n) sum_i [b(eta_i) - y_i eta_i]``."""
-    theta = _check_theta(instance, theta)
-    eta = instance.design @ theta
+def loss_at_predictor(instance: ProblemInstance, eta: np.ndarray) -> float:
+    """Empirical loss ``(1/n) sum_i [b(eta_i) - y_i eta_i]`` given ``eta = A theta``."""
     b, _, _ = cumulant_eval(instance.family, eta)
     return float(np.mean(b - instance.responses * eta))
 
 
-def gradient(instance: ProblemInstance, theta: np.ndarray) -> np.ndarray:
-    """Gradient ``(1/n) A^T (b'(A theta) - y)``."""
-    theta = _check_theta(instance, theta)
-    eta = instance.design @ theta
+def gradient_at_predictor(instance: ProblemInstance, eta: np.ndarray) -> np.ndarray:
+    """Gradient ``(1/n) A^T (b'(eta) - y)`` given ``eta = A theta``."""
     _, b1, _ = cumulant_eval(instance.family, eta)
     return instance.design.T @ (b1 - instance.responses) / instance.n
+
+
+def loss(instance: ProblemInstance, theta: np.ndarray) -> float:
+    """Empirical loss ``(1/n) sum_i [b(eta_i) - y_i eta_i]``."""
+    return loss_at_predictor(instance, instance.design @ _check_theta(instance, theta))
+
+
+def gradient(instance: ProblemInstance, theta: np.ndarray) -> np.ndarray:
+    """Gradient ``(1/n) A^T (b'(A theta) - y)``."""
+    return gradient_at_predictor(instance, instance.design @ _check_theta(instance, theta))
 
 
 def hessian_quadratic_form(instance: ProblemInstance, theta: np.ndarray, v: np.ndarray) -> float:

@@ -160,6 +160,26 @@ class TestRunTrial:
         assert record.bound_mismatched > record.t_star
 
 
+    def test_solver_gap_tol_reaches_projected_gradient(self, monkeypatch):
+        import dataclasses
+
+        from conewidth import solver
+
+        seen = []
+        real = solver.projected_gradient
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("gap_tol"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "projected_gradient", spy)
+        record = run_trial(dataclasses.replace(MATCHED_SMALL, solver_gap_tol=1e-3), 60, 0)
+        default = run_trial(MATCHED_SMALL, 60, 0)
+        assert seen == [1e-3, None]
+        assert record.final_gap <= 1e-3
+        assert record.solver_iters <= default.solver_iters
+
+
 class TestRunSweep:
     def test_reproducible_csv_bytes(self):
         res1 = run_sweep(MATCHED_SMALL)
@@ -246,6 +266,17 @@ class TestWorkers:
         import dataclasses
 
         cfg = dataclasses.replace(MATCHED_SMALL, trials=4, n_grid=(30, 60))
+        monkeypatch.delenv("CONEWIDTH_THREADS", raising=False)
+        serial = run_sweep(cfg)
+        monkeypatch.setenv("CONEWIDTH_THREADS", "2")
+        parallel = run_sweep(cfg)
+        assert serial.aggregate_csv() == parallel.aggregate_csv()
+        assert serial.trials_csv() == parallel.trials_csv()
+
+    def test_parallel_matches_serial_mismatched(self, monkeypatch):
+        import dataclasses
+
+        cfg = dataclasses.replace(MISMATCHED_SMALL, trials=2, n_grid=(40, 80))
         monkeypatch.delenv("CONEWIDTH_THREADS", raising=False)
         serial = run_sweep(cfg)
         monkeypatch.setenv("CONEWIDTH_THREADS", "2")

@@ -65,6 +65,14 @@ class TestFrankWolfe:
         report = solver.frank_wolfe(inst, 1.0, gap_tol=1e-4, line_search=False)
         assert report.final_gap <= 1e-4
 
+    def test_iteration_cap_reports_not_converged(self):
+        rng = stream(62, "fw")
+        inst = small_instance(rng, LOGISTIC)
+        report = solver.frank_wolfe(inst, 1.0, max_iter=1, gap_tol=1e-8)
+        assert not report.converged
+        assert report.final_gap > 1e-8
+        assert solver.frank_wolfe(inst, 1.0, gap_tol=1e-4).converged
+
     def test_nonfinite_gradient_reports_iteration(self):
         # design/response scales chosen so the first gradient overflows
         design = np.array([[1e200, 0.0], [0.0, 1.0]])
@@ -115,6 +123,44 @@ class TestProjectedGradient:
             grid_value, _ = grid_min_objective_l1(inst, 1.0)
             assert glm.loss(inst, report.theta_hat) <= grid_value + 1e-6
             assert grid_value <= glm.loss(inst, report.theta_hat) + 1e-2
+
+
+    def test_stops_on_default_certificate(self):
+        rng = stream(63, "pg")
+        for family in (GAUSSIAN, LOGISTIC, POISSON):
+            inst = small_instance(rng, family)
+            report = solver.projected_gradient(inst, 1.0)
+            assert report.converged
+            assert report.final_gap <= solver.default_gap_tol(inst)
+
+    def test_stops_on_explicit_certificate(self):
+        rng = stream(64, "pg")
+        inst = small_instance(rng, GAUSSIAN, n=30, p=60)
+        loose = solver.projected_gradient(inst, 1.0, gap_tol=1e-2)
+        tight = solver.projected_gradient(inst, 1.0, gap_tol=1e-9)
+        assert loose.converged and loose.final_gap <= 1e-2
+        assert tight.converged and tight.final_gap <= 1e-9
+        assert loose.iterations < tight.iterations
+
+    def test_accepted_iterates_monotone(self):
+        # a run capped at k iterations returns the k-th accepted iterate;
+        # near the optimum the values may differ by roundoff only
+        rng = stream(66, "pg")
+        for family in (GAUSSIAN, LOGISTIC):
+            inst = small_instance(rng, family, n=30, p=60, magnitude=1.0)
+            values = [
+                solver.projected_gradient(inst, 3.0, max_iter=k, gap_tol=0.0).final_objective
+                for k in range(1, 60)
+            ]
+            assert all(b <= a + 1e-14 * max(1.0, abs(a)) for a, b in zip(values, values[1:]))
+
+    def test_iteration_cap_reports_not_converged(self):
+        rng = stream(65, "pg")
+        inst = small_instance(rng, GAUSSIAN, n=30, p=60)
+        report = solver.projected_gradient(inst, 1.0, max_iter=1)
+        assert report.iterations == 1
+        assert not report.converged
+        assert report.final_gap > solver.default_gap_tol(inst)
 
 
 class TestSolverAgreement:
