@@ -42,7 +42,6 @@ from .geometry import (
     localized_width,
     project_l1_ball,
     project_onto_descent_cone,
-    sup_linear_over_localized_set,
 )
 from .glm import (
     GlmFamily,

@@ -19,18 +19,18 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bounds, geometry, glm
 from .experiment import (
     ConfigError,
     ExperimentConfig,
     _fmt,
     fit_loglog_slope,
-    make_truth,
+    make_instance,
     prepare_sweep,
+    probe_rsc,
     run_sweep,
     solve,
+    sweep_truth,
 )
-from .rng import stream
 
 SUBCOMMANDS = ("width", "solve", "rsc", "sweep", "slope")
 
@@ -155,19 +155,10 @@ def _cmd_width(config: ExperimentConfig, out_path: str | None) -> None:
     _write_output("\n".join(lines) + "\n", out_path)
 
 
-def _trial_instance(config: ExperimentConfig, n: int) -> tuple[glm.ProblemInstance, float]:
-    theta = make_truth(config.p, config.s, config.theta_magnitude, stream(config.master_seed, "truth"))
-    c = float(np.sum(np.abs(theta))) + config.slack
-    design = glm.sample_design(n, config.p, config.ensemble, stream(config.master_seed, "design", n, 0))
-    responses = glm.sample_responses(
-        design, theta, config.glm_family(), stream(config.master_seed, "responses", n, 0)
-    )
-    return glm.ProblemInstance(design, responses, theta, config.glm_family(), config.ensemble), c
-
-
 def _cmd_solve(config: ExperimentConfig, out_path: str | None) -> None:
     n = int(config.n_grid[0])
-    instance, c = _trial_instance(config, n)
+    theta, c = sweep_truth(config)
+    instance = make_instance(config, theta, n, 0)
     report = solve(config, instance, c)
     err = report.theta_hat - instance.theta_true
     lines = [
@@ -189,35 +180,19 @@ def _cmd_solve(config: ExperimentConfig, out_path: str | None) -> None:
 
 
 def _cmd_rsc(config: ExperimentConfig, out_path: str | None) -> None:
+    """The probe of each grid n's trial 0, exactly as the sweep runs it."""
+    ctx = prepare_sweep(config)
     lines = ["n,mu_hat,quantile_mu,mu_theoretical,directions,epsilon,alpha"]
-    theta = make_truth(config.p, config.s, config.theta_magnitude, stream(config.master_seed, "truth"))
-    radius = float(np.sum(np.abs(theta))) + config.slack
-    mu_theory = (1.0 - config.rsc_epsilon) * glm.hessian_weight_lower_bound(config.glm_family(), radius)
     for n in config.n_grid:
         n = int(n)
-        instance, c = _trial_instance(config, n)
-        rng = stream(config.master_seed, "rsc", n, 0)
-        if config.constraint_mode == "matched":
-            directions = geometry.descent_cone(instance.theta_true)
-        else:
-            fset = geometry.FeasibleSet(instance.theta_true, c)
-            t_probe = float(config.t_grid[0])  # smallest t: largest localized cone
-            directions = lambda r, num: bounds.sample_localized_directions(fset, t_probe, num, r)
-        est = bounds.rsc_estimate(
-            instance,
-            directions,
-            config.rsc_directions,
-            epsilon=config.rsc_epsilon,
-            alpha=config.rsc_alpha,
-            rng=rng,
-        )
+        est = probe_rsc(config, ctx, make_instance(config, ctx.theta, n, 0), n, 0)
         lines.append(
             ",".join(
                 (
                     str(n),
                     _fmt(est.mu_hat),
                     _fmt(est.quantile_mu),
-                    _fmt(mu_theory),
+                    _fmt(ctx.mu_theoretical),
                     str(est.directions_tested),
                     _fmt(est.epsilon),
                     _fmt(est.alpha),

@@ -181,6 +181,26 @@ def make_truth(p: int, s: int, magnitude: float, rng: np.random.Generator) -> np
     return theta
 
 
+def sweep_truth(config: ExperimentConfig) -> tuple[np.ndarray, float]:
+    """The sweep's ground truth and its l1 radius ``c = ||theta||_1 + slack``."""
+    theta = make_truth(config.p, config.s, config.theta_magnitude, stream(config.master_seed, "truth"))
+    return theta, float(np.sum(np.abs(theta))) + config.slack
+
+
+def make_instance(
+    config: ExperimentConfig, theta: np.ndarray, n: int, trial_index: int
+) -> glm.ProblemInstance:
+    """The seeded design and responses of one trial."""
+    family = config.glm_family()
+    design = glm.sample_design(
+        n, config.p, config.ensemble, stream(config.master_seed, "design", n, trial_index)
+    )
+    responses = glm.sample_responses(
+        design, theta, family, stream(config.master_seed, "responses", n, trial_index)
+    )
+    return glm.ProblemInstance(design, responses, theta, family, config.ensemble)
+
+
 @dataclass(frozen=True)
 class SweepContext:
     """Per-sweep quantities shared by all trials (derived from config only)."""
@@ -201,8 +221,7 @@ class SweepContext:
 def prepare_sweep(config: ExperimentConfig) -> SweepContext:
     """Ground truth, constraint, and width estimates for a sweep."""
     config.validate()
-    theta = make_truth(config.p, config.s, config.theta_magnitude, stream(config.master_seed, "truth"))
-    c = float(np.sum(np.abs(theta))) + config.slack
+    theta, c = sweep_truth(config)
     family = config.glm_family()
     fset = FeasibleSet(theta, c)
     mu_theory = (1.0 - config.rsc_epsilon) * glm.hessian_weight_lower_bound(family, c)
@@ -284,11 +303,7 @@ def run_trial(
     if ctx is None:
         ctx = prepare_sweep(config)
     seed = seed_fingerprint(config.master_seed, "trial", n, trial_index)
-    design = glm.sample_design(n, config.p, config.ensemble, stream(config.master_seed, "design", n, trial_index))
-    responses = glm.sample_responses(
-        design, ctx.theta, ctx.family, stream(config.master_seed, "responses", n, trial_index)
-    )
-    instance = glm.ProblemInstance(design, responses, ctx.theta, ctx.family, config.ensemble)
+    instance = make_instance(config, ctx.theta, n, trial_index)
 
     report = solve(config, instance, ctx.c)
 
@@ -298,19 +313,10 @@ def run_trial(
 
     grad0 = glm.gradient(instance, ctx.theta)
     grad_norm = float(np.linalg.norm(grad0))
-    rng_rsc = stream(config.master_seed, "rsc", n, trial_index)
     if config.constraint_mode == "matched":
         t_star = 0.0
         width = ctx.width_cone
         _, proj_norm = geometry.project_onto_descent_cone(ctx.cone, -grad0)
-        rsc = bounds.rsc_estimate(
-            instance,
-            ctx.cone,
-            config.rsc_directions,
-            epsilon=config.rsc_epsilon,
-            alpha=config.rsc_alpha,
-            rng=rng_rsc,
-        )
     else:
         tuned = ctx.tuned_by_n[int(n)]
         t_star = tuned.t_star
@@ -318,15 +324,7 @@ def run_trial(
         proj_norm = float(
             geometry._sup_localized_dual_rows((-grad0)[None, :], ctx.fset, t_star)[0] / t_star
         )
-        sampler = lambda rng, num: bounds.sample_localized_directions(ctx.fset, t_star, num, rng)
-        rsc = bounds.rsc_estimate(
-            instance,
-            sampler,
-            config.rsc_directions,
-            epsilon=config.rsc_epsilon,
-            alpha=config.rsc_alpha,
-            rng=rng_rsc,
-        )
+    rsc = probe_rsc(config, ctx, instance, n, trial_index)
 
     sigma_trial = glm.sigma_max(instance)
     mu_used = rsc.mu_hat if config.mu_mode == "empirical" else ctx.mu_theoretical
@@ -365,6 +363,29 @@ def run_trial(
         grad_norm=grad_norm,
         proj_grad_norm=proj_norm,
         objective=report.final_objective,
+    )
+
+
+def probe_rsc(
+    config: ExperimentConfig, ctx: SweepContext, instance: glm.ProblemInstance, n: int, trial_index: int
+) -> bounds.RscEstimate:
+    """Restricted-convexity probe of one trial over the directions its bound uses.
+
+    Matched sweeps sample the descent cone, mismatched sweeps the localized
+    set at t*(n).  The CLI's ``rsc`` subcommand runs the same probe.
+    """
+    if config.constraint_mode == "matched":
+        directions = ctx.cone
+    else:
+        t_star = ctx.tuned_by_n[int(n)].t_star
+        directions = lambda rng, num: bounds.sample_localized_directions(ctx.fset, t_star, num, rng)
+    return bounds.rsc_estimate(
+        instance,
+        directions,
+        config.rsc_directions,
+        epsilon=config.rsc_epsilon,
+        alpha=config.rsc_alpha,
+        rng=stream(config.master_seed, "rsc", n, trial_index),
     )
 
 

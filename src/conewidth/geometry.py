@@ -27,11 +27,8 @@ import numpy as np
 
 MATCHED_TOL = 1e-12
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 class ConvergenceError(RuntimeError):
-    """Iterative projection failed to converge within its iteration cap."""
+    """An iterative routine did not certify its result within its iteration cap."""
 
 
 @dataclass(frozen=True)
@@ -49,35 +46,6 @@ class WidthEstimate:
         if m < 2:
             raise ValueError("need at least 2 samples for a width estimate")
         return cls(float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(m)), m)
-
-
-def _golden_section_rows(f, lo: np.ndarray, hi: np.ndarray, iters: int):
-    """Vectorized golden-section minimization over per-row brackets.
-
-    ``f`` maps a vector of abscissae (one per row) to objective values.
-    Returns ``(lo, hi, best)`` where best is the smallest value evaluated.
-    """
-    width = hi - lo
-    x1 = hi - _INVPHI * width
-    x2 = lo + _INVPHI * width
-    f1 = f(x1)
-    f2 = f(x2)
-    best = np.minimum(f1, f2)
-    for _ in range(iters):
-        take_low = f1 <= f2
-        hi = np.where(take_low, x2, hi)
-        lo = np.where(take_low, lo, x1)
-        x_keep = np.where(take_low, x1, x2)
-        f_keep = np.where(take_low, f1, f2)
-        width = hi - lo
-        x_eval = np.where(take_low, hi - _INVPHI * width, lo + _INVPHI * width)
-        f_eval = f(x_eval)
-        best = np.minimum(best, f_eval)
-        x1 = np.where(take_low, x_eval, x_keep)
-        f1 = np.where(take_low, f_eval, f_keep)
-        x2 = np.where(take_low, x_keep, x_eval)
-        f2 = np.where(take_low, f_keep, f_eval)
-    return lo, hi, best
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,7 +226,8 @@ class FeasibleSet:
     """The translated constraint set ``F = {v : ||theta_true + v||_1 <= c}``.
 
     ``classification`` is derived: matched iff ``||theta_true||_1 == c`` to
-    within ``MATCHED_TOL``.
+    within ``MATCHED_TOL * max(1, c)``, a relative tolerance for large c,
+    where the l1 norm's summation order alone moves it by several ulps.
     """
 
     theta_true: np.ndarray
@@ -271,11 +240,12 @@ class FeasibleSet:
         norm1 = float(np.sum(np.abs(theta)))
         if self.radius_c <= 0:
             raise ValueError("radius_c must be > 0")
-        if norm1 > self.radius_c + MATCHED_TOL:
+        tol = MATCHED_TOL * max(1.0, self.radius_c)
+        if norm1 > self.radius_c + tol:
             raise ValueError(
                 f"theta_true is infeasible: ||theta||_1 = {norm1:.6g} > c = {self.radius_c:.6g}"
             )
-        matched = abs(norm1 - self.radius_c) <= MATCHED_TOL
+        matched = abs(norm1 - self.radius_c) <= tol
         object.__setattr__(self, "classification", "matched" if matched else "mismatched")
 
     @property
@@ -321,155 +291,104 @@ def gaussian_width_cone(cone, samples: int, rng: np.random.Generator) -> WidthEs
     return WidthEstimate.from_samples(norms)
 
 
-def _dykstra_project(
-    x0: np.ndarray,
-    project_a,
-    project_b,
-    tol: float = 1e-8,
-    max_iter: int = 5000,
+def _sup_localized_dual_rows(
+    H: np.ndarray, fset: FeasibleSet, t: float, max_iter: int = 100
 ) -> np.ndarray:
-    """Dykstra's alternating projections onto the intersection of two sets.
+    """Row-wise ``sup {<h, v> : v in F, ||v|| <= t}`` by a root-find on the projection path.
 
-    The convergence residual is the size of the correction increments
-    (``x_k - y_k`` and ``y_k - x_{k+1}``), not the change in the iterate:
-    the iterate can sit still for several cycles while the corrections are
-    still being built up.
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    residual = math.inf
-    for _ in range(max_iter):
-        y = project_a(x + p)
-        p = x + p - y
-        x_new = project_b(y + q)
-        q = y + q - x_new
-        residual = float(max(np.max(np.abs(x - y)), np.max(np.abs(y - x_new))))
-        x = x_new
-        if residual <= tol:
-            return x
-    raise ConvergenceError(
-        f"Dykstra projection did not converge within {max_iter} iterations "
-        f"(last residual {residual:.3e}, tolerance {tol:.1e})"
-    )
+    With multiplier ``1 / (2 s)`` on the squared-norm constraint, the inner
+    maximizer over F is ``v(s) = P_F(s h)``: a soft threshold of
+    ``theta + s h``, so piecewise linear in s, with ``||v(s)||``
+    nondecreasing because 0 lies in F.  The supremum is ``<h, v(s_t)>`` at
+    the s where ``||v(s_t)|| = t``.  When t reaches the vertex
+    ``c sign(h_i) e_i - theta`` at ``i = argmax |h_i|``, which maximizes
+    ``<h, v>`` over all of F, the supremum is ``c ||h||_inf - <h, theta>``.
 
-
-def sup_linear_over_localized_set(
-    h: np.ndarray,
-    fset: FeasibleSet,
-    t: float,
-    max_iter: int = 500,
-    dykstra_tol: float = 1e-8,
-    dykstra_max_iter: int = 20_000,
-) -> float:
-    """Maximize ``<h, v>`` over ``F ∩ tB`` by projected ascent.
-
-    Each ascent step projects onto the intersection of the shifted l1 ball
-    and the l2 ball with Dykstra's alternating projections.  The objective is
-    linear, so the iteration is monotone and converges to the supremum; the
-    step is a generous multiple of the set radius (a fixed-step ascent on a
-    linear objective has value gap on the order of diameter^2 / (step *
-    iterations)), and the loop exits once improvements stall.
-    """
-    if t <= 0:
-        raise ValueError("t must be > 0")
-    h = np.asarray(h, dtype=float)
-    hnorm = float(np.linalg.norm(h))
-    if hnorm == 0.0:
-        return 0.0
-
-    def project_ball(x: np.ndarray) -> np.ndarray:
-        nx = float(np.linalg.norm(x))
-        return x if nx <= t else x * (t / nx)
-
-    step = 64.0 * t / hnorm
-    v = np.zeros_like(h)
-    best = 0.0
-    stall_tol = 1e-11 * max(1.0, t * hnorm)
-    stalls = 0
-    for _ in range(max_iter):
-        v = _dykstra_project(v + step * h, fset.project, project_ball, dykstra_tol, dykstra_max_iter)
-        value = float(h @ v)
-        if value > best + stall_tol:
-            stalls = 0
-        else:
-            stalls += 1
-        best = max(best, value)
-        if stalls >= 3:
-            break
-    return best
-
-
-def _sup_localized_dual_rows(H: np.ndarray, fset: FeasibleSet, t: float) -> np.ndarray:
-    """Row-wise ``sup {<h, v> : v in F, ||v|| <= t}`` via the 1-D Lagrangian dual.
-
-    With multiplier ``lam >= 0`` on the squared-norm constraint, the inner
-    maximizer over F is ``P_F(h / (2 lam))``, so each dual evaluation
-    ``g(lam) = <h, v*> - lam ||v*||^2 + lam t^2`` costs one shifted l1-ball
-    projection.  g is convex with its minimizer in ``[0, ||h|| / (2t)]``
-    (because 0 lies in F), and strong duality makes the minimum equal the
-    primal supremum.  Golden-section search over lam, with the closed form
-    ``g(0) = sup_F <h, v>`` as an endpoint candidate.
+    Each step costs one sort: it gives v and its slope on the current
+    linear piece, and moves s to that piece's root of
+    ``||v + delta dv/ds||^2 = t^2``.  A step that leaves the bracket
+    ``[lo, hi]`` (``lo = t / ||h||`` since P_F is nonexpansive) is replaced
+    by geometric bisection, or by doubling while hi is unknown.  Every
+    evaluation yields a dual value ``<h, v> - (||v||^2 - t^2) / (2 s)``,
+    an upper bound, and a feasible primal ``<h, v> min(1, t / ||v||)``.
+    A row stops when the two agree to a relative 1e-12, or when its bracket
+    is a few ulps wide (there rounding in v, not the choice of s, sets the
+    residual); it returns its best dual value.  Rows still open after
+    ``max_iter`` steps raise :class:`ConvergenceError`.
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
-    out = np.zeros(H.shape[0])
+    theta, c = fset.theta_true, fset.radius_c
+    rows = np.arange(H.shape[0])
+    absH = np.abs(H)
+    i_star = np.argmax(absH, axis=1)
+    g0 = c * absH[rows, i_star] - H @ theta
+    vertex_sq = theta @ theta - theta[i_star] ** 2 + (c - np.sign(H[rows, i_star]) * theta[i_star]) ** 2
+    out = np.where(vertex_sq <= t * t, g0, 0.0)
     hnorm = np.linalg.norm(H, axis=1)
-    live = hnorm > 0
-    if not np.any(live):
-        return out
-    Hl = H[live]
-
-    def g(lam: np.ndarray) -> np.ndarray:
-        lam_safe = np.maximum(lam, 1e-300)
-        V = fset.project_rows(Hl / (2.0 * lam_safe[:, None]))
-        return (
-            np.einsum("ij,ij->i", Hl, V)
-            - lam * np.einsum("ij,ij->i", V, V)
-            + lam * t * t
+    idx = np.flatnonzero((vertex_sq > t * t) & (hnorm > 0))
+    Hl = H[idx]
+    lo = t / hnorm[idx]
+    hi = np.full(idx.size, np.inf)
+    s = lo.copy()
+    dual = g0[idx]  # the multiplier-0 dual value
+    primal = np.zeros(idx.size)
+    iterations = 0
+    while idx.size:
+        if iterations == max_iter:
+            raise ConvergenceError(
+                f"localized supremum not certified for {idx.size} rows within {max_iter} "
+                f"iterations at t = {t:.6g}"
+            )
+        iterations += 1
+        Y = theta + s[:, None] * Hl
+        P = project_l1_ball_rows(Y, c)
+        V = P - theta
+        active = P != 0.0
+        signs = np.sign(Y)
+        # outside the ball, the threshold grows at the mean of sign * h over the active set
+        slope_lam = np.where(
+            np.abs(Y).sum(axis=1) > c,
+            np.einsum("ij,ij->i", active * signs, Hl) / np.maximum(active.sum(axis=1), 1),
+            0.0,
         )
+        dV = np.where(active, Hl - signs * slope_lam[:, None], 0.0)
+        hv = np.einsum("ij,ij->i", Hl, V)
+        r_sq = np.einsum("ij,ij->i", V, V)
+        resid = r_sq - t * t
+        dual = np.minimum(dual, hv - resid / (2.0 * s))
+        primal = np.maximum(primal, hv * t / np.sqrt(np.maximum(r_sq, t * t)))
+        below = resid <= 0
+        lo = np.where(below, s, lo)
+        hi = np.where(below, hi, s)
+        done = (dual - primal <= 1e-12 * primal) | (hi <= lo * (1.0 + 4.0 * np.finfo(float).eps))
+        out[idx[done]] = dual[done]
 
-    lo = np.zeros(Hl.shape[0])
-    hi = hnorm[live] / (2.0 * t)
-    # bracket down to ~1e-12 of its initial span
-    iters = 2 + int(math.ceil(math.log(1e-12) / math.log(_INVPHI)))
-    _, _, best = _golden_section_rows(g, lo, hi, iters)
-    g0 = fset.radius_c * np.max(np.abs(Hl), axis=1) - Hl @ fset.theta_true
-    best = np.minimum(best, g0)
-    out[live] = np.maximum(best, 0.0)
+        a = np.einsum("ij,ij->i", dV, dV)
+        b = np.einsum("ij,ij->i", V, dV)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # root of a d^2 + 2 b d + resid nearest 0, in the stable form
+            s_next = s - resid / (b + np.sqrt(b * b - a * resid))
+        fallback = np.where(np.isfinite(hi), np.sqrt(lo * hi), 2.0 * lo)
+        s = np.where((s_next > lo) & (s_next < hi), s_next, fallback)
+        keep = ~done
+        idx, Hl, s, lo, hi, dual, primal = (x[keep] for x in (idx, Hl, s, lo, hi, dual, primal))
     return out
 
 
-def localized_width(
-    fset: FeasibleSet,
-    t: float,
-    samples: int,
-    rng: np.random.Generator,
-    method: str = "dual",
-    max_iter: int = 500,
-) -> WidthEstimate:
+def localized_width(fset: FeasibleSet, t: float, samples: int, rng: np.random.Generator) -> WidthEstimate:
     """Monte-Carlo estimate of ``E sup {<h, v> : v in F ∩ tB} / t``.
 
     For matched constraints and t no larger than the smallest nonzero entry
     of theta_true, the localized set coincides with the descent cone's
     t-ball section, so the estimate agrees with :func:`gaussian_width_cone`
     and is independent of t.
-
-    ``method`` selects the inner maximizer: ``"dual"`` (default; exact via
-    Lagrangian duality, vectorized over samples) or ``"pga"`` (projected
-    gradient ascent with Dykstra projections; slower, kept as a cross-check).
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
     if t <= 0:
         raise ValueError("t must be > 0")
     H = rng.standard_normal((samples, fset.ambient_dim))
-    if method == "dual":
-        sups = _sup_localized_dual_rows(H, fset, t)
-    elif method == "pga":
-        sups = np.array([sup_linear_over_localized_set(h, fset, t, max_iter) for h in H])
-    else:
-        raise ValueError(f"unknown method {method!r}; expected 'dual' or 'pga'")
-    return WidthEstimate.from_samples(sups / t)
+    return WidthEstimate.from_samples(_sup_localized_dual_rows(H, fset, t) / t)
 
 
 def global_width_l1(fset: FeasibleSet, samples: int, rng: np.random.Generator) -> WidthEstimate:

@@ -137,6 +137,15 @@ class TestDispatch:
         out = capsys.readouterr().out.strip().split("\n")
         assert len(out) == 4  # header + one row per grid n
 
+    def test_rsc_matches_sweep_probe_mismatched(self, mismatched_path, capsys):
+        # both probe trial 0 at t*(n) with the ("rsc", n, 0) and ("design", n, 0)
+        # streams; at this seed t*(60) = 0.8 probes other directions than t_grid[0]
+        assert main(["rsc", "--config", mismatched_path, "master_seed=9"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+        result = cli.run_sweep(load_config(mismatched_path, ["master_seed=9"]))
+        sweep_mu = {r.n: cli._fmt(r.mu_hat) for r in result.records if r.trial == 0}
+        assert {int(row[0]): row[1] for row in rows} == sweep_mu
+
     def test_sweep_deterministic_files(self, matched_path, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"

@@ -1,11 +1,15 @@
 """Cone geometry: projections, Moreau decomposition, width estimators."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conewidth import geometry
+from conewidth.cli import load_config
 from conewidth.geometry import (
     ConeModel,
     ConvergenceError,
@@ -18,16 +22,20 @@ from conewidth.geometry import (
     localized_width,
     project_l1_ball,
     project_onto_descent_cone,
-    sup_linear_over_localized_set,
 )
+from conewidth.experiment import sweep_truth
 from conewidth.rng import stream
 
 from oracles import (
     cone_projection_angle_oracle,
     cone_width_rejection_oracle,
+    golden_section_sup_rows,
     grid_min_distance_l1_ball,
+    sup_linear_over_localized_set,
     sup_localized_p2_oracle,
 )
+
+SHIPPED_MISMATCHED = Path(__file__).resolve().parents[1] / "configs" / "mismatched.cfg"
 
 
 def random_cone(rng, p=None):
@@ -253,6 +261,15 @@ class TestFeasibleSet:
         assert FeasibleSet(theta, 3.0).classification == "matched"
         assert FeasibleSet(theta, 3.5).classification == "mismatched"
 
+    def test_large_truth_classified_matched(self):
+        # c summed exactly differs from numpy's pairwise l1 norm by a few ulps of 1e5
+        rng = np.random.default_rng(44)
+        for _ in range(200):
+            theta = np.zeros(200)
+            support = rng.choice(200, size=5, replace=False)
+            theta[support] = rng.choice([-1.0, 1.0], size=5) * rng.uniform(1e4, 2e4, size=5)
+            assert FeasibleSet(theta, math.fsum(np.abs(theta))).classification == "matched"
+
     def test_infeasible_truth_rejected(self):
         with pytest.raises(ValueError, match="infeasible"):
             FeasibleSet(np.array([2.0, 0.0]), 1.0)
@@ -308,6 +325,92 @@ class TestSupLinearLocalized:
             sup_linear_over_localized_set(np.array([1.0]), fset, 0.0)
 
 
+@pytest.fixture(scope="module")
+def shipped_mismatched():
+    """The shipped mismatched config and its feasible set (p = 200, s = 5, slack 2.5)."""
+    config = load_config(str(SHIPPED_MISMATCHED))
+    return config, FeasibleSet(*sweep_truth(config))
+
+
+class TestLocalizedSupRootFind:
+    def test_matches_golden_section_at_shipped_geometry(self, shipped_mismatched):
+        config, fset = shipped_mismatched
+        for i, t in enumerate(config.t_grid):
+            # the first rows of the shipped width draws at this t
+            H = stream(config.master_seed, "width", i).standard_normal((100, config.p))
+            sups = geometry._sup_localized_dual_rows(H, fset, t)
+            np.testing.assert_allclose(sups, golden_section_sup_rows(H, fset, t), rtol=1e-10, atol=0)
+
+    def test_matched_equals_cone_section(self):
+        # for t <= min |theta_S|, F ∩ tB = K ∩ tB, whose sup is t ||P_K(h)||
+        rng = np.random.default_rng(46)
+        theta = np.zeros(30)
+        support = rng.choice(30, size=4, replace=False)
+        theta[support] = rng.choice([-1.0, 1.0], size=4) * rng.uniform(1.0, 2.0, size=4)
+        fset = FeasibleSet(theta, float(np.sum(np.abs(theta))))
+        H = rng.normal(size=(300, 30))
+        _, cone_norms = descent_cone(theta).project_batch(H)
+        for t in (0.05, 0.4, float(np.min(np.abs(theta[support])))):
+            sups = geometry._sup_localized_dual_rows(H, fset, t)
+            np.testing.assert_allclose(sups / t, cone_norms, rtol=1e-10, atol=1e-10)
+
+    def test_vertex_radius_and_zero_rows(self):
+        rng = np.random.default_rng(47)
+        fset = FeasibleSet(np.array([0.5, -0.25, 0.0, 0.0, 0.1]), 1.5)
+        H = rng.normal(size=(40, 5))
+        H[3] = 0.0
+        g0 = 1.5 * np.max(np.abs(H), axis=1) - H @ fset.theta_true
+        for k, h in enumerate(H):
+            i = int(np.argmax(np.abs(h)))
+            vertex = -fset.theta_true.copy()
+            vertex[i] += 1.5 * np.sign(h[i])
+            radius = float(np.linalg.norm(vertex))
+            assert geometry._sup_localized_dual_rows(h, fset, 2.0 * radius)[0] == g0[k]
+            at_radius = geometry._sup_localized_dual_rows(h, fset, radius)[0]
+            assert at_radius == pytest.approx(g0[k], rel=1e-12, abs=0)
+        assert np.array_equal(geometry._sup_localized_dual_rows(np.zeros((2, 5)), fset, 0.3), np.zeros(2))
+        assert geometry._sup_localized_dual_rows(H, fset, 0.3)[3] == 0.0
+
+    def test_collapsed_brackets_terminate_below_cap(self, shipped_mismatched):
+        """Some shipped rows at t = 5.84 have their root near s = 1.8e4, where
+        ||v(s)||^2 - t^2 stays near 1e-11 at neighbouring floats: a residual
+        stop never fires there, the certificate or the collapsed bracket must."""
+        config, fset = shipped_mismatched
+        i = config.t_grid.index(5.84)
+        H = stream(config.master_seed, "width", i).standard_normal((config.mc_samples, config.p))
+        sups = geometry._sup_localized_dual_rows(H, fset, 5.84, max_iter=20)
+        np.testing.assert_allclose(sups, golden_section_sup_rows(H, fset, 5.84), rtol=1e-10, atol=0)
+
+    def test_iteration_cap_raises(self, shipped_mismatched):
+        config, fset = shipped_mismatched
+        H = stream(config.master_seed, "width", 0).standard_normal((20, config.p))
+        with pytest.raises(ConvergenceError, match="not certified"):
+            geometry._sup_localized_dual_rows(H, fset, config.t_grid[0], max_iter=1)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_value_between_primal_and_dual(self, data):
+        p = data.draw(st.integers(1, 8), label="p")
+        vec = st.lists(st.floats(-3.0, 3.0), min_size=p, max_size=p).map(np.array)
+        theta, h, x = data.draw(vec, label="theta"), data.draw(vec, label="h"), data.draw(vec, label="x")
+        c = float(np.sum(np.abs(theta))) + data.draw(st.floats(0.0, 2.0), label="slack")
+        assume(c >= 1e-3)
+        t = data.draw(st.floats(1e-3, 6.0), label="t")
+        lam = data.draw(st.floats(1e-3, 1e3), label="lam")
+        fset = FeasibleSet(theta, c)
+        value = geometry._sup_localized_dual_rows(h, fset, t)[0]
+        tol = 1e-10 * max(1.0, float(np.linalg.norm(h)) * t)
+        # weak duality: every multiplier gives an upper bound
+        v = fset.project(h / (2.0 * lam))
+        assert value <= h @ v - lam * (v @ v) + lam * t * t + tol
+        # any point of F scaled into the t-ball is feasible (0 lies in F)
+        w = fset.project(x)
+        w_norm = float(np.linalg.norm(w))
+        if w_norm > t:
+            w *= t / w_norm
+        assert value >= h @ w - tol
+
+
 class TestLocalizedWidth:
     def test_interval_case(self):
         fset = FeasibleSet(np.array([0.0]), 1.0)
@@ -337,9 +440,10 @@ class TestLocalizedWidth:
 
     def test_pga_method_agrees(self):
         fset = FeasibleSet(np.array([0.4, -0.3, 0.0]), 1.2)
-        w_dual = localized_width(fset, 0.7, 40, stream(40, "w"), method="dual")
-        w_pga = localized_width(fset, 0.7, 40, stream(40, "w"), method="pga")
-        assert w_dual.mean == pytest.approx(w_pga.mean, abs=1e-6)
+        w_dual = localized_width(fset, 0.7, 40, stream(40, "w"))
+        H = stream(40, "w").standard_normal((40, 3))
+        pga_mean = float(np.mean([sup_linear_over_localized_set(h, fset, 0.7) for h in H])) / 0.7
+        assert w_dual.mean == pytest.approx(pga_mean, abs=1e-6)
 
 
 class TestGlobalWidth:
