@@ -31,6 +31,11 @@ BOUND_CONSTANT = 2.0 * math.sqrt(2.0 * math.pi)
 
 RSC_LAMBDA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
+# A descent cone's polar lies in the half-space {u : <u, theta> >= 0}, so a
+# gaussian projects to zero with probability at most 1/2, and a slot is
+# still empty after R rounds with probability at most 2^-R.
+CONE_SAMPLE_MAX_ROUNDS = 100
+
 
 @dataclass(frozen=True)
 class RscEstimate:
@@ -85,24 +90,31 @@ class TunedBound:
     bound_closed_form: float
 
 
-def sample_cone_directions(
-    cone: ConeModel, num: int, rng: np.random.Generator, batch: int = 512
-) -> np.ndarray:
+def sample_cone_directions(cone: ConeModel, num: int, rng: np.random.Generator) -> np.ndarray:
     """Unit directions in the cone: project gaussians, drop zeros, normalize.
 
-    Returns an array of shape (p, num) with unit columns.
+    Each round draws as many rows as are still missing, so the kept
+    directions are the first ``num`` nonzero projections of one gaussian
+    stream.  Returns an array of shape (p, num) with unit columns; raises
+    ``ValueError`` after ``CONE_SAMPLE_MAX_ROUNDS`` rounds that leave some
+    missing.
     """
     collected: list[np.ndarray] = []
     have = 0
-    while have < num:
-        H = rng.standard_normal((batch, cone.ambient_dim))
+    for _ in range(CONE_SAMPLE_MAX_ROUNDS):
+        if have == num:
+            break
+        H = rng.standard_normal((num - have, cone.ambient_dim))
         proj, norms = cone.project_batch(H)
         keep = norms > 1e-12
-        if np.any(keep):
-            unit = proj[keep] / norms[keep, None]
-            collected.append(unit)
-            have += unit.shape[0]
-    return np.concatenate(collected, axis=0)[:num].T
+        collected.append(proj[keep] / norms[keep, None])
+        have += int(np.count_nonzero(keep))
+    if have < num:
+        raise ValueError(
+            f"could not sample directions from the cone: {have} of {num} nonzero projections "
+            f"after {CONE_SAMPLE_MAX_ROUNDS} rounds"
+        )
+    return np.concatenate(collected, axis=0).T
 
 
 def sample_localized_directions(

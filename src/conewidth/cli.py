@@ -207,6 +207,21 @@ def _cmd_sweep(config: ExperimentConfig, out_path: str | None) -> None:
     _write_output(result.aggregate_csv(), out_path)
     if out_path is not None:
         Path(out_path + ".trials.csv").write_text(result.trials_csv(), encoding="utf-8", newline="\n")
+    print(_trial_status(result.records), file=sys.stderr)
+
+
+def _trial_status(records) -> str:
+    """One line counting the trials that did not converge or failed, listing each failure.
+
+    Neither CSV shows them: a failed trial has no row, and a row does not
+    say whether its solve cleared the gap certificate.
+    """
+    failed = [r for r in records if r.failed]
+    unconverged = sum(1 for r in records if not r.failed and not r.converged)
+    line = f"sweep: {len(records)} trials, {unconverged} not converged, {len(failed)} failed"
+    if failed:
+        line += ": " + ", ".join(repr((r.n, r.trial, r.error_message)) for r in failed)
+    return line
 
 
 def _cmd_slope(csv_path: str, out_path: str | None) -> None:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,6 +283,7 @@ class TrialRecord:
     sigma_max: float = math.nan
     solver_iters: int = 0
     final_gap: float = math.nan
+    converged: bool = False
     discarded: bool = False
     grad_norm: float = math.nan
     proj_grad_norm: float = math.nan
@@ -359,6 +359,7 @@ def run_trial(
         sigma_max=sigma_trial,
         solver_iters=report.iterations,
         final_gap=report.final_gap,
+        converged=report.converged,
         discarded=discarded,
         grad_norm=grad_norm,
         proj_grad_norm=proj_norm,
@@ -565,6 +566,8 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     tasks = [(int(n), j) for n in config.n_grid for j in range(config.trials)]
     workers = resolve_workers()
     if workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # serial runs skip its import cost
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_worker_init, initargs=(config, ctx)
         ) as pool:

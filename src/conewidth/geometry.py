@@ -27,6 +27,12 @@ import numpy as np
 
 MATCHED_TOL = 1e-12
 
+# Segments of the descending off-support sort that the polar tau search
+# tries before it searches them all.  At p = 200, s = 5 a gaussian row's
+# segment had median 20 and was at most 45 in 100,000 rows.
+POLAR_TAU_WINDOW = 64
+
+
 class ConvergenceError(RuntimeError):
     """An iterative routine did not certify its result within its iteration cap."""
 
@@ -100,13 +106,10 @@ class ConeModel:
     def project_batch(self, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Project the rows of H onto the cone; returns (projections, norms)."""
         H = np.atleast_2d(np.asarray(H, dtype=float))
-        tau = _polar_tau_batch(self, H)
-        polar = np.zeros_like(H)
-        polar[:, self.support] = tau[:, None] * self.signs[None, :]
-        off = self._off_support
-        if off.size:
-            polar[:, off] = np.clip(H[:, off], -tau[:, None], tau[:, None])
-        proj = H - polar
+        tau = _polar_tau_batch(self, H)[:, None]
+        # the polar part clips off the support and is tau * sign on it
+        proj = H - np.clip(H, -tau, tau)
+        proj[:, self.support] = H[:, self.support] - tau * self.signs[None, :]
         return proj, np.linalg.norm(proj, axis=1)
 
 
@@ -141,26 +144,50 @@ def _polar_tau_batch(cone: ConeModel, H: np.ndarray) -> np.ndarray:
     exceed tau, the stationary point averages the on-support targets with
     those k magnitudes, and exactly one segment contains its own stationary
     point (otherwise the minimizer is tau = 0).
+
+    The first ``POLAR_TAU_WINDOW`` segments of the descending sort are
+    searched first; only rows with no self-consistent segment among them
+    search all of them again.  Both searches evaluate the same formulas,
+    so the window never changes tau.
     """
-    m = H.shape[0]
     s_count = cone.support.size
     on_target = H[:, cone.support] @ cone.signs
     off = cone._off_support
     if off.size == 0:
         return np.maximum(on_target / s_count, 0.0)
     a = np.sort(np.abs(H[:, off]), axis=1)[:, ::-1]
-    q = a.shape[1]
-    prefix = np.concatenate([np.zeros((m, 1)), np.cumsum(a, axis=1)], axis=1)
-    counts = s_count + np.arange(q + 1, dtype=float)
-    tau_k = (on_target[:, None] + prefix) / counts[None, :]
-    upper = np.concatenate([np.full((m, 1), np.inf), a], axis=1)
-    lower = np.concatenate([a, np.zeros((m, 1))], axis=1)
-    feasible = (tau_k <= upper * (1.0 + 1e-12) + 1e-12) & (tau_k >= lower * (1.0 - 1e-12) - 1e-12)
-    found = feasible.any(axis=1)
-    k_idx = np.argmax(feasible, axis=1)
-    tau = tau_k[np.arange(m), k_idx]
+    if off.size < POLAR_TAU_WINDOW:
+        tau, found = _first_segment_tau(on_target, a, s_count, complete=True)
+    else:
+        tau, found = _first_segment_tau(on_target, a[:, :POLAR_TAU_WINDOW], s_count, complete=False)
+        rest = np.flatnonzero(~found)
+        if rest.size:
+            tau[rest], found[rest] = _first_segment_tau(on_target[rest], a[rest], s_count, complete=True)
     # no self-consistent segment means the unconstrained root is negative
     return np.where(found, np.maximum(tau, 0.0), 0.0)
+
+
+def _first_segment_tau(
+    on_target: np.ndarray, a: np.ndarray, s_count: int, complete: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stationary tau of each row's first self-consistent segment, and whether one exists.
+
+    ``a`` holds the leading off-support magnitudes in descending order.
+    Segment k lies between ``a[k - 1]`` (infinity for k = 0) and ``a[k]``.
+    With ``complete`` the columns are all of them and the last segment
+    reaches down to 0; otherwise the last column only closes the segment
+    above it.
+    """
+    m = a.shape[0]
+    lower = np.concatenate([a, np.zeros((m, 1))], axis=1) if complete else a
+    segments = lower.shape[1]
+    above = a[:, : segments - 1]
+    prefix = np.concatenate([np.zeros((m, 1)), np.cumsum(above, axis=1)], axis=1)
+    counts = s_count + np.arange(segments, dtype=float)
+    tau_k = (on_target[:, None] + prefix) / counts[None, :]
+    upper = np.concatenate([np.full((m, 1), np.inf), above], axis=1)
+    feasible = (tau_k <= upper * (1.0 + 1e-12) + 1e-12) & (tau_k >= lower * (1.0 - 1e-12) - 1e-12)
+    return tau_k[np.arange(m), np.argmax(feasible, axis=1)], feasible.any(axis=1)
 
 
 def project_onto_descent_cone(cone: ConeModel, h: np.ndarray) -> tuple[np.ndarray, float]:

@@ -53,6 +53,42 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
     return np.where(eta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def _check_eta_cap(family: GlmFamily, eta: np.ndarray) -> None:
+    if eta.size and np.max(eta) > family.eta_cap:
+        raise ValueError(f"poisson linear predictor {np.max(eta):.6g} exceeds cap {family.eta_cap:.6g}")
+
+
+def _cumulant(family: GlmFamily, eta: np.ndarray) -> np.ndarray:
+    """``b(eta)`` of an array."""
+    if family.tag == "gaussian":
+        return 0.5 * eta**2
+    if family.tag == "logistic":
+        return np.logaddexp(0.0, eta)
+    _check_eta_cap(family, eta)
+    return np.exp(eta)
+
+
+def _cumulant_d1(family: GlmFamily, eta: np.ndarray) -> np.ndarray:
+    """``b'(eta)`` of an array: the mean response."""
+    if family.tag == "gaussian":
+        return eta
+    if family.tag == "logistic":
+        return _sigmoid(eta)
+    _check_eta_cap(family, eta)
+    return np.exp(eta)
+
+
+def _cumulant_d2(family: GlmFamily, eta: np.ndarray) -> np.ndarray:
+    """``b''(eta)`` of an array: the response variance."""
+    if family.tag == "gaussian":
+        return np.ones_like(eta)
+    if family.tag == "logistic":
+        s = _sigmoid(eta)
+        return s * (1.0 - s)
+    _check_eta_cap(family, eta)
+    return np.exp(eta)
+
+
 def cumulant_eval(family: GlmFamily, eta):
     """Return ``(b(eta), b'(eta), b''(eta))`` elementwise.
 
@@ -60,22 +96,9 @@ def cumulant_eval(family: GlmFamily, eta):
     input above ``family.eta_cap`` raises instead of overflowing.
     """
     eta_arr = np.asarray(eta, dtype=float)
-    if family.tag == "gaussian":
-        b = 0.5 * eta_arr**2
-        b1 = eta_arr
-        b2 = np.ones_like(eta_arr)
-    elif family.tag == "logistic":
-        b = np.logaddexp(0.0, eta_arr)
-        b1 = _sigmoid(eta_arr)
-        b2 = b1 * (1.0 - b1)
-    else:
-        if eta_arr.size and np.max(eta_arr) > family.eta_cap:
-            raise ValueError(
-                f"poisson linear predictor {np.max(eta_arr):.6g} exceeds cap {family.eta_cap:.6g}"
-            )
-        b = np.exp(eta_arr)
-        b1 = b
-        b2 = b
+    b = _cumulant(family, eta_arr)
+    b1 = _cumulant_d1(family, eta_arr)
+    b2 = _cumulant_d2(family, eta_arr)
     if np.isscalar(eta) or np.ndim(eta) == 0:
         return float(b), float(b1), float(b2)
     return b, b1, b2
@@ -174,13 +197,13 @@ def _check_theta(instance: ProblemInstance, theta: np.ndarray) -> np.ndarray:
 
 def loss_at_predictor(instance: ProblemInstance, eta: np.ndarray) -> float:
     """Empirical loss ``(1/n) sum_i [b(eta_i) - y_i eta_i]`` given ``eta = A theta``."""
-    b, _, _ = cumulant_eval(instance.family, eta)
+    b = _cumulant(instance.family, np.asarray(eta, dtype=float))
     return float(np.mean(b - instance.responses * eta))
 
 
 def gradient_at_predictor(instance: ProblemInstance, eta: np.ndarray) -> np.ndarray:
     """Gradient ``(1/n) A^T (b'(eta) - y)`` given ``eta = A theta``."""
-    _, b1, _ = cumulant_eval(instance.family, eta)
+    b1 = _cumulant_d1(instance.family, np.asarray(eta, dtype=float))
     return instance.design.T @ (b1 - instance.responses) / instance.n
 
 
@@ -198,8 +221,7 @@ def hessian_quadratic_form(instance: ProblemInstance, theta: np.ndarray, v: np.n
     """Quadratic form ``v^T Hess f_n(theta) v = (1/n) sum_i b''(eta_i) <a_i, v>^2``."""
     theta = _check_theta(instance, theta)
     v = _check_theta(instance, v)
-    eta = instance.design @ theta
-    _, _, b2 = cumulant_eval(instance.family, eta)
+    b2 = _cumulant_d2(instance.family, instance.design @ theta)
     av = instance.design @ v
     return float(np.mean(b2 * av**2))
 
@@ -209,7 +231,7 @@ def hessian_quadratic_form_batch(
 ) -> np.ndarray:
     """Hessian quadratic form at one base point for many directions (columns)."""
     theta = _check_theta(instance, theta)
-    _, _, b2 = cumulant_eval(instance.family, instance.design @ theta)
+    b2 = _cumulant_d2(instance.family, instance.design @ theta)
     av = instance.design @ directions
     return np.mean(b2[:, None] * av**2, axis=0)
 
@@ -226,7 +248,7 @@ def segment_quadratic_form_batch(
     base = _check_theta(instance, base)
     eta0 = instance.design @ base
     ae = instance.design @ directions
-    _, _, b2 = cumulant_eval(instance.family, eta0[:, None] + step * ae)
+    b2 = _cumulant_d2(instance.family, eta0[:, None] + step * ae)
     return np.mean(b2 * ae**2, axis=0)
 
 
@@ -235,8 +257,8 @@ def secant_form_batch(instance: ProblemInstance, base: np.ndarray, directions: n
     base = _check_theta(instance, base)
     eta0 = instance.design @ base
     ae = instance.design @ directions
-    _, b1_shift, _ = cumulant_eval(instance.family, eta0[:, None] + ae)
-    _, b1_base, _ = cumulant_eval(instance.family, eta0)
+    b1_shift = _cumulant_d1(instance.family, eta0[:, None] + ae)
+    b1_base = _cumulant_d1(instance.family, eta0)
     sq = np.sum(directions**2, axis=0)
     sq = np.where(sq > 0, sq, 1.0)
     return np.mean((b1_shift - b1_base[:, None]) * ae, axis=0) / sq
@@ -250,8 +272,7 @@ def sigma_max(instance: ProblemInstance) -> float:
     """
     if instance.family.tag == "gaussian":
         return float(instance.family.noise_scale)
-    eta = instance.design @ instance.theta_true
-    _, _, b2 = cumulant_eval(instance.family, eta)
+    b2 = _cumulant_d2(instance.family, instance.design @ instance.theta_true)
     return float(np.sqrt(np.max(b2)))
 
 

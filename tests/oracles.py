@@ -251,3 +251,60 @@ def golden_section_sup_rows(H, fset, t):
     g0 = fset.radius_c * np.max(np.abs(Hl), axis=1) - Hl @ fset.theta_true
     out[live] = np.maximum(np.minimum(best, g0), 0.0)
     return out
+
+
+def full_width_polar_tau(cone, H):
+    """Polar tau of each row of H, searching every segment of the sort at once.
+
+    The library searches a window of the leading segments first; this is the
+    same exact segment search over all ``p - s + 1`` of them.
+    """
+    m = H.shape[0]
+    s_count = cone.support.size
+    on_target = H[:, cone.support] @ cone.signs
+    off = cone._off_support
+    if off.size == 0:
+        return np.maximum(on_target / s_count, 0.0)
+    a = np.sort(np.abs(H[:, off]), axis=1)[:, ::-1]
+    q = a.shape[1]
+    prefix = np.concatenate([np.zeros((m, 1)), np.cumsum(a, axis=1)], axis=1)
+    counts = s_count + np.arange(q + 1, dtype=float)
+    tau_k = (on_target[:, None] + prefix) / counts[None, :]
+    upper = np.concatenate([np.full((m, 1), np.inf), a], axis=1)
+    lower = np.concatenate([a, np.zeros((m, 1))], axis=1)
+    feasible = (tau_k <= upper * (1.0 + 1e-12) + 1e-12) & (tau_k >= lower * (1.0 - 1e-12) - 1e-12)
+    found = feasible.any(axis=1)
+    tau = tau_k[np.arange(m), np.argmax(feasible, axis=1)]
+    return np.where(found, np.maximum(tau, 0.0), 0.0)
+
+
+def full_width_project_batch(cone, H):
+    """Cone projection of the rows of H by subtracting an assembled polar part."""
+    H = np.atleast_2d(np.asarray(H, dtype=float))
+    tau = full_width_polar_tau(cone, H)
+    polar = np.zeros_like(H)
+    polar[:, cone.support] = tau[:, None] * cone.signs[None, :]
+    off = cone._off_support
+    if off.size:
+        polar[:, off] = np.clip(H[:, off], -tau[:, None], tau[:, None])
+    proj = H - polar
+    return proj, np.linalg.norm(proj, axis=1)
+
+
+def batched_cone_directions(cone, num, rng, batch=512):
+    """Unit cone directions drawn in fixed batches of ``batch`` gaussian rows.
+
+    The library draws only the rows still missing; both keep the first
+    ``num`` nonzero projections of the stream.
+    """
+    collected = []
+    have = 0
+    while have < num:
+        H = rng.standard_normal((batch, cone.ambient_dim))
+        proj, norms = cone.project_batch(H)
+        keep = norms > 1e-12
+        if np.any(keep):
+            unit = proj[keep] / norms[keep, None]
+            collected.append(unit)
+            have += unit.shape[0]
+    return np.concatenate(collected, axis=0)[:num].T

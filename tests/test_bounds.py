@@ -1,14 +1,20 @@
 """Bound formulas, restricted-convexity probes, and the sure inequality."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conewidth import bounds, geometry, glm, solver
+from conewidth.cli import load_config
+from conewidth.experiment import sweep_truth
 from conewidth.geometry import FeasibleSet, WidthEstimate, descent_cone, gaussian_width_cone
 from conewidth.rng import stream
 
+from oracles import batched_cone_directions
+
+SHIPPED_MATCHED = Path(__file__).resolve().parents[1] / "configs" / "matched.cfg"
 BOUND_CONSTANT = 2.0 * math.sqrt(2.0 * math.pi)
 GAUSSIAN = glm.GlmFamily("gaussian", 0.5)
 
@@ -62,6 +68,45 @@ class TestRscEstimate:
             bounds.rsc_estimate(inst, descent_cone(theta), 50, rng=stream(73, "v"))
         with pytest.raises(ValueError, match="epsilon"):
             bounds.RscEstimate(0.5, 100, 0.6, epsilon=1.5, alpha=1.0)
+
+
+class HalfZeroCone:
+    """Duck-typed cone that keeps each gaussian row whose first entry is positive."""
+
+    ambient_dim = 7
+
+    def project_batch(self, H):
+        proj = np.where(H[:, :1] > 0, H, 0.0)
+        return proj, np.linalg.norm(proj, axis=1)
+
+
+class TestConeDirectionSampler:
+    def test_matches_batched_reference_at_shipped_geometry(self):
+        theta, _ = sweep_truth(load_config(str(SHIPPED_MATCHED)))
+        cone = descent_cone(theta)
+        for key in range(3):
+            E = bounds.sample_cone_directions(cone, 800, stream(90, "rsc", key))
+            reference = batched_cone_directions(cone, 800, stream(90, "rsc", key))
+            assert np.array_equal(E, reference)
+            assert E.strides == reference.strides  # same layout, so the same matmul rounding
+
+    def test_zero_rows_skipped_in_stream_order(self):
+        for num in (1, 300, 1500):
+            E = bounds.sample_cone_directions(HalfZeroCone(), num, stream(91, "z", num))
+            assert np.array_equal(E, batched_cone_directions(HalfZeroCone(), num, stream(91, "z", num)))
+            assert E.shape == (7, num)
+            assert np.all(E[0] > 0)
+            assert np.allclose(np.linalg.norm(E, axis=0), 1.0, atol=1e-15)
+
+    def test_all_zero_cone_raises(self):
+        class ZeroCone:
+            ambient_dim = 3
+
+            def project_batch(self, H):
+                return np.zeros_like(H), np.zeros(H.shape[0])
+
+        with pytest.raises(ValueError, match="0 of 200 nonzero projections"):
+            bounds.sample_cone_directions(ZeroCone(), 200, stream(92, "z"))
 
 
 class TestLocalizedDirectionSampler:

@@ -163,6 +163,36 @@ class TestDispatch:
         assert lines[1].startswith("mean_error,")
         assert lines[2].startswith("bound,")
 
+    def test_sweep_reports_unconverged_trials(self, matched_path, tmp_path, capsys):
+        assert main(["sweep", "--config", matched_path, "--out", str(tmp_path / "a.csv")]) == 0
+        assert capsys.readouterr().err == "sweep: 12 trials, 0 not converged, 0 failed\n"
+        out = tmp_path / "capped.csv"
+        assert main(["sweep", "--config", matched_path, "--out", str(out), "solver_max_iter=1"]) == 0
+        result = cli.run_sweep(load_config(matched_path, ["solver_max_iter=1"]))
+        unconverged = sum(not r.converged for r in result.records)
+        assert unconverged > 0
+        assert capsys.readouterr().err == f"sweep: 12 trials, {unconverged} not converged, 0 failed\n"
+        assert out.read_text() == result.aggregate_csv()
+        assert (tmp_path / "capped.csv.trials.csv").read_text() == result.trials_csv()
+
+    def test_sweep_lists_failed_trials(self, matched_path, tmp_path, capsys, monkeypatch):
+        from conewidth import experiment
+
+        run_trial = experiment.run_trial
+
+        def flaky(config, n, trial_index, ctx=None):
+            if (n, trial_index) in ((20, 1), (80, 3)):
+                raise ValueError(f"injected at {n}/{trial_index}")
+            return run_trial(config, n, trial_index, ctx)
+
+        monkeypatch.setattr(experiment, "run_trial", flaky)
+        # one failure in 5 stays under the 20% that aborts a grid point
+        assert main(["sweep", "--config", matched_path, "--out", str(tmp_path / "a.csv"), "trials=5"]) == 0
+        assert capsys.readouterr().err == (
+            "sweep: 15 trials, 0 not converged, 2 failed: "
+            "(20, 1, 'injected at 20/1'), (80, 3, 'injected at 80/3')\n"
+        )
+
     def test_config_file_not_mutated(self, matched_path, tmp_path):
         digest = hashlib.sha256(open(matched_path, "rb").read()).hexdigest()
         main(["width", "--config", matched_path])

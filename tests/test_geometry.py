@@ -29,12 +29,15 @@ from conewidth.rng import stream
 from oracles import (
     cone_projection_angle_oracle,
     cone_width_rejection_oracle,
+    full_width_polar_tau,
+    full_width_project_batch,
     golden_section_sup_rows,
     grid_min_distance_l1_ball,
     sup_linear_over_localized_set,
     sup_localized_p2_oracle,
 )
 
+SHIPPED_MATCHED = Path(__file__).resolve().parents[1] / "configs" / "matched.cfg"
 SHIPPED_MISMATCHED = Path(__file__).resolve().parents[1] / "configs" / "mismatched.cfg"
 
 
@@ -198,6 +201,98 @@ class TestConeProjection:
             members, _ = cone.project_batch(Z)
             dists = np.linalg.norm(members - h[None, :], axis=1)
             assert np.all(dists >= d - 1e-9)
+
+
+def shipped_matched_cone():
+    theta, _ = sweep_truth(load_config(str(SHIPPED_MATCHED)))
+    return descent_cone(theta)
+
+
+class TestPolarTauWindow:
+    """The windowed tau search against the full-width search, bit for bit."""
+
+    def assert_same_as_full_width(self, cone, H):
+        tau = geometry._polar_tau_batch(cone, H)
+        assert np.array_equal(tau, full_width_polar_tau(cone, H))
+        proj, norms = cone.project_batch(H)
+        ref_proj, ref_norms = full_width_project_batch(cone, H)
+        assert np.array_equal(proj, ref_proj)
+        assert np.array_equal(norms, ref_norms)
+        return tau
+
+    def test_matches_full_width_at_large_p(self):
+        self.assert_same_as_full_width(shipped_matched_cone(), stream(80, "H").standard_normal((3000, 200)))
+        rng = np.random.default_rng(81)
+        for p in (100, 150, 400):
+            cone = random_cone(rng, p=p)
+            H = rng.standard_normal((500, p)) * rng.uniform(0.1, 10.0, size=(500, 1))
+            self.assert_same_as_full_width(cone, H)
+
+    def test_rows_past_the_window(self):
+        cone = shipped_matched_cone()
+        H = stream(82, "H").standard_normal((400, 200))
+        # on-support entries against the sign pull tau below the 64th magnitude
+        H[:, cone.support] = -cone.signs * stream(82, "depth").uniform(15.0, 30.0, size=(400, 1))
+        tau = self.assert_same_as_full_width(cone, H)
+        magnitudes = np.sort(np.abs(H[:, cone._off_support]), axis=1)[:, ::-1]
+        past = (tau > 0) & (tau < magnitudes[:, geometry.POLAR_TAU_WINDOW - 1])
+        assert np.count_nonzero(past) >= 300
+
+    def test_rows_with_zero_tau(self):
+        cone = shipped_matched_cone()
+        H = stream(83, "H").standard_normal((200, 200))
+        H[:, cone.support] = -cone.signs * 1e3
+        tau = self.assert_same_as_full_width(cone, H)
+        assert np.all(tau == 0.0)
+        proj, _ = cone.project_batch(H)  # these rows lie in the cone
+        assert np.array_equal(proj, H)
+
+    def test_every_window_position(self):
+        # one row per segment index: tau lands in segment k of a known sort
+        cone = ConeModel(np.array([0]), np.array([1.0]), 101)
+        a = np.linspace(10.0, 0.1, 100)
+        rows = []
+        for k in range(101):
+            lower = a[k] if k < 100 else 0.0
+            upper = a[k - 1] if k > 0 else 20.0
+            target = 0.5 * (lower + upper)
+            rows.append(np.concatenate([[target * (1 + k) - a[:k].sum()], a]))
+        H = np.array(rows)
+        tau = self.assert_same_as_full_width(cone, H)
+        segment = np.sum(a[None, :] > tau[:, None], axis=1)
+        assert np.array_equal(segment, np.arange(101))
+
+
+def _gaussian_tail(x):
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
+
+
+def l1_descent_dimension_bound(p, s, tau):
+    """``J(tau) = E dist^2(g, tau * subdiff ||.||_1)`` at an s-sparse point of R^p."""
+    density = math.exp(-0.5 * tau * tau) / math.sqrt(2.0 * math.pi)
+    return s * (1.0 + tau * tau) + 2.0 * (p - s) * ((1.0 + tau * tau) * _gaussian_tail(tau) - tau * density)
+
+
+class TestStatisticalDimension:
+    def test_mean_square_projection_in_band(self):
+        # Amelunxen, Lotz, McCoy & Tropp 2014, Thm 4.3:
+        # delta <= inf_tau J(tau) <= delta + 2 sqrt(p) / (||theta||_1 / ||theta||_2)
+        theta, _ = sweep_truth(load_config(str(SHIPPED_MATCHED)))
+        p, s = theta.size, int(np.count_nonzero(theta))
+        lo, hi = 0.0, 10.0  # J is convex in tau
+        for _ in range(200):
+            m1, m2 = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+            if l1_descent_dimension_bound(p, s, m1) <= l1_descent_dimension_bound(p, s, m2):
+                hi = m2
+            else:
+                lo = m1
+        inf_j = l1_descent_dimension_bound(p, s, 0.5 * (lo + hi))
+        slack = 2.0 * math.sqrt(p) / (np.sum(np.abs(theta)) / np.linalg.norm(theta))
+        _, norms = descent_cone(theta).project_batch(stream(84, "delta").standard_normal((20_000, p)))
+        squares = norms**2
+        mean = float(np.mean(squares))
+        se = float(np.std(squares, ddof=1) / math.sqrt(squares.size))
+        assert inf_j - slack - 3.0 * se <= mean <= inf_j + 3.0 * se
 
 
 class TestWidthEstimators:

@@ -50,6 +50,33 @@ class TestCumulant:
         with pytest.raises(ValueError, match="cap"):
             glm.cumulant_eval(POISSON, 31.0)
 
+    def test_poisson_cap_rejected_on_every_oracle(self):
+        # the solver's backtracking treats this ValueError as a rejected step
+        theta = np.array([31.0, 0.0])
+        inst = glm.ProblemInstance(np.eye(2), np.zeros(2), np.zeros(2), POISSON)
+        eta = np.array([31.0, 0.0])
+        E = np.array([[31.0], [0.0]])
+        for call in (
+            lambda: glm.loss_at_predictor(inst, eta),
+            lambda: glm.gradient_at_predictor(inst, eta),
+            lambda: glm.loss(inst, theta),
+            lambda: glm.gradient(inst, theta),
+            lambda: glm.hessian_quadratic_form(inst, theta, theta),
+            lambda: glm.hessian_quadratic_form_batch(inst, theta, E),
+            lambda: glm.segment_quadratic_form_batch(inst, np.zeros(2), E, 1.0),
+            lambda: glm.secant_form_batch(inst, np.zeros(2), E),
+            lambda: glm.sigma_max(glm.ProblemInstance(np.eye(2), np.zeros(2), theta, POISSON)),
+        ):
+            with pytest.raises(ValueError, match="cap"):
+                call()
+
+    def test_arrays_match_scalars(self):
+        etas = np.linspace(-6.0, 6.0, 41)
+        for family in (GAUSSIAN, LOGISTIC, POISSON):
+            b, b1, b2 = glm.cumulant_eval(family, etas)
+            for i, eta in enumerate(etas):
+                assert glm.cumulant_eval(family, float(eta)) == (b[i], b1[i], b2[i])
+
     def test_convexity_everywhere_tested(self):
         rng = np.random.default_rng(7)
         etas = rng.uniform(-8, 8, size=200)
