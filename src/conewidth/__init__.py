@@ -54,7 +54,6 @@ from .glm import (
     sample_design,
     sample_responses,
     sigma_max,
-    simulate_instance,
 )
 from .solver import SolveReport, duality_gap, frank_wolfe, projected_gradient
 from .rng import stream

@@ -36,6 +36,11 @@ RSC_LAMBDA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 # still empty after R rounds with probability at most 2^-R.
 CONE_SAMPLE_MAX_ROUNDS = 100
 
+# The localized sampler projects gaussians at random scales in batches of
+# this many rows, and gives up after this many batches.
+LOCALIZED_SAMPLE_BATCH = 512
+LOCALIZED_SAMPLE_MAX_BATCHES = 200
+
 
 @dataclass(frozen=True)
 class RscEstimate:
@@ -81,7 +86,11 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class TunedBound:
-    """Result of minimizing the mismatched bound over t."""
+    """Result of minimizing the mismatched bound over t.
+
+    A matched sweep's is fixed at ``t_star = 0`` with the cone width, and
+    its tuned and closed-form bounds are nan.
+    """
 
     t_star: float
     bound_star: float
@@ -118,12 +127,7 @@ def sample_cone_directions(cone: ConeModel, num: int, rng: np.random.Generator) 
 
 
 def sample_localized_directions(
-    fset: FeasibleSet,
-    t: float,
-    num: int,
-    rng: np.random.Generator,
-    batch: int = 512,
-    max_batches: int = 200,
+    fset: FeasibleSet, t: float, num: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Unit directions in the cone of ``F \\ tB``.
 
@@ -137,11 +141,11 @@ def sample_localized_directions(
     collected: list[np.ndarray] = []
     have = 0
     scale = fset.radius_c
-    for _ in range(max_batches):
+    for _ in range(LOCALIZED_SAMPLE_MAX_BATCHES):
         if have >= num:
             break
-        magnitudes = scale * 10.0 ** rng.uniform(-1.5, 0.5, size=batch)
-        Z = rng.standard_normal((batch, fset.ambient_dim)) * magnitudes[:, None]
+        magnitudes = scale * 10.0 ** rng.uniform(-1.5, 0.5, size=LOCALIZED_SAMPLE_BATCH)
+        Z = rng.standard_normal((LOCALIZED_SAMPLE_BATCH, fset.ambient_dim)) * magnitudes[:, None]
         X = fset.project_rows(Z)
         norms = np.linalg.norm(X, axis=1)
         keep = norms >= t
@@ -204,12 +208,6 @@ def rsc_estimate(
         epsilon=epsilon,
         alpha=alpha,
     )
-
-
-def realized_secant_form(instance: glm.ProblemInstance, e: np.ndarray) -> float:
-    """Secant curvature ``<grad f(theta + e) - grad f(theta), e> / ||e||^2``."""
-    e = np.asarray(e, dtype=float)
-    return float(glm.secant_form_batch(instance, instance.theta_true, e[:, None])[0])
 
 
 def sample_size_threshold(width1: float, epsilon: float, alpha: float, c1: float) -> int:

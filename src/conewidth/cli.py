@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,43 +44,26 @@ class CliInvocation:
     csv_path: str | None = None
 
 
-def _parse_int_tuple(raw: str) -> tuple[int, ...]:
-    raw = raw.strip()
-    if not raw:
-        return ()
-    return tuple(int(part.strip()) for part in raw.split(","))
+def _tuple_parser(item):
+    """Parser of a comma-separated tuple; an empty value is the empty tuple."""
+
+    def parse(raw: str) -> tuple:
+        raw = raw.strip()
+        return tuple(item(part.strip()) for part in raw.split(",")) if raw else ()
+
+    return parse
 
 
-def _parse_float_tuple(raw: str) -> tuple[float, ...]:
-    raw = raw.strip()
-    if not raw:
-        return ()
-    return tuple(float(part.strip()) for part in raw.split(","))
-
-
-_PARSERS = {
-    "p": int,
-    "s": int,
-    "trials": int,
-    "mc_samples": int,
-    "master_seed": int,
-    "rsc_directions": int,
-    "solver_max_iter": int,
-    "theta_magnitude": float,
-    "slack": float,
-    "noise_scale": float,
-    "rsc_epsilon": float,
-    "rsc_alpha": float,
-    "solver_gap_tol": float,
-    "solver_tol": float,
-    "family": str,
-    "ensemble": str,
-    "constraint_mode": str,
-    "mu_mode": str,
-    "solver": str,
-    "n_grid": _parse_int_tuple,
-    "t_grid": _parse_float_tuple,
+# ExperimentConfig's annotations are strings (postponed evaluation)
+_TYPE_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "tuple[int, ...]": _tuple_parser(int),
+    "tuple[float, ...]": _tuple_parser(float),
 }
+
+_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def _parse_pair(line: str, source: str) -> tuple[str, str]:
@@ -141,17 +124,9 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 
 def _cmd_width(config: ExperimentConfig, out_path: str | None) -> None:
-    ctx = prepare_sweep(config)
     lines = ["kind,t,width_mean,width_stderr,samples"]
-    if config.constraint_mode == "matched":
-        w = ctx.width_cone
-        lines.append(f"cone,{_fmt(0.0)},{_fmt(w.mean)},{_fmt(w.stderr)},{w.samples}")
-    else:
-        for t in config.t_grid:
-            w = ctx.width_by_t[float(t)]
-            lines.append(f"localized,{_fmt(t)},{_fmt(w.mean)},{_fmt(w.stderr)},{w.samples}")
-        w = ctx.width_global
-        lines.append(f"global,{_fmt(math.nan)},{_fmt(w.mean)},{_fmt(w.stderr)},{w.samples}")
+    for kind, t, w in prepare_sweep(config).width_rows:
+        lines.append(f"{kind},{_fmt(t)},{_fmt(w.mean)},{_fmt(w.stderr)},{w.samples}")
     _write_output("\n".join(lines) + "\n", out_path)
 
 

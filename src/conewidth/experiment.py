@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, geometry, glm, solver
-from .geometry import ConeModel, FeasibleSet, WidthEstimate
+from .geometry import ConeModel, FeasibleSet
 from .rng import seed_fingerprint, stream
 
 THREADS_ENV_VAR = "CONEWIDTH_THREADS"
@@ -202,35 +202,66 @@ def make_instance(
 
 @dataclass(frozen=True)
 class SweepContext:
-    """Per-sweep quantities shared by all trials (derived from config only)."""
+    """Per-sweep quantities shared by all trials (derived from config only).
+
+    Each grid n carries its localization radius ``tuned_by_n[n].t_star``.
+    A matched sweep is the ``t = 0`` case of a mismatched one: its bound's
+    set is the descent cone, and every t* is 0.  ``width_rows`` lists the
+    ``(kind, t, estimate)`` rows of the ``width`` subcommand.
+    """
 
     theta: np.ndarray
     c: float
-    family: glm.GlmFamily
     fset: FeasibleSet
     cone: ConeModel | None
     mu_theoretical: float
-    sigma_ref: float
-    width_cone: WidthEstimate | None
-    width_global: WidthEstimate | None
-    width_by_t: dict
     tuned_by_n: dict
+    width_rows: tuple
+
+    def proj_grad_norm(self, g: np.ndarray, t: float) -> float:
+        """``sup <g, u>`` over unit directions u of the bound's set at radius t.
+
+        At t = 0 that is ``||P_K(g)||`` for the descent cone K; at t > 0 it is
+        the localized sup ``sup {<g, v> : v in F, ||v|| <= t} / t``.
+        """
+        if t == 0.0:
+            return geometry.project_onto_descent_cone(self.cone, g)[1]
+        return float(geometry._sup_localized_dual_rows(g[None, :], self.fset, t)[0] / t)
+
+    def sample_directions(self, t: float, num: int, rng: np.random.Generator) -> np.ndarray:
+        """Unit directions of the bound's set at radius t, as (p, num) columns."""
+        if t == 0.0:
+            return bounds.sample_cone_directions(self.cone, num, rng)
+        return bounds.sample_localized_directions(self.fset, t, num, rng)
 
 
 def prepare_sweep(config: ExperimentConfig) -> SweepContext:
-    """Ground truth, constraint, and width estimates for a sweep."""
+    """Ground truth, constraint, widths, and the radius t*(n) of every grid n.
+
+    The only place past :meth:`ExperimentConfig.validate` that reads
+    ``constraint_mode``.  Mismatched sweeps tune t only over grid values
+    below the feasible set's outer radius: for larger t the set ``F \\ tB``
+    is empty, so no trial could probe it.
+    """
     config.validate()
     theta, c = sweep_truth(config)
     family = config.glm_family()
     fset = FeasibleSet(theta, c)
     mu_theory = (1.0 - config.rsc_epsilon) * glm.hessian_weight_lower_bound(family, c)
-    sigma_ref = glm.sigma_max_upper_bound(family, c)
     if config.constraint_mode == "matched":
         cone = geometry.descent_cone(theta)
-        width_cone = geometry.gaussian_width_cone(
+        width = geometry.gaussian_width_cone(
             cone, config.mc_samples, stream(config.master_seed, "width", "cone")
         )
-        return SweepContext(theta, c, family, fset, cone, mu_theory, sigma_ref, width_cone, None, {}, {})
+        tuned = bounds.TunedBound(
+            t_star=0.0,
+            bound_star=math.nan,
+            width_star=width,
+            t_closed_form=math.nan,
+            bound_closed_form=math.nan,
+        )
+        tuned_by_n = {int(n): tuned for n in config.n_grid}
+        return SweepContext(theta, c, fset, cone, mu_theory, tuned_by_n, (("cone", 0.0, width),))
     width_global = geometry.global_width_l1(
         fset, config.mc_samples, stream(config.master_seed, "width", "global")
     )
@@ -240,20 +271,24 @@ def prepare_sweep(config: ExperimentConfig) -> SweepContext:
         )
         for i, t in enumerate(config.t_grid)
     }
+    usable = [t for t in width_by_t if t < fset.outer_radius]
+    if not usable:
+        raise ConfigError(
+            "t_grid",
+            f"needs an entry below the feasible set's outer radius {fset.outer_radius:.6g}",
+        )
+    sigma_ref = glm.sigma_max_upper_bound(family, c)
     tuned_by_n = {
         int(n): bounds.optimize_t(
-            lambda t: width_by_t[float(t)],
-            width_global.mean,
-            sigma_ref,
-            mu_theory,
-            int(n),
-            config.t_grid,
+            lambda t: width_by_t[t], width_global.mean, sigma_ref, mu_theory, int(n), usable
         )
         for n in config.n_grid
     }
-    return SweepContext(
-        theta, c, family, fset, None, mu_theory, sigma_ref, None, width_global, width_by_t, tuned_by_n
+    width_rows = (
+        *(("localized", t, w) for t, w in width_by_t.items()),
+        ("global", math.nan, width_global),
     )
+    return SweepContext(theta, c, fset, None, mu_theory, tuned_by_n, width_rows)
 
 
 def solve(config: ExperimentConfig, instance: glm.ProblemInstance, c: float) -> solver.SolveReport:
@@ -271,8 +306,7 @@ class TrialRecord:
     seed: int
     error_l2: float = math.nan
     error_l1: float = math.nan
-    bound_matched: float = math.nan
-    bound_mismatched: float = math.nan
+    bound: float = math.nan
     t_star: float = math.nan
     width_mean: float = math.nan
     width_stderr: float = math.nan
@@ -290,6 +324,16 @@ class TrialRecord:
     objective: float = math.nan
     failed: bool = False
     error_message: str = ""
+
+    @property
+    def bound_matched(self) -> float:
+        """The bound of a matched trial (t* = 0), else nan."""
+        return self.bound if self.t_star == 0.0 else math.nan
+
+    @property
+    def bound_mismatched(self) -> float:
+        """The bound of a mismatched trial (t* > 0), else nan."""
+        return self.bound if self.t_star > 0.0 else math.nan
 
 
 def run_trial(
@@ -313,33 +357,19 @@ def run_trial(
 
     grad0 = glm.gradient(instance, ctx.theta)
     grad_norm = float(np.linalg.norm(grad0))
-    if config.constraint_mode == "matched":
-        t_star = 0.0
-        width = ctx.width_cone
-        _, proj_norm = geometry.project_onto_descent_cone(ctx.cone, -grad0)
-    else:
-        tuned = ctx.tuned_by_n[int(n)]
-        t_star = tuned.t_star
-        width = tuned.width_star
-        proj_norm = float(
-            geometry._sup_localized_dual_rows((-grad0)[None, :], ctx.fset, t_star)[0] / t_star
-        )
+    tuned = ctx.tuned_by_n[int(n)]
+    t_star, width = tuned.t_star, tuned.width_star
+    proj_norm = ctx.proj_grad_norm(-grad0, t_star)
     rsc = probe_rsc(config, ctx, instance, n, trial_index)
 
     sigma_trial = glm.sigma_max(instance)
     mu_used = rsc.mu_hat if config.mu_mode == "empirical" else ctx.mu_theoretical
     discarded = rsc.mu_hat < 0.5 * ctx.mu_theoretical
-
-    if config.constraint_mode == "matched":
-        kind, bound_attr = "matched", "bound_matched"
-    else:
-        kind, bound_attr = "mismatched", "bound_mismatched"
     if mu_used > 0:
-        bound_value = bounds.bound_report(kind, t_star, width, mu_used, sigma_trial, n).bound_value
+        # t* = 0 adds exactly nothing, so this is the matched bound bit for bit
+        bound = bounds.bound_report("mismatched", t_star, width, mu_used, sigma_trial, n).bound_value
     else:
-        bound_value = math.inf
-    bound_matched = bound_value if bound_attr == "bound_matched" else math.nan
-    bound_mismatched = bound_value if bound_attr == "bound_mismatched" else math.nan
+        bound = math.inf
 
     return TrialRecord(
         n=n,
@@ -347,8 +377,7 @@ def run_trial(
         seed=seed,
         error_l2=error_l2,
         error_l1=error_l1,
-        bound_matched=bound_matched,
-        bound_mismatched=bound_mismatched,
+        bound=bound,
         t_star=t_star,
         width_mean=width.mean,
         width_stderr=width.stderr,
@@ -372,17 +401,14 @@ def probe_rsc(
 ) -> bounds.RscEstimate:
     """Restricted-convexity probe of one trial over the directions its bound uses.
 
-    Matched sweeps sample the descent cone, mismatched sweeps the localized
-    set at t*(n).  The CLI's ``rsc`` subcommand runs the same probe.
+    The directions are those of the bound's set at t*(n): the descent cone
+    in matched sweeps, the localized set otherwise.  The CLI's ``rsc``
+    subcommand runs the same probe.
     """
-    if config.constraint_mode == "matched":
-        directions = ctx.cone
-    else:
-        t_star = ctx.tuned_by_n[int(n)].t_star
-        directions = lambda rng, num: bounds.sample_localized_directions(ctx.fset, t_star, num, rng)
+    t_star = ctx.tuned_by_n[int(n)].t_star
     return bounds.rsc_estimate(
         instance,
-        directions,
+        lambda rng, num: ctx.sample_directions(t_star, num, rng),
         config.rsc_directions,
         epsilon=config.rsc_epsilon,
         alpha=config.rsc_alpha,
@@ -438,6 +464,11 @@ class SweepRow:
     mean_error_unconditioned: float
     trials_used: int
 
+    @property
+    def stderr(self) -> float:
+        """The ``stderr`` column: ``stderr_error`` under its CSV name."""
+        return self.stderr_error
+
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -450,74 +481,40 @@ class SweepResult:
     slope_bound_closed_form: SlopeFit | None
 
     def trials_csv(self) -> str:
-        lines = [",".join(TRIAL_CSV_COLUMNS)]
-        for r in self.records:
-            if r.failed:
-                continue
-            lines.append(
-                ",".join(
-                    (
-                        str(r.n),
-                        str(r.trial),
-                        str(r.seed),
-                        _fmt(r.error_l2),
-                        _fmt(r.error_l1),
-                        _fmt(r.bound_matched),
-                        _fmt(r.bound_mismatched),
-                        _fmt(r.t_star),
-                        _fmt(r.width_mean),
-                        _fmt(r.width_stderr),
-                        _fmt(r.mu_hat),
-                        _fmt(r.mu_theoretical),
-                        _fmt(r.sigma_max),
-                        str(r.solver_iters),
-                        _fmt(r.final_gap),
-                        "1" if r.discarded else "0",
-                    )
-                )
-            )
-        return "\n".join(lines) + "\n"
+        return _csv(TRIAL_CSV_COLUMNS, [r for r in self.records if not r.failed])
 
     def aggregate_csv(self) -> str:
-        lines = [",".join(AGGREGATE_CSV_COLUMNS)]
-        for row in self.rows:
-            lines.append(
-                ",".join(
-                    (
-                        str(row.n),
-                        _fmt(row.mean_error),
-                        _fmt(row.stderr_error),
-                        _fmt(row.bound),
-                        _fmt(row.bound_closed_form),
-                        _fmt(row.naive_bound),
-                        _fmt(row.refined_bound),
-                        _fmt(row.width_mean),
-                        _fmt(row.width_stderr),
-                        _fmt(row.t_star),
-                        _fmt(row.mu_used),
-                        _fmt(row.sigma_max_mean),
-                        _fmt(row.discard_rate),
-                        _fmt(row.mean_gap),
-                        _fmt(row.mean_error_unconditioned),
-                        str(row.trials_used),
-                    )
-                )
+        footer = "".join(
+            f"# {name} slope={_fmt(fit.slope)} intercept={_fmt(fit.intercept)} "
+            f"half_width={_fmt(fit.half_width)}\n"
+            for name, fit in (
+                ("slope_error", self.slope_error),
+                ("slope_bound", self.slope_bound),
+                ("slope_bound_closed_form", self.slope_bound_closed_form),
             )
-        for name, fit in (
-            ("slope_error", self.slope_error),
-            ("slope_bound", self.slope_bound),
-            ("slope_bound_closed_form", self.slope_bound_closed_form),
-        ):
-            if fit is not None:
-                lines.append(
-                    f"# {name} slope={_fmt(fit.slope)} intercept={_fmt(fit.intercept)} "
-                    f"half_width={_fmt(fit.half_width)}"
-                )
-        return "\n".join(lines) + "\n"
+            if fit is not None
+        )
+        return _csv(AGGREGATE_CSV_COLUMNS, self.rows) + footer
 
 
 def _fmt(x: float) -> str:
     return FLOAT_FORMAT.format(float(x))
+
+
+def _cell(value) -> str:
+    """One CSV field: a bool as 1/0, an int as itself, a float with ``FLOAT_FORMAT``."""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, int):
+        return str(value)
+    return _fmt(value)
+
+
+def _csv(columns: tuple[str, ...], rows) -> str:
+    """A header line and one line per row, reading each column as a row attribute."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(_cell(getattr(row, column)) for column in columns) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def resolve_workers() -> int:
@@ -587,7 +584,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
             )
         valid = [r for r in group if not r.failed]
         kept = [r for r in valid if not r.discarded]
-        rows.append(_aggregate_row(config, ctx, n, valid, kept))
+        rows.append(_aggregate_row(ctx, n, valid, kept))
 
     def fit_or_none(values) -> SlopeFit | None:
         pts = [(row.n, v) for row, v in zip(rows, values) if math.isfinite(v) and v > 0]
@@ -602,41 +599,29 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 
 
 def _aggregate_row(
-    config: ExperimentConfig,
-    ctx: SweepContext,
-    n: int,
-    valid: list[TrialRecord],
-    kept: list[TrialRecord],
+    ctx: SweepContext, n: int, valid: list[TrialRecord], kept: list[TrialRecord]
 ) -> SweepRow:
     def mean_over(records, attr) -> float:
         values = np.array([getattr(r, attr) for r in records])
         return float(np.mean(values)) if values.size else math.nan
 
-    bound_attr = "bound_matched" if config.constraint_mode == "matched" else "bound_mismatched"
     errors = np.array([r.error_l2 for r in kept])
     stderr = float(np.std(errors, ddof=1) / math.sqrt(errors.size)) if errors.size >= 2 else math.nan
-    if config.constraint_mode == "mismatched":
-        tuned = ctx.tuned_by_n[n]
-        bound_cf = tuned.bound_closed_form
-        t_star = tuned.t_star
-    else:
-        bound_cf = math.nan
-        t_star = 0.0
-    mu_used_values = np.array([r.mu_used for r in kept])
+    tuned = ctx.tuned_by_n[n]
     naive = [r.grad_norm / r.mu_used for r in kept if r.mu_used > 0]
     refined = [r.proj_grad_norm / r.mu_used for r in kept if r.mu_used > 0]
     return SweepRow(
         n=n,
         mean_error=mean_over(kept, "error_l2"),
         stderr_error=stderr,
-        bound=mean_over(kept, bound_attr),
-        bound_closed_form=bound_cf,
+        bound=mean_over(kept, "bound"),
+        bound_closed_form=tuned.bound_closed_form,
         naive_bound=float(np.mean(naive)) if naive else math.nan,
         refined_bound=float(np.mean(refined)) if refined else math.nan,
         width_mean=mean_over(kept, "width_mean"),
         width_stderr=mean_over(kept, "width_stderr"),
-        t_star=t_star,
-        mu_used=float(np.mean(mu_used_values)) if mu_used_values.size else math.nan,
+        t_star=tuned.t_star,
+        mu_used=mean_over(kept, "mu_used"),
         sigma_max_mean=mean_over(valid, "sigma_max"),
         discard_rate=(len(valid) - len(kept)) / len(valid) if valid else math.nan,
         mean_gap=mean_over(valid, "final_gap"),

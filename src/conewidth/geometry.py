@@ -292,10 +292,12 @@ class FeasibleSet:
         shifted = np.asarray(X, dtype=float) + self.theta_true[None, :]
         return project_l1_ball_rows(shifted, self.radius_c) - self.theta_true[None, :]
 
-    def support_value(self, h: np.ndarray) -> float:
-        """``sup_{v in F} <h, v> = c ||h||_inf - <h, theta_true>``."""
-        h = np.asarray(h, dtype=float)
-        return float(self.radius_c * np.max(np.abs(h)) - h @ self.theta_true)
+    @property
+    def outer_radius(self) -> float:
+        """``max_{v in F} ||v||_2``, reached at a vertex ``c sign e_i - theta_true``:
+        ``sqrt(||theta||_2^2 + c^2 + 2 c ||theta||_inf)``."""
+        theta, c = self.theta_true, self.radius_c
+        return math.sqrt(float(theta @ theta) + c * c + 2.0 * c * float(np.max(np.abs(theta))))
 
 
 # ---------------------------------------------------------------------------

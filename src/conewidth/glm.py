@@ -174,20 +174,6 @@ def sample_responses(
     return rng.poisson(np.exp(eta)).astype(float)
 
 
-def simulate_instance(
-    n: int,
-    p: int,
-    theta_true: np.ndarray,
-    family: GlmFamily,
-    ensemble: str,
-    rng: np.random.Generator,
-) -> ProblemInstance:
-    """Sample a design, then responses, from a single stream."""
-    design = sample_design(n, p, ensemble, rng)
-    responses = sample_responses(design, theta_true, family, rng)
-    return ProblemInstance(design, responses, theta_true, family, ensemble)
-
-
 def _check_theta(instance: ProblemInstance, theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (instance.p,):
@@ -226,24 +212,13 @@ def hessian_quadratic_form(instance: ProblemInstance, theta: np.ndarray, v: np.n
     return float(np.mean(b2 * av**2))
 
 
-def hessian_quadratic_form_batch(
-    instance: ProblemInstance, theta: np.ndarray, directions: np.ndarray
-) -> np.ndarray:
-    """Hessian quadratic form at one base point for many directions (columns)."""
-    theta = _check_theta(instance, theta)
-    b2 = _cumulant_d2(instance.family, instance.design @ theta)
-    av = instance.design @ directions
-    return np.mean(b2[:, None] * av**2, axis=0)
-
-
 def segment_quadratic_form_batch(
     instance: ProblemInstance, base: np.ndarray, directions: np.ndarray, step: float
 ) -> np.ndarray:
     """Per-column quadratic form at ``base + step * e_j`` in direction ``e_j``.
 
-    Unlike :func:`hessian_quadratic_form_batch` the evaluation point moves with
-    the direction, which is what the segment condition of the restricted
-    convexity probe needs.
+    The evaluation point moves with the direction, which is what the segment
+    condition of the restricted convexity probe needs.
     """
     base = _check_theta(instance, base)
     eta0 = instance.design @ base

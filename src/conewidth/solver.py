@@ -20,6 +20,9 @@ from .geometry import lmo_l1_ball, project_l1_ball
 
 FEASIBILITY_TOL = 1e-9
 
+# projected gradient's first trial step; backtracking halves it as needed
+INITIAL_STEP = 1.0
+
 
 class SolverError(RuntimeError):
     """A solve failed (non-finite values or a step-size underflow)."""
@@ -115,7 +118,6 @@ def projected_gradient(
     c: float,
     max_iter: int = 20_000,
     tol: float = 1e-10,
-    step0: float = 1.0,
     gap_tol: float | None = None,
 ) -> SolveReport:
     """Accelerated projected gradient (FISTA) with backtracking and restart.
@@ -144,7 +146,7 @@ def projected_gradient(
     grad = glm.gradient_at_predictor(instance, eta)
     theta_prev, eta_prev = theta, eta
     momentum = 1.0
-    step = step0
+    step = INITIAL_STEP
     k = 0
     while k < max_iter:
         if not np.all(np.isfinite(grad)):

@@ -36,6 +36,19 @@ def fd_hessian_quadratic_form(instance, theta, v, h=1e-6):
     return float(v @ (gp - gm)) / (2 * h)
 
 
+def hessian_quadratic_form_batch(instance, theta, directions):
+    """Hessian quadratic form at one base point for many directions (columns)."""
+    b2 = glm.cumulant_eval(instance.family, instance.design @ np.asarray(theta, dtype=float))[2]
+    av = instance.design @ directions
+    return np.mean(b2[:, None] * av**2, axis=0)
+
+
+def realized_secant_form(instance, e):
+    """Secant curvature ``<grad f(theta + e) - grad f(theta), e> / ||e||^2``."""
+    e = np.asarray(e, dtype=float)
+    return float(glm.secant_form_batch(instance, instance.theta_true, e[:, None])[0])
+
+
 def grid_min_distance_l1_ball(x, c, resolution=1201):
     """Distance minimizer over the l1 ball by dense grid search (p = 2 only)."""
     x = np.asarray(x, dtype=float)

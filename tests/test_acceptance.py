@@ -17,7 +17,7 @@ from conewidth.experiment import ExperimentConfig, fit_loglog_slope, run_sweep
 from conewidth.geometry import ConeModel, FeasibleSet, descent_cone, gaussian_width_cone, localized_width
 from conewidth.rng import stream
 
-from oracles import fd_gradient, grid_min_objective_l1
+from oracles import fd_gradient, grid_min_objective_l1, realized_secant_form
 
 BOUND_CONSTANT = 2.0 * math.sqrt(2.0 * math.pi)
 
@@ -215,7 +215,7 @@ def test_criterion_5_sure_inequality():
         err_norm = float(np.linalg.norm(err))
         if err_norm < 1e-12:
             continue
-        lhs = bounds.realized_secant_form(inst, err) * err_norm
+        lhs = realized_secant_form(inst, err) * err_norm
         rhs = bounds.projected_gradient_norm_at_truth(inst, cone) + rep.final_gap / err_norm
         worst_slack = max(worst_slack, lhs - rhs)
         checked += 1

@@ -12,7 +12,7 @@ from conewidth.experiment import sweep_truth
 from conewidth.geometry import FeasibleSet, WidthEstimate, descent_cone, gaussian_width_cone
 from conewidth.rng import stream
 
-from oracles import batched_cone_directions
+from oracles import batched_cone_directions, realized_secant_form
 
 SHIPPED_MATCHED = Path(__file__).resolve().parents[1] / "configs" / "matched.cfg"
 BOUND_CONSTANT = 2.0 * math.sqrt(2.0 * math.pi)
@@ -295,7 +295,7 @@ class TestSureInequality:
             err_norm = float(np.linalg.norm(err))
             if err_norm < 1e-12:
                 continue
-            q_hat = bounds.realized_secant_form(inst, err)
+            q_hat = realized_secant_form(inst, err)
             lhs = q_hat * err_norm
             rhs = bounds.projected_gradient_norm_at_truth(inst, cone) + report.final_gap / err_norm
             assert lhs <= rhs + 1e-8

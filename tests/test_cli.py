@@ -1,12 +1,13 @@
 """CLI: config parsing, subcommand dispatch, exit codes, determinism."""
 
+import dataclasses
 import hashlib
 
 import pytest
 
 from conewidth import cli
 from conewidth.cli import load_config, main, serialize_config
-from conewidth.experiment import ConfigError
+from conewidth.experiment import ConfigError, ExperimentConfig
 
 MATCHED_CFG = """\
 # minimal matched sweep
@@ -94,6 +95,16 @@ class TestLoadConfig:
         rendered.write_text(serialize_config(cfg))
         assert load_config(str(rendered)) == cfg
 
+    def test_round_trip_every_field_in_field_order(self, mismatched_path, tmp_path):
+        overrides = ["solver=frank_wolfe", "ensemble=rademacher", "solver_gap_tol=1e-5"]
+        cfg = load_config(mismatched_path, overrides)
+        text = serialize_config(cfg)
+        names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert [line.split(" = ")[0] for line in text.splitlines()] == names
+        rendered = tmp_path / "rendered.cfg"
+        rendered.write_text(text)
+        assert load_config(str(rendered)) == cfg
+
 
 class TestDispatch:
     def test_help_exits_zero(self, capsys):
@@ -119,6 +130,12 @@ class TestDispatch:
         fields = out[1].split(",")
         assert fields[0] == "cone"
         assert float(fields[2]) > 0 and float(fields[3]) > 0 and int(fields[4]) == 400
+
+    def test_t_grid_beyond_outer_radius_exits_two(self, mismatched_path, capsys):
+        # c = 0.8 + 2 theta_magnitude = 2.8, so every t >= sqrt(2 + 2.8^2 + 2 * 2.8) = 3.93 is unusable
+        for command in ("width", "rsc", "sweep"):
+            assert main([command, "--config", mismatched_path, "t_grid=4,8"]) == 2
+            assert "'t_grid'" in capsys.readouterr().err
 
     def test_width_mismatched_rows(self, mismatched_path, capsys):
         assert main(["width", "--config", mismatched_path]) == 0

@@ -1,11 +1,13 @@
 """Sweep orchestration: truth generation, trials, aggregation, CSV, slopes."""
 
+import dataclasses
 import math
 import os
 
 import numpy as np
 import pytest
 
+from conewidth import bounds, geometry
 from conewidth.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -50,6 +52,23 @@ MISMATCHED_SMALL = ExperimentConfig(
     rsc_directions=150,
     mu_mode="theoretical",
     t_grid=(0.25, 0.5, 1.0, 2.0, 4.0),
+)
+
+# R_F = sqrt(0.5 + 1.5^2 + 2 * 1.5 * 0.5) = 2.06, so t = 4 and t = 8 leave F \ tB empty
+SMALL_OUTER_RADIUS = ExperimentConfig(
+    p=20,
+    s=2,
+    theta_magnitude=0.5,
+    constraint_mode="mismatched",
+    slack=0.5,
+    noise_scale=5.0,
+    n_grid=(10, 20, 40),
+    trials=3,
+    mc_samples=300,
+    master_seed=5,
+    rsc_directions=120,
+    mu_mode="theoretical",
+    t_grid=(0.5, 1.0, 2.0, 4.0, 8.0),
 )
 
 
@@ -119,6 +138,81 @@ class TestSlopeFit:
     def test_rejects_too_few_points(self):
         with pytest.raises(ValueError):
             fit_loglog_slope([(10, 1.0), (20, 0.5)])
+
+
+class TestPrepareSweep:
+    def test_matched_is_t_zero(self):
+        ctx = prepare_sweep(MATCHED_SMALL)
+        ((kind, t, width),) = ctx.width_rows
+        assert (kind, t) == ("cone", 0.0)
+        for n in MATCHED_SMALL.n_grid:
+            tuned = ctx.tuned_by_n[n]
+            assert tuned.t_star == 0.0 and tuned.width_star == width
+            assert math.isnan(tuned.bound_closed_form)
+
+    def test_mismatched_width_rows(self):
+        ctx = prepare_sweep(MISMATCHED_SMALL)
+        assert [(kind, t) for kind, t, _ in ctx.width_rows[:-1]] == [
+            ("localized", t) for t in MISMATCHED_SMALL.t_grid
+        ]
+        assert ctx.width_rows[-1][0] == "global" and math.isnan(ctx.width_rows[-1][1])
+        assert all(ctx.tuned_by_n[n].t_star > 0 for n in MISMATCHED_SMALL.n_grid)
+
+    def test_t_star_stays_below_outer_radius(self):
+        # t = 8 minimizes the bound at n = 10, but no direction of F has norm 8
+        res = run_sweep(SMALL_OUTER_RADIUS)
+        radius = res.context.fset.outer_radius
+        assert radius == pytest.approx(math.sqrt(4.25))
+        assert not any(r.failed for r in res.records)
+        assert all(0.0 < row.t_star < radius for row in res.rows)
+        kinds_and_t = [(kind, t) for kind, t, _ in res.context.width_rows]
+        assert kinds_and_t[:-1] == [("localized", t) for t in SMALL_OUTER_RADIUS.t_grid]
+
+    def test_no_t_below_outer_radius_is_config_error(self):
+        with pytest.raises(ConfigError) as err:
+            prepare_sweep(dataclasses.replace(SMALL_OUTER_RADIUS, t_grid=(4.0, 8.0)))
+        assert err.value.key == "t_grid"
+
+
+class TestRadiusDispatch:
+    """The t = 0 test of SweepContext: descent cone at t = 0, localized set at t > 0."""
+
+    def test_proj_grad_norm_at_zero_is_cone_projection(self):
+        ctx = prepare_sweep(MATCHED_SMALL)
+        cone = geometry.descent_cone(ctx.theta)
+        rng = stream(93, "g")
+        for _ in range(20):
+            g = rng.standard_normal(MATCHED_SMALL.p)
+            assert ctx.proj_grad_norm(g, 0.0) == geometry.project_onto_descent_cone(cone, g)[1]
+
+    def test_proj_grad_norm_at_positive_t_is_localized_sup(self):
+        ctx = prepare_sweep(MISMATCHED_SMALL)
+        rng = stream(94, "g")
+        for t in MISMATCHED_SMALL.t_grid:
+            g = rng.standard_normal(MISMATCHED_SMALL.p)
+            expected = geometry._sup_localized_dual_rows(g[None], ctx.fset, t)[0] / t
+            assert ctx.proj_grad_norm(g, t) == expected
+
+    def test_directions_follow_t(self):
+        matched = prepare_sweep(MATCHED_SMALL)
+        assert np.array_equal(
+            matched.sample_directions(0.0, 150, stream(95, "d")),
+            bounds.sample_cone_directions(geometry.descent_cone(matched.theta), 150, stream(95, "d")),
+        )
+        mismatched = prepare_sweep(MISMATCHED_SMALL)
+        for t in (0.25, 2.0):
+            assert np.array_equal(
+                mismatched.sample_directions(t, 150, stream(96, "d")),
+                bounds.sample_localized_directions(mismatched.fset, t, 150, stream(96, "d")),
+            )
+
+    def test_matched_bound_bit_for_bit(self):
+        ctx = prepare_sweep(MATCHED_SMALL)
+        for n in MATCHED_SMALL.n_grid:
+            record = run_trial(MATCHED_SMALL, n, 1, ctx)
+            width = ctx.tuned_by_n[n].width_star.mean
+            assert record.bound == bounds.matched_bound(record.sigma_max, width, record.mu_used, n)
+            assert record.bound_matched == record.bound
 
 
 class TestRunTrial:

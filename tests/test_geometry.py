@@ -369,6 +369,18 @@ class TestFeasibleSet:
         with pytest.raises(ValueError, match="infeasible"):
             FeasibleSet(np.array([2.0, 0.0]), 1.0)
 
+    def test_outer_radius_is_farthest_vertex(self):
+        rng = np.random.default_rng(45)
+        for _ in range(50):
+            p = int(rng.integers(1, 12))
+            theta = rng.normal(size=p) * (rng.random(p) < 0.5)
+            c = float(np.sum(np.abs(theta))) + float(rng.uniform(0.0, 2.0)) + 0.1
+            fset = FeasibleSet(theta, c)
+            vertices = np.concatenate([c * np.eye(p), -c * np.eye(p)]) - theta
+            assert fset.outer_radius == pytest.approx(np.max(np.linalg.norm(vertices, axis=1)), rel=1e-12)
+            points = fset.project_rows(rng.normal(scale=3.0 * c, size=(200, p)))
+            assert np.all(np.linalg.norm(points, axis=1) <= fset.outer_radius * (1 + 1e-12))
+
     def test_projection_into_set(self):
         fset = FeasibleSet(np.array([0.5, -0.5]), 2.0)
         rng = np.random.default_rng(33)

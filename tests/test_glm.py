@@ -8,7 +8,7 @@ import pytest
 from conewidth import glm
 from conewidth.rng import stream
 
-from oracles import fd_gradient, fd_hessian_quadratic_form
+from oracles import fd_gradient, fd_hessian_quadratic_form, hessian_quadratic_form_batch
 
 GAUSSIAN = glm.GlmFamily("gaussian", 0.5)
 LOGISTIC = glm.GlmFamily("logistic")
@@ -62,7 +62,7 @@ class TestCumulant:
             lambda: glm.loss(inst, theta),
             lambda: glm.gradient(inst, theta),
             lambda: glm.hessian_quadratic_form(inst, theta, theta),
-            lambda: glm.hessian_quadratic_form_batch(inst, theta, E),
+            lambda: hessian_quadratic_form_batch(inst, theta, E),
             lambda: glm.segment_quadratic_form_batch(inst, np.zeros(2), E, 1.0),
             lambda: glm.secant_form_batch(inst, np.zeros(2), E),
             lambda: glm.sigma_max(glm.ProblemInstance(np.eye(2), np.zeros(2), theta, POISSON)),
@@ -242,7 +242,7 @@ class TestHessian:
         inst = random_instance(rng, LOGISTIC)
         theta = rng.normal(scale=0.2, size=inst.p)
         E = rng.normal(size=(inst.p, 6))
-        batch = glm.hessian_quadratic_form_batch(inst, theta, E)
+        batch = hessian_quadratic_form_batch(inst, theta, E)
         for j in range(6):
             assert batch[j] == pytest.approx(glm.hessian_quadratic_form(inst, theta, E[:, j]))
 
