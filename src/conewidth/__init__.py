@@ -17,7 +17,6 @@ from .bounds import (
     mismatched_bound,
     naive_bound,
     optimize_t,
-    projected_gradient_norm_at_truth,
     rsc_estimate,
     sample_size_threshold,
 )

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import glm
-from .geometry import ConeModel, FeasibleSet, WidthEstimate, project_onto_descent_cone
+from .geometry import ConeModel, FeasibleSet, WidthEstimate
 
 BOUND_CONSTANT = 2.0 * math.sqrt(2.0 * math.pi)
 
@@ -228,13 +228,6 @@ def naive_bound(mu: float, grad_norm_expectation: float) -> float:
     if mu <= 0:
         raise ValueError("mu must be > 0")
     return grad_norm_expectation / mu
-
-
-def projected_gradient_norm_at_truth(instance: glm.ProblemInstance, cone: ConeModel) -> float:
-    """``||P_K(-grad f_n(theta_true))||`` for a matched descent cone."""
-    grad = glm.gradient(instance, instance.theta_true)
-    _, norm = project_onto_descent_cone(cone, -grad)
-    return norm
 
 
 def matched_bound(sigma_max: float, width1: float, mu: float, n: int) -> float:

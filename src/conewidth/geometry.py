@@ -333,17 +333,18 @@ def _sup_localized_dual_rows(
     ``c sign(h_i) e_i - theta`` at ``i = argmax |h_i|``, which maximizes
     ``<h, v>`` over all of F, the supremum is ``c ||h||_inf - <h, theta>``.
 
-    Each step costs one sort: it gives v and its slope on the current
-    linear piece, and moves s to that piece's root of
-    ``||v + delta dv/ds||^2 = t^2``.  A step that leaves the bracket
-    ``[lo, hi]`` (``lo = t / ||h||`` since P_F is nonexpansive) is replaced
-    by geometric bisection, or by doubling while hi is unknown.  Every
-    evaluation yields a dual value ``<h, v> - (||v||^2 - t^2) / (2 s)``,
-    an upper bound, and a feasible primal ``<h, v> min(1, t / ||v||)``.
-    A row stops when the two agree to a relative 1e-12, or when its bracket
-    is a few ulps wide (there rounding in v, not the choice of s, sets the
-    residual); it returns its best dual value.  Rows still open after
-    ``max_iter`` steps raise :class:`ConvergenceError`.
+    Each step evaluates the sums it needs of v and of its slope on the
+    current linear piece without forming either (:class:`_OffSupportPath`),
+    and moves s to that piece's root of ``||v + delta dv/ds||^2 = t^2``.  A
+    step that leaves the bracket ``[lo, hi]`` (``lo = t / ||h||`` since P_F
+    is nonexpansive) is replaced by geometric bisection, or by doubling
+    while hi is unknown.  Every evaluation yields a dual value
+    ``<h, v> - (||v||^2 - t^2) / (2 s)``, an upper bound, and a feasible
+    primal ``<h, v> min(1, t / ||v||)``.  A row stops when the two agree to
+    a relative 1e-12, or when its bracket is a few ulps wide (there rounding
+    in v, not the choice of s, sets the residual); it returns its best dual
+    value.  Rows still open after ``max_iter`` steps raise
+    :class:`ConvergenceError`.
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     theta, c = fset.theta_true, fset.radius_c
@@ -355,7 +356,7 @@ def _sup_localized_dual_rows(
     out = np.where(vertex_sq <= t * t, g0, 0.0)
     hnorm = np.linalg.norm(H, axis=1)
     idx = np.flatnonzero((vertex_sq > t * t) & (hnorm > 0))
-    Hl = H[idx]
+    path = _OffSupportPath(H[idx], theta)
     lo = t / hnorm[idx]
     hi = np.full(idx.size, np.inf)
     s = lo.copy()
@@ -369,20 +370,7 @@ def _sup_localized_dual_rows(
                 f"iterations at t = {t:.6g}"
             )
         iterations += 1
-        Y = theta + s[:, None] * Hl
-        P = project_l1_ball_rows(Y, c)
-        V = P - theta
-        active = P != 0.0
-        signs = np.sign(Y)
-        # outside the ball, the threshold grows at the mean of sign * h over the active set
-        slope_lam = np.where(
-            np.abs(Y).sum(axis=1) > c,
-            np.einsum("ij,ij->i", active * signs, Hl) / np.maximum(active.sum(axis=1), 1),
-            0.0,
-        )
-        dV = np.where(active, Hl - signs * slope_lam[:, None], 0.0)
-        hv = np.einsum("ij,ij->i", Hl, V)
-        r_sq = np.einsum("ij,ij->i", V, V)
+        hv, r_sq, a, b = path.sums(s, c)
         resid = r_sq - t * t
         dual = np.minimum(dual, hv - resid / (2.0 * s))
         primal = np.maximum(primal, hv * t / np.sqrt(np.maximum(r_sq, t * t)))
@@ -392,16 +380,120 @@ def _sup_localized_dual_rows(
         done = (dual - primal <= 1e-12 * primal) | (hi <= lo * (1.0 + 4.0 * np.finfo(float).eps))
         out[idx[done]] = dual[done]
 
-        a = np.einsum("ij,ij->i", dV, dV)
-        b = np.einsum("ij,ij->i", V, dV)
         with np.errstate(divide="ignore", invalid="ignore"):
             # root of a d^2 + 2 b d + resid nearest 0, in the stable form
             s_next = s - resid / (b + np.sqrt(b * b - a * resid))
         fallback = np.where(np.isfinite(hi), np.sqrt(lo * hi), 2.0 * lo)
         s = np.where((s_next > lo) & (s_next < hi), s_next, fallback)
         keep = ~done
-        idx, Hl, s, lo, hi, dual, primal = (x[keep] for x in (idx, Hl, s, lo, hi, dual, primal))
+        path.keep(keep)
+        idx, s, lo, hi, dual, primal = (x[keep] for x in (idx, s, lo, hi, dual, primal))
     return out
+
+
+class _OffSupportPath:
+    """Sums along ``v(s) = P_F(s h)`` for a set of rows, from one sort per row.
+
+    Off the support S of theta, ``|theta_i + s h_i| = s a_i`` with
+    ``a = |h_i|``, so the descending order of those magnitudes is the same
+    for every s.  One sort per row, with a trailing 0, and the cumulative
+    sums ``E_j = sum_{i<j} (a_i - a_j)`` and ``D_j = sum_{i<j} (a_i - a_j)^2``
+    (sums of nonnegative terms, so free of cancellation) give every
+    off-support quantity a step needs in closed form; the support columns
+    are evaluated explicitly.  A step costs O(|S| sqrt(p)) per row instead
+    of a sort of all p coordinates.
+    """
+
+    def __init__(self, H: np.ndarray, theta: np.ndarray) -> None:
+        support = np.flatnonzero(theta)
+        self.theta_s = theta[support]
+        self.h_s = H[:, support]
+        rows, m = H.shape[0], theta.size - support.size
+        # columns padded to whole blocks of about sqrt(m) for the two-pass search
+        block = math.isqrt(m) + 1
+        width = block * (m // block + 1)
+        magnitudes = np.abs(H)
+        magnitudes[:, support] = -1.0  # sorts below every off-support magnitude
+        magnitudes.sort(axis=1)
+        a, E, D = np.zeros((rows, width)), np.zeros((rows, width)), np.zeros((rows, width))
+        a[:, :m] = magnitudes[:, : -m - 1 : -1]
+        gap = np.subtract(a[:, :m], a[:, 1 : m + 1], out=magnitudes[:, :m])  # a_{j-1} - a_j >= 0
+        step = gap * np.arange(1, m + 1)
+        np.cumsum(step, axis=1, out=E[:, 1 : m + 1])
+        step += E[:, :m]
+        step += E[:, :m]
+        step *= gap
+        np.cumsum(step, axis=1, out=D[:, 1 : m + 1])
+        self.a, self.E, self.D = a.ravel(), E.ravel(), D.ravel()
+        self.base = np.arange(rows) * width
+        self.m, self.block = m, block
+        self.ends = np.arange(block - 1, width, block)[None, :]
+        self.in_block = np.arange(block)
+        self.ranks = np.arange(1, support.size + 1)
+
+    def keep(self, mask: np.ndarray) -> None:
+        self.h_s, self.base = self.h_s[mask], self.base[mask]
+
+    def _count_below(self, cols: np.ndarray, b_over_s: np.ndarray, c_over_s: np.ndarray) -> np.ndarray:
+        """Per row, how many of the columns ``j < m`` in cols have ``g(s a_j) < c``."""
+        at = self.base[:, None] + cols
+        excess = b_over_s[:, :, None] - self.a[at]  # support x rows x columns
+        np.maximum(excess, 0.0, out=excess)
+        g = excess.sum(axis=0)
+        g += self.E[at]
+        return ((g < c_over_s[:, None]) & (cols < self.m)).sum(axis=1)
+
+    def sums(self, s: np.ndarray, c: float) -> tuple[np.ndarray, ...]:
+        """``<h, v>``, ``||v||^2``, ``||dv/ds||^2`` and ``<v, dv/ds>`` at each row's s."""
+        h_s, base = self.h_s, self.base
+        y_s = self.theta_s + s[:, None] * h_s
+        b = np.abs(y_s)
+        # The threshold lam solves g(lam) = c, g(lam) = sum_i (|y_i| - lam)_+.
+        # Exactly k = #{j : g(s a_j) < c} off-support magnitudes lie above it,
+        # and g(s a_j) / s = sum_S (b / s - a_j)_+ + E_j is nondecreasing in
+        # j: count whole blocks by their last column, then within the block.
+        b_over_s, c_over_s = np.ascontiguousarray(b.T / s), c / s
+        first = self.block * self._count_below(self.ends, b_over_s, c_over_s)
+        k = first + self._count_below(first[:, None] + self.in_block, b_over_s, c_over_s)
+        # On that piece the off-support part of g is s A1 - k lam, A1 the sum
+        # of the k largest a.  Extended linearly, this piece's g is below c
+        # exactly at the q support magnitudes above lam (it equals g from
+        # s a_k up, and is at least g(s a_k) >= c below).  Inside the ball
+        # the root is negative and lam is 0.
+        top = base + np.maximum(k - 1, 0)
+        a_top, E_top, D_top = self.a[top], self.E[top], self.D[top]
+        A1 = E_top + k * a_top
+        sA1 = s * A1
+        order = np.sort(b, axis=1)[:, ::-1]
+        prefix = np.zeros((s.size, order.shape[1] + 1))
+        np.cumsum(order, axis=1, out=prefix[:, 1:])
+        g_at = prefix[:, 1:] - (self.ranks + k[:, None]) * order + sA1[:, None]
+        q = (g_at < c).sum(axis=1)
+        # q + k >= 1: k = 0 needs g(s a_0) >= c, which only support terms can
+        # give, and then the piece's g is 0 < c at the largest b
+        lam = (np.take_along_axis(prefix, q[:, None], axis=1)[:, 0] + sA1 - c) / (q + k)
+        lam = np.maximum(lam, 0.0)
+
+        # support columns, explicitly
+        on = b > lam[:, None]
+        sign_s = np.sign(y_s)
+        v_s = sign_s * np.maximum(b - lam[:, None], 0.0) - self.theta_s
+        # outside the ball, the threshold grows at the mean of sign * h over the active set
+        slope = (lam > 0.0) * ((on * sign_s * h_s).sum(axis=1) + A1) / np.maximum(on.sum(axis=1) + k, 1)
+        dv_s = np.where(on, h_s - sign_s * slope[:, None], 0.0)
+        # off-support columns in closed form: over the k largest a, v_i =
+        # sign(h_i) s x_i and dv_i/ds = sign(h_i) (x_i + w), with x_i = a_i - mu,
+        # mu = lam / s and w = mu - slope; x_i = (a_i - a_{k-1}) + e
+        mu = lam / s
+        e = a_top - mu
+        sum_x = E_top + k * e
+        sum_x2 = D_top + e * (2.0 * E_top + k * e)
+        w = mu - slope
+        hv = np.einsum("ij,ij->i", h_s, v_s) + s * (sum_x2 + mu * sum_x)
+        r_sq = np.einsum("ij,ij->i", v_s, v_s) + s * s * sum_x2
+        dd = np.einsum("ij,ij->i", dv_s, dv_s) + sum_x2 + w * (2.0 * sum_x + k * w)
+        vd = np.einsum("ij,ij->i", v_s, dv_s) + s * (sum_x2 + w * sum_x)
+        return hv, r_sq, dd, vd
 
 
 def localized_width(fset: FeasibleSet, t: float, samples: int, rng: np.random.Generator) -> WidthEstimate:

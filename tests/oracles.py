@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from conewidth import glm
-from conewidth.geometry import ConvergenceError
+from conewidth.geometry import ConvergenceError, project_onto_descent_cone
 
 
 def fd_gradient(instance, theta, h=1e-6):
@@ -47,6 +47,13 @@ def realized_secant_form(instance, e):
     """Secant curvature ``<grad f(theta + e) - grad f(theta), e> / ||e||^2``."""
     e = np.asarray(e, dtype=float)
     return float(glm.secant_form_batch(instance, instance.theta_true, e[:, None])[0])
+
+
+def projected_gradient_norm_at_truth(instance, cone):
+    """``||P_K(-grad f_n(theta_true))||`` for a matched descent cone."""
+    grad = glm.gradient(instance, instance.theta_true)
+    _, norm = project_onto_descent_cone(cone, -grad)
+    return norm
 
 
 def grid_min_distance_l1_ball(x, c, resolution=1201):
@@ -228,6 +235,12 @@ def golden_section_sup_rows(H, fset, t):
     its span; the closed form ``g(0) = sup_F <h, v>`` is an endpoint
     candidate.  About 60 projections per row, against a handful for the
     library's root-find.
+
+    Evaluations at tiny lam lose about ``eps ||h||^2 / (2 lam)`` to rounding
+    in the shifted projection and can fall below the supremum.  So the case
+    lam = 0 is decided exactly: it holds when the face of F that maximizes
+    ``<h, .>`` meets the t-ball (:func:`max_face_distance`), and then the
+    value is g(0).
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     out = np.zeros(H.shape[0])
@@ -262,8 +275,26 @@ def golden_section_sup_rows(H, fset, t):
         x2 = np.where(take_low, x_keep, x_eval)
         f2 = np.where(take_low, f_keep, f_eval)
     g0 = fset.radius_c * np.max(np.abs(Hl), axis=1) - Hl @ fset.theta_true
-    out[live] = np.maximum(np.minimum(best, g0), 0.0)
+    face_in_ball = np.array([max_face_distance(h, fset) <= t for h in Hl])
+    out[live] = np.where(face_in_ball, g0, np.maximum(np.minimum(best, g0), 0.0))
     return out
+
+
+def max_face_distance(h, fset):
+    """Distance from 0 to the face of F on which ``<h, .>`` is largest.
+
+    That face is ``{c sum_T w_j sign(h_j) e_j - theta : w in the simplex}``
+    over the ties T of ``max |h_j|``, so its nearest point to 0 has
+    ``w = P_simplex(sign(h_T) theta_T / c)`` (sort-based simplex projection).
+    """
+    theta, c = fset.theta_true, fset.radius_c
+    top = np.abs(h) == np.max(np.abs(h))
+    target = np.sign(h[top]) * theta[top] / c
+    u = np.sort(target)[::-1]
+    excess = np.cumsum(u) - 1.0
+    rho = np.flatnonzero(u - excess / np.arange(1, u.size + 1) > 0)[-1]
+    w = np.maximum(target - excess[rho] / (rho + 1), 0.0)
+    return math.sqrt(float(np.sum((c * w - c * target) ** 2) + np.sum(theta[~top] ** 2)))
 
 
 def full_width_polar_tau(cone, H):

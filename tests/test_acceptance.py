@@ -17,7 +17,7 @@ from conewidth.experiment import ExperimentConfig, fit_loglog_slope, run_sweep
 from conewidth.geometry import ConeModel, FeasibleSet, descent_cone, gaussian_width_cone, localized_width
 from conewidth.rng import stream
 
-from oracles import fd_gradient, grid_min_objective_l1, realized_secant_form
+from oracles import fd_gradient, grid_min_objective_l1, projected_gradient_norm_at_truth, realized_secant_form
 
 BOUND_CONSTANT = 2.0 * math.sqrt(2.0 * math.pi)
 
@@ -216,7 +216,7 @@ def test_criterion_5_sure_inequality():
         if err_norm < 1e-12:
             continue
         lhs = realized_secant_form(inst, err) * err_norm
-        rhs = bounds.projected_gradient_norm_at_truth(inst, cone) + rep.final_gap / err_norm
+        rhs = projected_gradient_norm_at_truth(inst, cone) + rep.final_gap / err_norm
         worst_slack = max(worst_slack, lhs - rhs)
         checked += 1
     ok = checked >= 490 and worst_slack <= 1e-8

