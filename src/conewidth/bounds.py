@@ -53,14 +53,6 @@ class RscEstimate:
     mu_hat: float
     directions_tested: int
     quantile_mu: float
-    epsilon: float
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
-        if self.alpha < 1.0:
-            raise ValueError("alpha must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -167,8 +159,6 @@ def rsc_estimate(
     directions,
     num_directions: int = 2000,
     at_truth_segment: bool = False,
-    epsilon: float = 0.5,
-    alpha: float = 1.0,
     rng: np.random.Generator | None = None,
 ) -> RscEstimate:
     """Probe restricted strong convexity over sampled unit directions.
@@ -205,8 +195,6 @@ def rsc_estimate(
         mu_hat=float(np.min(q)),
         directions_tested=int(E.shape[1]),
         quantile_mu=float(np.quantile(q, 0.01)),
-        epsilon=epsilon,
-        alpha=alpha,
     )
 
 

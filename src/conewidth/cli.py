@@ -3,7 +3,8 @@
 Configs are flat ``key = value`` text files ('#' starts a comment); every
 key is a field of :class:`conewidth.experiment.ExperimentConfig` and can be
 overridden on the command line with trailing ``key=value`` arguments.
-Results are CSV, written to ``--out`` or standard output.
+Results are CSV, rendered by :func:`conewidth.experiment.render_csv` and
+written to ``--out`` or standard output.
 
 Exit codes: 0 success, 2 configuration error (message names the offending
 key), 1 runtime failure.
@@ -14,7 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,26 +23,15 @@ import numpy as np
 from .experiment import (
     ConfigError,
     ExperimentConfig,
-    _fmt,
-    fit_loglog_slope,
+    fit_series,
     make_instance,
     prepare_sweep,
     probe_rsc,
+    render_csv,
     run_sweep,
     solve,
     sweep_truth,
 )
-
-SUBCOMMANDS = ("width", "solve", "rsc", "sweep", "slope")
-
-
-@dataclass(frozen=True)
-class CliInvocation:
-    subcommand: str
-    config_path: str | None
-    out_path: str | None
-    overrides: tuple[str, ...]
-    csv_path: str | None = None
 
 
 def _tuple_parser(item):
@@ -124,10 +114,8 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 
 def _cmd_width(config: ExperimentConfig, out_path: str | None) -> None:
-    lines = ["kind,t,width_mean,width_stderr,samples"]
-    for kind, t, w in prepare_sweep(config).width_rows:
-        lines.append(f"{kind},{_fmt(t)},{_fmt(w.mean)},{_fmt(w.stderr)},{w.samples}")
-    _write_output("\n".join(lines) + "\n", out_path)
+    rows = [(kind, t, w.mean, w.stderr, w.samples) for kind, t, w in prepare_sweep(config).width_rows]
+    _write_output(render_csv(("kind", "t", "width_mean", "width_stderr", "samples"), rows), out_path)
 
 
 def _cmd_solve(config: ExperimentConfig, out_path: str | None) -> None:
@@ -136,45 +124,32 @@ def _cmd_solve(config: ExperimentConfig, out_path: str | None) -> None:
     instance = make_instance(config, theta, n, 0)
     report = solve(config, instance, c)
     err = report.theta_hat - instance.theta_true
-    lines = [
-        "n,method,objective,error_l2,error_l1,iterations,final_gap,l1_norm",
-        ",".join(
-            (
-                str(n),
-                report.method,
-                _fmt(report.final_objective),
-                _fmt(float(np.linalg.norm(err))),
-                _fmt(float(np.sum(np.abs(err)))),
-                str(report.iterations),
-                _fmt(report.final_gap),
-                _fmt(float(np.sum(np.abs(report.theta_hat)))),
-            )
-        ),
-    ]
-    _write_output("\n".join(lines) + "\n", out_path)
+    row = (
+        n,
+        report.method,
+        report.final_objective,
+        float(np.linalg.norm(err)),
+        float(np.sum(np.abs(err))),
+        report.iterations,
+        report.final_gap,
+        float(np.sum(np.abs(report.theta_hat))),
+    )
+    columns = ("n", "method", "objective", "error_l2", "error_l1", "iterations", "final_gap", "l1_norm")
+    _write_output(render_csv(columns, [row]), out_path)
 
 
 def _cmd_rsc(config: ExperimentConfig, out_path: str | None) -> None:
     """The probe of each grid n's trial 0, exactly as the sweep runs it."""
     ctx = prepare_sweep(config)
-    lines = ["n,mu_hat,quantile_mu,mu_theoretical,directions,epsilon,alpha"]
+    rows = []
     for n in config.n_grid:
-        n = int(n)
         est = probe_rsc(config, ctx, make_instance(config, ctx.theta, n, 0), n, 0)
-        lines.append(
-            ",".join(
-                (
-                    str(n),
-                    _fmt(est.mu_hat),
-                    _fmt(est.quantile_mu),
-                    _fmt(ctx.mu_theoretical),
-                    str(est.directions_tested),
-                    _fmt(est.epsilon),
-                    _fmt(est.alpha),
-                )
-            )
+        rows.append(
+            (n, est.mu_hat, est.quantile_mu, ctx.mu_theoretical, est.directions_tested,
+             config.rsc_epsilon, config.rsc_alpha)
         )
-    _write_output("\n".join(lines) + "\n", out_path)
+    columns = ("n", "mu_hat", "quantile_mu", "mu_theoretical", "directions", "epsilon", "alpha")
+    _write_output(render_csv(columns, rows), out_path)
 
 
 def _cmd_sweep(config: ExperimentConfig, out_path: str | None) -> None:
@@ -182,47 +157,25 @@ def _cmd_sweep(config: ExperimentConfig, out_path: str | None) -> None:
     _write_output(result.aggregate_csv(), out_path)
     if out_path is not None:
         Path(out_path + ".trials.csv").write_text(result.trials_csv(), encoding="utf-8", newline="\n")
-    print(_trial_status(result.records), file=sys.stderr)
-
-
-def _trial_status(records) -> str:
-    """One line counting the trials that did not converge or failed, listing each failure.
-
-    Neither CSV shows them: a failed trial has no row, and a row does not
-    say whether its solve cleared the gap certificate.
-    """
-    failed = [r for r in records if r.failed]
-    unconverged = sum(1 for r in records if not r.failed and not r.converged)
-    line = f"sweep: {len(records)} trials, {unconverged} not converged, {len(failed)} failed"
-    if failed:
-        line += ": " + ", ".join(repr((r.n, r.trial, r.error_message)) for r in failed)
-    return line
+    print(result.status_line(), file=sys.stderr)
 
 
 def _cmd_slope(csv_path: str, out_path: str | None) -> None:
+    """Refit the slopes of an aggregate CSV with the rule of its footer."""
     lines = Path(csv_path).read_text(encoding="utf-8").splitlines()
-    rows = [line for line in lines if line and not line.startswith("#")]
-    header = rows[0].split(",")
+    rows = [line.split(",") for line in lines if line and not line.startswith("#")]
+    header, data = rows[0], rows[1:]
     try:
         n_col = header.index("n")
-        error_col = header.index("mean_error")
-        bound_col = header.index("bound")
+        cols = [(name, header.index(name)) for name in ("mean_error", "bound")]
     except ValueError as exc:
         raise RuntimeError(f"{csv_path} is not an aggregate sweep CSV: {exc}") from exc
-    data = [line.split(",") for line in rows[1:]]
-    out = ["series,slope,intercept,half_width"]
-    for name, col in (("mean_error", error_col), ("bound", bound_col)):
-        points = []
-        for parts in data:
-            value = float(parts[col])
-            if math.isfinite(value) and value > 0:
-                points.append((int(parts[n_col]), value))
-        if len(points) >= 3:
-            fit = fit_loglog_slope(points)
-            out.append(f"{name},{_fmt(fit.slope)},{_fmt(fit.intercept)},{_fmt(fit.half_width)}")
-        else:
-            out.append(f"{name},nan,nan,nan")
-    _write_output("\n".join(out) + "\n", out_path)
+    ns = [int(parts[n_col]) for parts in data]
+    out = []
+    for name, col in cols:
+        fit = fit_series(ns, [float(parts[col]) for parts in data])
+        out.append((name, *(astuple(fit) if fit else (math.nan,) * 3)))
+    _write_output(render_csv(("series", "slope", "intercept", "half_width"), out), out_path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,32 +200,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_and_dispatch(argv=None) -> int:
+def main(argv=None) -> int:
     """Parse arguments, run the requested subcommand, and return an exit code."""
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
-    invocation = CliInvocation(
-        subcommand=ns.subcommand,
-        config_path=getattr(ns, "config", None),
-        out_path=ns.out,
-        overrides=tuple(getattr(ns, "overrides", ())),
-        csv_path=getattr(ns, "csv", None),
-    )
     try:
-        if invocation.subcommand == "slope":
-            _cmd_slope(invocation.csv_path, invocation.out_path)
+        if ns.subcommand == "slope":
+            _cmd_slope(ns.csv, ns.out)
         else:
-            config = load_config(invocation.config_path, invocation.overrides)
-            handler = {
-                "width": _cmd_width,
-                "solve": _cmd_solve,
-                "rsc": _cmd_rsc,
-                "sweep": _cmd_sweep,
-            }[invocation.subcommand]
-            handler(config, invocation.out_path)
+            handlers = {"width": _cmd_width, "solve": _cmd_solve, "rsc": _cmd_rsc, "sweep": _cmd_sweep}
+            handlers[ns.subcommand](load_config(ns.config, ns.overrides), ns.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -280,10 +219,6 @@ def parse_and_dispatch(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
-
-
-def main(argv=None) -> int:
-    return parse_and_dispatch(argv)
 
 
 if __name__ == "__main__":

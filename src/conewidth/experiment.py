@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -55,25 +55,6 @@ TRIAL_CSV_COLUMNS = (
     "discarded",
 )
 
-AGGREGATE_CSV_COLUMNS = (
-    "n",
-    "mean_error",
-    "stderr",
-    "bound",
-    "bound_closed_form",
-    "naive_bound",
-    "refined_bound",
-    "width_mean",
-    "width_stderr",
-    "t_star",
-    "mu_used",
-    "sigma_max_mean",
-    "discard_rate",
-    "mean_gap",
-    "mean_error_unconditioned",
-    "trials_used",
-)
-
 
 class ConfigError(ValueError):
     """A configuration key failed validation."""
@@ -103,7 +84,7 @@ class ExperimentConfig:
     mu_mode: str = "empirical"
     solver: str = "projected_gradient"
     solver_max_iter: int = 50_000
-    solver_gap_tol: float = 0.0  # 0 = automatic (1e-6 relative to f(0))
+    solver_gap_tol: float = 0.0  # 0 = solver.default_gap_tol, an absolute 1e-6
     solver_tol: float = 1e-10
     t_grid: tuple[float, ...] = ()
 
@@ -311,7 +292,6 @@ class TrialRecord:
     width_mean: float = math.nan
     width_stderr: float = math.nan
     mu_hat: float = math.nan
-    mu_quantile: float = math.nan
     mu_theoretical: float = math.nan
     mu_used: float = math.nan
     sigma_max: float = math.nan
@@ -321,7 +301,6 @@ class TrialRecord:
     discarded: bool = False
     grad_norm: float = math.nan
     proj_grad_norm: float = math.nan
-    objective: float = math.nan
     failed: bool = False
     error_message: str = ""
 
@@ -382,7 +361,6 @@ def run_trial(
         width_mean=width.mean,
         width_stderr=width.stderr,
         mu_hat=rsc.mu_hat,
-        mu_quantile=rsc.quantile_mu,
         mu_theoretical=ctx.mu_theoretical,
         mu_used=mu_used,
         sigma_max=sigma_trial,
@@ -392,7 +370,6 @@ def run_trial(
         discarded=discarded,
         grad_norm=grad_norm,
         proj_grad_norm=proj_norm,
-        objective=report.final_objective,
     )
 
 
@@ -410,8 +387,6 @@ def probe_rsc(
         instance,
         lambda rng, num: ctx.sample_directions(t_star, num, rng),
         config.rsc_directions,
-        epsilon=config.rsc_epsilon,
-        alpha=config.rsc_alpha,
         rng=stream(config.master_seed, "rsc", n, trial_index),
     )
 
@@ -445,11 +420,23 @@ def fit_loglog_slope(points) -> SlopeFit:
     return SlopeFit(slope, intercept, half_width)
 
 
+def fit_series(ns, values) -> SlopeFit | None:
+    """Log-log fit of one series over its finite positive values; None below 3 points.
+
+    The rule behind the aggregate CSV's slope footer and the ``slope``
+    subcommand.
+    """
+    points = [(n, v) for n, v in zip(ns, values) if math.isfinite(v) and v > 0]
+    return fit_loglog_slope(points) if len(points) >= 3 else None
+
+
 @dataclass(frozen=True)
 class SweepRow:
+    """One aggregate CSV row; the fields are the columns, in order."""
+
     n: int
     mean_error: float
-    stderr_error: float
+    stderr: float
     bound: float
     bound_closed_form: float
     naive_bound: float
@@ -464,10 +451,8 @@ class SweepRow:
     mean_error_unconditioned: float
     trials_used: int
 
-    @property
-    def stderr(self) -> float:
-        """The ``stderr`` column: ``stderr_error`` under its CSV name."""
-        return self.stderr_error
+
+AGGREGATE_CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 @dataclass(frozen=True)
@@ -481,7 +466,8 @@ class SweepResult:
     slope_bound_closed_form: SlopeFit | None
 
     def trials_csv(self) -> str:
-        return _csv(TRIAL_CSV_COLUMNS, [r for r in self.records if not r.failed])
+        kept = (r for r in self.records if not r.failed)
+        return render_csv(TRIAL_CSV_COLUMNS, ([getattr(r, c) for c in TRIAL_CSV_COLUMNS] for r in kept))
 
     def aggregate_csv(self) -> str:
         footer = "".join(
@@ -494,7 +480,20 @@ class SweepResult:
             )
             if fit is not None
         )
-        return _csv(AGGREGATE_CSV_COLUMNS, self.rows) + footer
+        return render_csv(AGGREGATE_CSV_COLUMNS, map(astuple, self.rows)) + footer
+
+    def status_line(self) -> str:
+        """One line counting the trials that did not converge or failed, listing each failure.
+
+        Neither CSV shows them: a failed trial has no row, and a row does not
+        say whether its solve cleared the gap certificate.
+        """
+        failed = [r for r in self.records if r.failed]
+        unconverged = sum(1 for r in self.records if not r.failed and not r.converged)
+        line = f"sweep: {len(self.records)} trials, {unconverged} not converged, {len(failed)} failed"
+        if failed:
+            line += ": " + ", ".join(repr((r.n, r.trial, r.error_message)) for r in failed)
+        return line
 
 
 def _fmt(x: float) -> str:
@@ -502,7 +501,9 @@ def _fmt(x: float) -> str:
 
 
 def _cell(value) -> str:
-    """One CSV field: a bool as 1/0, an int as itself, a float with ``FLOAT_FORMAT``."""
+    """One CSV field: a str as itself, a bool as 1/0, an int as itself, a float with ``FLOAT_FORMAT``."""
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, int):
@@ -510,10 +511,10 @@ def _cell(value) -> str:
     return _fmt(value)
 
 
-def _csv(columns: tuple[str, ...], rows) -> str:
-    """A header line and one line per row, reading each column as a row attribute."""
+def render_csv(columns: tuple[str, ...], rows) -> str:
+    """Every CSV the package writes: a header line, then one line per row of values."""
     lines = [",".join(columns)]
-    lines.extend(",".join(_cell(getattr(row, column)) for column in columns) for row in rows)
+    lines.extend(",".join(map(_cell, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -585,16 +586,10 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         valid = [r for r in group if not r.failed]
         kept = [r for r in valid if not r.discarded]
         rows.append(_aggregate_row(ctx, n, valid, kept))
-
-    def fit_or_none(values) -> SlopeFit | None:
-        pts = [(row.n, v) for row, v in zip(rows, values) if math.isfinite(v) and v > 0]
-        if len(pts) < 3:
-            return None
-        return fit_loglog_slope(pts)
-
-    slope_error = fit_or_none([row.mean_error for row in rows])
-    slope_bound = fit_or_none([row.bound for row in rows])
-    slope_cf = fit_or_none([row.bound_closed_form for row in rows])
+    ns = [row.n for row in rows]
+    slope_error = fit_series(ns, [row.mean_error for row in rows])
+    slope_bound = fit_series(ns, [row.bound for row in rows])
+    slope_cf = fit_series(ns, [row.bound_closed_form for row in rows])
     return SweepResult(config, ctx, tuple(records), tuple(rows), slope_error, slope_bound, slope_cf)
 
 
@@ -613,7 +608,7 @@ def _aggregate_row(
     return SweepRow(
         n=n,
         mean_error=mean_over(kept, "error_l2"),
-        stderr_error=stderr,
+        stderr=stderr,
         bound=mean_over(kept, "bound"),
         bound_closed_form=tuned.bound_closed_form,
         naive_bound=float(np.mean(naive)) if naive else math.nan,

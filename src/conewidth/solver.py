@@ -39,8 +39,14 @@ class SolveReport:
 
 
 def default_gap_tol(instance: glm.ProblemInstance) -> float:
-    """Default certificate tolerance: 1e-6 relative to the starting objective."""
-    return 1e-6 * max(1.0, abs(glm.loss_at_predictor(instance, np.zeros(instance.n))))
+    """Default certificate tolerance: an absolute 1e-6 on the duality gap.
+
+    It does not depend on ``instance``.  The loss at the origin is the
+    cumulant ``b(0)``, which is 0, log 2 or 1 for the gaussian, logistic and
+    poisson families, so a tolerance of ``1e-6 max(1, |f(0)|)`` is this
+    constant for every family.
+    """
+    return 1e-6
 
 
 def duality_gap(instance: glm.ProblemInstance, theta: np.ndarray, c: float) -> float:
@@ -60,7 +66,8 @@ def frank_wolfe(
     gap_tol: float | None = None,
     line_search: bool = True,
 ) -> SolveReport:
-    """Frank-Wolfe from the origin, stopping when the gap certificate clears.
+    """Frank-Wolfe from the origin, stopping when the gap certificate is at
+    most ``gap_tol`` (default :func:`default_gap_tol`, an absolute 1e-6).
 
     With ``line_search`` the gaussian family takes the exact quadratic step;
     the other families start from the curvature-matched step and backtrack.
@@ -127,8 +134,8 @@ def projected_gradient(
     raise the objective, the momentum is dropped and the step is retaken
     from ``theta`` (function-value restart), so accepted iterates are
     monotone.  The solve stops once the Frank-Wolfe gap at the iterate is at
-    most ``gap_tol`` (default :func:`default_gap_tol`), or when an accepted
-    step is below ``tol`` relative to ``||theta||``.
+    most ``gap_tol`` (default :func:`default_gap_tol`, an absolute 1e-6), or
+    when an accepted step is below ``tol`` relative to ``||theta||``.
 
     Predictors ``A theta`` are cached per accepted iterate and the
     extrapolated predictor is the same combination of cached ones, so a

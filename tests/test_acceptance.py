@@ -328,7 +328,7 @@ def test_criterion_9_rsc_sample_size_threshold():
         rng = stream(109, role, seed, n)
         design = glm.sample_design(n, p, "gaussian", rng)
         inst = glm.ProblemInstance(design, np.zeros(n), theta, family)
-        est = bounds.rsc_estimate(inst, cone, 400, at_truth_segment=True, epsilon=epsilon, rng=rng)
+        est = bounds.rsc_estimate(inst, cone, 400, at_truth_segment=True, rng=rng)
         return est.mu_hat >= 1.0 - epsilon
 
     c1 = bounds.calibrate_c1(

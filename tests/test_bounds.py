@@ -66,8 +66,6 @@ class TestRscEstimate:
         inst = glm.ProblemInstance(np.eye(2), np.zeros(2), theta, GAUSSIAN)
         with pytest.raises(ValueError, match="num_directions"):
             bounds.rsc_estimate(inst, descent_cone(theta), 50, rng=stream(73, "v"))
-        with pytest.raises(ValueError, match="epsilon"):
-            bounds.RscEstimate(0.5, 100, 0.6, epsilon=1.5, alpha=1.0)
 
 
 class HalfZeroCone:

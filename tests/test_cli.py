@@ -5,7 +5,7 @@ import hashlib
 
 import pytest
 
-from conewidth import cli
+from conewidth import cli, experiment
 from conewidth.cli import load_config, main, serialize_config
 from conewidth.experiment import ConfigError, ExperimentConfig
 
@@ -160,7 +160,7 @@ class TestDispatch:
         assert main(["rsc", "--config", mismatched_path, "master_seed=9"]) == 0
         rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
         result = cli.run_sweep(load_config(mismatched_path, ["master_seed=9"]))
-        sweep_mu = {r.n: cli._fmt(r.mu_hat) for r in result.records if r.trial == 0}
+        sweep_mu = {r.n: experiment._fmt(r.mu_hat) for r in result.records if r.trial == 0}
         assert {int(row[0]): row[1] for row in rows} == sweep_mu
 
     def test_sweep_deterministic_files(self, matched_path, tmp_path):
@@ -179,6 +179,39 @@ class TestDispatch:
         assert lines[0] == "series,slope,intercept,half_width"
         assert lines[1].startswith("mean_error,")
         assert lines[2].startswith("bound,")
+
+    @pytest.mark.parametrize(
+        "fixture, overrides", [("matched_path", []), ("mismatched_path", ["n_grid=30,60,120"])]
+    )
+    def test_slope_rows_match_sweep_fits(self, request, fixture, overrides, tmp_path, capsys):
+        result = cli.run_sweep(load_config(request.getfixturevalue(fixture), overrides))
+        assert result.slope_error is not None and result.slope_bound is not None
+        agg = tmp_path / "agg.csv"
+        agg.write_text(result.aggregate_csv())
+        assert main(["slope", "--csv", str(agg)]) == 0
+        expected = [
+            ",".join((name, *map(experiment._fmt, (fit.slope, fit.intercept, fit.half_width))))
+            for name, fit in (("mean_error", result.slope_error), ("bound", result.slope_bound))
+        ]
+        assert capsys.readouterr().out.strip().split("\n")[1:] == expected
+
+    def test_slope_of_two_point_grid_is_nan(self, matched_path, tmp_path, capsys):
+        out = tmp_path / "agg.csv"
+        assert main(["sweep", "--config", matched_path, "--out", str(out), "n_grid=20,40", "trials=2"]) == 0
+        assert "#" not in out.read_text()
+        capsys.readouterr()
+        assert main(["slope", "--csv", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            "series,slope,intercept,half_width\nmean_error,nan,nan,nan\nbound,nan,nan,nan\n"
+        )
+
+    def test_slope_rejects_trials_csv(self, matched_path, tmp_path, capsys):
+        out = tmp_path / "agg.csv"
+        assert main(["sweep", "--config", matched_path, "--out", str(out), "trials=2"]) == 0
+        capsys.readouterr()
+        trials = str(out) + ".trials.csv"
+        assert main(["slope", "--csv", trials]) == 1
+        assert f"error: {trials} is not an aggregate sweep CSV" in capsys.readouterr().err
 
     def test_sweep_reports_unconverged_trials(self, matched_path, tmp_path, capsys):
         assert main(["sweep", "--config", matched_path, "--out", str(tmp_path / "a.csv")]) == 0

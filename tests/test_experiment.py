@@ -116,6 +116,12 @@ class TestConfigValidation:
             cfg.validate()
         assert err.value.key == "rsc_epsilon"
 
+    def test_rsc_alpha_below_one_rejected(self):
+        cfg = ExperimentConfig(p=10, s=2, n_grid=(10,), trials=1, rsc_alpha=0.5)
+        with pytest.raises(ConfigError) as err:
+            cfg.validate()
+        assert err.value.key == "rsc_alpha"
+
 
 class TestSlopeFit:
     def test_collinear_half_slope(self):
@@ -293,6 +299,18 @@ class TestRunSweep:
         ]
         assert len(lines) == 1 + len(MATCHED_SMALL.n_grid) * MATCHED_SMALL.trials
 
+    def test_aggregate_csv_schema(self):
+        res = run_sweep(MATCHED_SMALL)
+        lines = res.aggregate_csv().strip().split("\n")
+        assert lines[0].split(",") == [
+            "n", "mean_error", "stderr", "bound", "bound_closed_form",
+            "naive_bound", "refined_bound", "width_mean", "width_stderr",
+            "t_star", "mu_used", "sigma_max_mean", "discard_rate", "mean_gap",
+            "mean_error_unconditioned", "trials_used",
+        ]
+        rows = [line for line in lines[1:] if not line.startswith("#")]
+        assert [int(row.split(",")[0]) for row in rows] == list(MATCHED_SMALL.n_grid)
+
     def test_bound_validity_and_ordering(self):
         res = run_sweep(MATCHED_SMALL)
         held = sum(row.mean_error <= row.bound for row in res.rows)
@@ -306,9 +324,9 @@ class TestRunSweep:
         res1 = run_sweep(MATCHED_SMALL)
         res2 = run_sweep(dataclasses.replace(MATCHED_SMALL, trials=24))
         ratios = [
-            b.stderr_error / a.stderr_error
+            b.stderr / a.stderr
             for a, b in zip(res1.rows, res2.rows)
-            if a.stderr_error > 0
+            if a.stderr > 0
         ]
         # expect roughly 1/sqrt(2); generous window for 12-vs-24 trial noise
         assert 0.4 <= float(np.mean(ratios)) <= 1.1
