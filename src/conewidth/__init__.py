@@ -15,7 +15,6 @@ from .bounds import (
     calibrate_c1,
     matched_bound,
     mismatched_bound,
-    naive_bound,
     optimize_t,
     rsc_estimate,
     sample_size_threshold,

@@ -29,8 +29,6 @@ from .geometry import ConeModel, FeasibleSet, WidthEstimate
 
 BOUND_CONSTANT = 2.0 * math.sqrt(2.0 * math.pi)
 
-RSC_LAMBDA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
-
 # A descent cone's polar lies in the half-space {u : <u, theta> >= 0}, so a
 # gaussian projects to zero with probability at most 1/2, and a slot is
 # still empty after R rounds with probability at most 2^-R.
@@ -150,47 +148,18 @@ def sample_localized_directions(
             f"could not sample directions from the localized set at t = {t:.6g}; "
             f"accepted {have} of {num} requested (is t larger than the set radius?)"
         )
-    out = np.concatenate(collected, axis=0)[:num].T if have >= num else np.concatenate(collected, axis=0).T
-    return out
+    return np.concatenate(collected, axis=0)[:num].T
 
 
-def rsc_estimate(
-    instance: glm.ProblemInstance,
-    directions,
-    num_directions: int = 2000,
-    at_truth_segment: bool = False,
-    rng: np.random.Generator | None = None,
-) -> RscEstimate:
+def rsc_estimate(instance: glm.ProblemInstance, sample: Callable[[], np.ndarray]) -> RscEstimate:
     """Probe restricted strong convexity over sampled unit directions.
 
-    ``directions`` is a :class:`ConeModel` (directions sampled from the
-    cone), a callable ``(rng, num) -> (p, num)`` array of unit columns, or a
-    ready (p, num) array.  Per direction e the probed curvature is either
-    the segment form ``min over a lambda grid of e^T Hess f(theta + lambda e) e``
-    (``at_truth_segment=True``) or the secant form
-    ``<grad f(theta + e) - grad f(theta), e>``.
+    ``sample()`` returns a (p, m) array whose columns are unit directions of
+    the bound's set.  Per direction e the probed curvature is the secant form
+    ``<grad f(theta + e) - grad f(theta), e>`` at the truth theta.
     """
-    if num_directions < 100:
-        raise ValueError("num_directions must be >= 100")
-    if isinstance(directions, ConeModel):
-        if rng is None:
-            raise ValueError("sampling from a cone requires an rng")
-        E = sample_cone_directions(directions, num_directions, rng)
-    elif callable(directions):
-        if rng is None:
-            raise ValueError("sampling from a callable requires an rng")
-        E = np.asarray(directions(rng, num_directions), dtype=float)
-    else:
-        E = np.asarray(directions, dtype=float)
-    if E.ndim != 2 or E.shape[0] != instance.p or E.shape[1] == 0:
-        raise ValueError(f"directions must form a ({instance.p}, m) array with m >= 1")
-    if at_truth_segment:
-        q = None
-        for lam in RSC_LAMBDA_GRID:
-            q_lam = glm.segment_quadratic_form_batch(instance, instance.theta_true, E, lam)
-            q = q_lam if q is None else np.minimum(q, q_lam)
-    else:
-        q = glm.secant_form_batch(instance, instance.theta_true, E)
+    E = sample()
+    q = glm.secant_form_batch(instance, instance.theta_true, E)
     return RscEstimate(
         mu_hat=float(np.min(q)),
         directions_tested=int(E.shape[1]),
@@ -209,13 +178,6 @@ def sample_size_threshold(width1: float, epsilon: float, alpha: float, c1: float
     if width1 < 0:
         raise ValueError("width1 must be >= 0")
     return max(1, int(math.ceil((c1 * alpha**2 * width1 / epsilon) ** 2)))
-
-
-def naive_bound(mu: float, grad_norm_expectation: float) -> float:
-    """Unrefined bound ``E ||grad f_n(theta_true)|| / mu``."""
-    if mu <= 0:
-        raise ValueError("mu must be > 0")
-    return grad_norm_expectation / mu
 
 
 def matched_bound(sigma_max: float, width1: float, mu: float, n: int) -> float:

@@ -164,16 +164,17 @@ def _cmd_slope(csv_path: str, out_path: str | None) -> None:
     """Refit the slopes of an aggregate CSV with the rule of its footer."""
     lines = Path(csv_path).read_text(encoding="utf-8").splitlines()
     rows = [line.split(",") for line in lines if line and not line.startswith("#")]
-    header, data = rows[0], rows[1:]
+    names = ("mean_error", "bound")
     try:
-        n_col = header.index("n")
-        cols = [(name, header.index(name)) for name in ("mean_error", "bound")]
-    except ValueError as exc:
+        header, *data = rows
+        n_col, *cols = (header.index(name) for name in ("n", *names))
+        ns = [int(parts[n_col]) for parts in data]
+        series = [[float(parts[col]) for parts in data] for col in cols]
+    except (IndexError, ValueError) as exc:  # no header, a short row, or a non-numeric cell
         raise RuntimeError(f"{csv_path} is not an aggregate sweep CSV: {exc}") from exc
-    ns = [int(parts[n_col]) for parts in data]
     out = []
-    for name, col in cols:
-        fit = fit_series(ns, [float(parts[col]) for parts in data])
+    for name, values in zip(names, series):
+        fit = fit_series(ns, values)
         out.append((name, *(astuple(fit) if fit else (math.nan,) * 3)))
     _write_output(render_csv(("series", "slope", "intercept", "half_width"), out), out_path)
 

@@ -19,6 +19,7 @@ CSV conventions: comma separation, '.' decimal point, floats rendered with
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import astuple, dataclass, fields
@@ -315,16 +316,12 @@ class TrialRecord:
         return self.bound if self.t_star > 0.0 else math.nan
 
 
-def run_trial(
-    config: ExperimentConfig, n: int, trial_index: int, ctx: SweepContext | None = None
-) -> TrialRecord:
+def run_trial(config: ExperimentConfig, n: int, trial_index: int, ctx: SweepContext) -> TrialRecord:
     """One seeded trial: generate data, solve, measure error, evaluate bounds.
 
-    Deterministic given (master_seed, n, trial_index); the context argument
-    is a pure cache of :func:`prepare_sweep` output.
+    Deterministic given (master_seed, n, trial_index); ``ctx`` is the
+    :func:`prepare_sweep` output of ``config``.
     """
-    if ctx is None:
-        ctx = prepare_sweep(config)
     seed = seed_fingerprint(config.master_seed, "trial", n, trial_index)
     instance = make_instance(config, ctx.theta, n, trial_index)
 
@@ -383,11 +380,9 @@ def probe_rsc(
     subcommand runs the same probe.
     """
     t_star = ctx.tuned_by_n[int(n)].t_star
+    rng = stream(config.master_seed, "rsc", n, trial_index)
     return bounds.rsc_estimate(
-        instance,
-        lambda rng, num: ctx.sample_directions(t_star, num, rng),
-        config.rsc_directions,
-        rng=stream(config.master_seed, "rsc", n, trial_index),
+        instance, functools.partial(ctx.sample_directions, t_star, config.rsc_directions, rng)
     )
 
 

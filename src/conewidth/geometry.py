@@ -148,27 +148,33 @@ def _polar_tau_batch(cone: ConeModel, H: np.ndarray) -> np.ndarray:
     The first ``POLAR_TAU_WINDOW`` segments of the descending sort are
     searched first; only rows with no self-consistent segment among them
     search all of them again.  Both searches evaluate the same formulas,
-    so the window never changes tau.
+    so the window never changes tau.  A segment admits its stationary point
+    to within 1e-12 of the row's largest magnitude, the scale of the
+    rounding in that point, so the search is the same at every scale.
     """
     s_count = cone.support.size
-    on_target = H[:, cone.support] @ cone.signs
+    on_support = H[:, cone.support]
+    on_target = on_support @ cone.signs
     off = cone._off_support
     if off.size == 0:
         return np.maximum(on_target / s_count, 0.0)
     a = np.sort(np.abs(H[:, off]), axis=1)[:, ::-1]
+    tol = 1e-12 * np.maximum(a[:, 0], np.max(np.abs(on_support), axis=1))
     if off.size < POLAR_TAU_WINDOW:
-        tau, found = _first_segment_tau(on_target, a, s_count, complete=True)
+        tau, found = _first_segment_tau(on_target, a, s_count, tol, complete=True)
     else:
-        tau, found = _first_segment_tau(on_target, a[:, :POLAR_TAU_WINDOW], s_count, complete=False)
+        tau, found = _first_segment_tau(on_target, a[:, :POLAR_TAU_WINDOW], s_count, tol, complete=False)
         rest = np.flatnonzero(~found)
         if rest.size:
-            tau[rest], found[rest] = _first_segment_tau(on_target[rest], a[rest], s_count, complete=True)
+            tau[rest], found[rest] = _first_segment_tau(
+                on_target[rest], a[rest], s_count, tol[rest], complete=True
+            )
     # no self-consistent segment means the unconstrained root is negative
     return np.where(found, np.maximum(tau, 0.0), 0.0)
 
 
 def _first_segment_tau(
-    on_target: np.ndarray, a: np.ndarray, s_count: int, complete: bool
+    on_target: np.ndarray, a: np.ndarray, s_count: int, tol: np.ndarray, complete: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stationary tau of each row's first self-consistent segment, and whether one exists.
 
@@ -186,7 +192,7 @@ def _first_segment_tau(
     counts = s_count + np.arange(segments, dtype=float)
     tau_k = (on_target[:, None] + prefix) / counts[None, :]
     upper = np.concatenate([np.full((m, 1), np.inf), above], axis=1)
-    feasible = (tau_k <= upper * (1.0 + 1e-12) + 1e-12) & (tau_k >= lower * (1.0 - 1e-12) - 1e-12)
+    feasible = (tau_k <= upper + tol[:, None]) & (tau_k >= lower - tol[:, None])
     return tau_k[np.arange(m), np.argmax(feasible, axis=1)], feasible.any(axis=1)
 
 
@@ -252,14 +258,13 @@ def lmo_l1_ball(grad: np.ndarray, c: float) -> np.ndarray:
 class FeasibleSet:
     """The translated constraint set ``F = {v : ||theta_true + v||_1 <= c}``.
 
-    ``classification`` is derived: matched iff ``||theta_true||_1 == c`` to
-    within ``MATCHED_TOL * max(1, c)``, a relative tolerance for large c,
-    where the l1 norm's summation order alone moves it by several ulps.
+    theta_true must be feasible to within ``MATCHED_TOL * max(1, c)``, a
+    relative tolerance for large c, where the l1 norm's summation order alone
+    moves ``||theta_true||_1`` by several ulps.
     """
 
     theta_true: np.ndarray
     radius_c: float
-    classification: str = field(init=False)
 
     def __post_init__(self) -> None:
         theta = np.asarray(self.theta_true, dtype=float)
@@ -272,8 +277,6 @@ class FeasibleSet:
             raise ValueError(
                 f"theta_true is infeasible: ||theta||_1 = {norm1:.6g} > c = {self.radius_c:.6g}"
             )
-        matched = abs(norm1 - self.radius_c) <= tol
-        object.__setattr__(self, "classification", "matched" if matched else "mismatched")
 
     @property
     def ambient_dim(self) -> int:

@@ -212,21 +212,6 @@ def hessian_quadratic_form(instance: ProblemInstance, theta: np.ndarray, v: np.n
     return float(np.mean(b2 * av**2))
 
 
-def segment_quadratic_form_batch(
-    instance: ProblemInstance, base: np.ndarray, directions: np.ndarray, step: float
-) -> np.ndarray:
-    """Per-column quadratic form at ``base + step * e_j`` in direction ``e_j``.
-
-    The evaluation point moves with the direction, which is what the segment
-    condition of the restricted convexity probe needs.
-    """
-    base = _check_theta(instance, base)
-    eta0 = instance.design @ base
-    ae = instance.design @ directions
-    b2 = _cumulant_d2(instance.family, eta0[:, None] + step * ae)
-    return np.mean(b2 * ae**2, axis=0)
-
-
 def secant_form_batch(instance: ProblemInstance, base: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """Per-column secant form ``<grad f(base + e_j) - grad f(base), e_j> / ||e_j||^2``."""
     base = _check_theta(instance, base)

@@ -64,14 +64,13 @@ def frank_wolfe(
     c: float,
     max_iter: int = 50_000,
     gap_tol: float | None = None,
-    line_search: bool = True,
 ) -> SolveReport:
     """Frank-Wolfe from the origin, stopping when the gap certificate is at
     most ``gap_tol`` (default :func:`default_gap_tol`, an absolute 1e-6).
 
-    With ``line_search`` the gaussian family takes the exact quadratic step;
-    the other families start from the curvature-matched step and backtrack.
-    Without it the classic ``2 / (k + 2)`` schedule is used.
+    Every step is line-searched: the gaussian family takes the exact
+    quadratic step, the other families start from the curvature-matched step
+    and backtrack.  The report counts the steps taken, at most ``max_iter``.
     """
     if c <= 0:
         raise ValueError("c must be > 0")
@@ -81,7 +80,7 @@ def frank_wolfe(
     value = glm.loss(instance, theta)
     gap = np.inf
     k = 0
-    for k in range(max_iter):
+    while k < max_iter:
         grad = glm.gradient(instance, theta)
         if not np.all(np.isfinite(grad)):
             raise SolverError(f"non-finite gradient at iteration {k}")
@@ -90,28 +89,26 @@ def frank_wolfe(
         gap = float(grad @ (theta - s))
         if gap <= gap_tol:
             break
-        if line_search:
-            curvature = glm.hessian_quadratic_form(instance, theta, direction)
-            gamma = 1.0 if curvature <= 0 else min(1.0, gap / curvature)
-            if instance.family.tag != "gaussian":
-                # curvature varies along the segment; backtrack until the
-                # quadratic-model decrease is realized
-                while gamma > 1e-15:
-                    try:
-                        candidate = glm.loss(instance, theta + gamma * direction)
-                    except ValueError:
-                        candidate = np.inf
-                    if candidate <= value - 0.5 * gamma * gap + 1e-15 * max(1.0, abs(value)):
-                        break
-                    gamma *= 0.5
-                else:
-                    raise SolverError(f"line search underflow at iteration {k}")
-        else:
-            gamma = 2.0 / (k + 2.0)
+        curvature = glm.hessian_quadratic_form(instance, theta, direction)
+        gamma = 1.0 if curvature <= 0 else min(1.0, gap / curvature)
+        if instance.family.tag != "gaussian":
+            # curvature varies along the segment; backtrack until the
+            # quadratic-model decrease is realized
+            while gamma > 1e-15:
+                try:
+                    candidate = glm.loss(instance, theta + gamma * direction)
+                except ValueError:
+                    candidate = np.inf
+                if candidate <= value - 0.5 * gamma * gap + 1e-15 * max(1.0, abs(value)):
+                    break
+                gamma *= 0.5
+            else:
+                raise SolverError(f"line search underflow at iteration {k}")
         theta = theta + gamma * direction
         value = glm.loss(instance, theta)
         if not np.isfinite(value):
             raise SolverError(f"non-finite objective at iteration {k}")
+        k += 1
     else:
         # iteration cap hit after a step: refresh the certificate at the iterate
         grad = glm.gradient(instance, theta)

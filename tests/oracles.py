@@ -316,7 +316,8 @@ def full_width_polar_tau(cone, H):
     tau_k = (on_target[:, None] + prefix) / counts[None, :]
     upper = np.concatenate([np.full((m, 1), np.inf), a], axis=1)
     lower = np.concatenate([a, np.zeros((m, 1))], axis=1)
-    feasible = (tau_k <= upper * (1.0 + 1e-12) + 1e-12) & (tau_k >= lower * (1.0 - 1e-12) - 1e-12)
+    tol = 1e-12 * np.maximum(a[:, 0], np.max(np.abs(H[:, cone.support]), axis=1))[:, None]
+    feasible = (tau_k <= upper + tol) & (tau_k >= lower - tol)
     found = feasible.any(axis=1)
     tau = tau_k[np.arange(m), np.argmax(feasible, axis=1)]
     return np.where(found, np.maximum(tau, 0.0), 0.0)

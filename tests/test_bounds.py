@@ -1,5 +1,6 @@
 """Bound formulas, restricted-convexity probes, and the sure inequality."""
 
+import functools
 import math
 from pathlib import Path
 
@@ -16,7 +17,6 @@ from oracles import batched_cone_directions, projected_gradient_norm_at_truth, r
 
 SHIPPED_MATCHED = Path(__file__).resolve().parents[1] / "configs" / "matched.cfg"
 BOUND_CONSTANT = 2.0 * math.sqrt(2.0 * math.pi)
-GAUSSIAN = glm.GlmFamily("gaussian", 0.5)
 
 
 def gaussian_instance(rng, n, p, theta, sigma=0.5, ensemble="gaussian"):
@@ -26,21 +26,24 @@ def gaussian_instance(rng, n, p, theta, sigma=0.5, ensemble="gaussian"):
     return glm.ProblemInstance(design, responses, theta, family, ensemble)
 
 
+def cone_sampler(cone, num, rng):
+    return functools.partial(bounds.sample_cone_directions, cone, num, rng)
+
+
 class TestRscEstimate:
     def test_identity_design_gives_inverse_n(self):
         n = 6
         theta = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         inst = glm.ProblemInstance(np.eye(n), np.zeros(n), theta, glm.GlmFamily("gaussian", 1.0))
-        cone = descent_cone(theta)
-        for segment in (False, True):
-            est = bounds.rsc_estimate(inst, cone, 200, at_truth_segment=segment, rng=stream(70, segment))
-            assert est.mu_hat == pytest.approx(1.0 / n, rel=1e-12)
-            assert est.quantile_mu == pytest.approx(1.0 / n, rel=1e-12)
+        est = bounds.rsc_estimate(inst, cone_sampler(descent_cone(theta), 200, stream(70, "id")))
+        assert est.mu_hat == pytest.approx(1.0 / n, rel=1e-12)
+        assert est.quantile_mu == pytest.approx(1.0 / n, rel=1e-12)
+        assert est.directions_tested == 200
 
     def test_zero_design_gives_zero(self):
         theta = np.array([1.0, 0.0, 0.0])
         inst = glm.ProblemInstance(np.zeros((5, 3)), np.zeros(5), theta, glm.GlmFamily("gaussian", 1.0))
-        est = bounds.rsc_estimate(inst, descent_cone(theta), 150, rng=stream(71, "z"))
+        est = bounds.rsc_estimate(inst, cone_sampler(descent_cone(theta), 150, stream(71, "z")))
         assert est.mu_hat == 0.0
 
     def test_well_sampled_regime_clears_threshold(self):
@@ -50,7 +53,7 @@ class TestRscEstimate:
         theta = np.zeros(p)
         theta[:s] = 1.0
         inst = gaussian_instance(rng, n, p, theta)
-        est = bounds.rsc_estimate(inst, descent_cone(theta), 500, at_truth_segment=True, rng=rng)
+        est = bounds.rsc_estimate(inst, cone_sampler(descent_cone(theta), 500, rng))
         assert est.mu_hat >= 0.5
         assert est.mu_hat <= est.quantile_mu
 
@@ -58,14 +61,8 @@ class TestRscEstimate:
         theta = np.array([1.0, 0.0])
         inst = glm.ProblemInstance(np.eye(2), np.zeros(2), theta, glm.GlmFamily("gaussian", 1.0))
         E = np.tile(np.array([[-1.0], [0.0]]), (1, 120))
-        est = bounds.rsc_estimate(inst, E, 120)
+        est = bounds.rsc_estimate(inst, lambda: E)
         assert est.mu_hat == pytest.approx(0.5)
-
-    def test_validation(self):
-        theta = np.array([1.0, 0.0])
-        inst = glm.ProblemInstance(np.eye(2), np.zeros(2), theta, GAUSSIAN)
-        with pytest.raises(ValueError, match="num_directions"):
-            bounds.rsc_estimate(inst, descent_cone(theta), 50, rng=stream(73, "v"))
 
 
 class HalfZeroCone:
@@ -130,12 +127,6 @@ class TestThresholdAndNaive:
 
     def test_threshold_floor(self):
         assert bounds.sample_size_threshold(0.0, 0.5, 1.0, 1.0) == 1
-
-    def test_naive_bound(self):
-        assert bounds.naive_bound(1.0, 0.0) == 0.0
-        assert bounds.naive_bound(0.5, 1.0) == 2.0
-        with pytest.raises(ValueError):
-            bounds.naive_bound(0.0, 1.0)
 
 
 class TestProjectedGradientNormAtTruth:
@@ -341,7 +332,7 @@ class TestBoundDominance:
             inst = gaussian_instance(rng, 30, p, theta)
             grad_norm = float(np.linalg.norm(glm.gradient(inst, theta)))
             refined = projected_gradient_norm_at_truth(inst, cone) / mu
-            assert bounds.naive_bound(mu, grad_norm) >= refined - 1e-12
+            assert grad_norm / mu >= refined - 1e-12
 
 
 class TestCalibration:

@@ -213,6 +213,17 @@ class TestDispatch:
         assert main(["slope", "--csv", trials]) == 1
         assert f"error: {trials} is not an aggregate sweep CSV" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        ["", "n,mean_error,bound\n40,0.1\n", "n,mean_error,bound\nforty,0.1,0.2\n"],
+        ids=["empty", "short_row", "non_numeric_n"],
+    )
+    def test_slope_rejects_malformed_csv(self, text, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert main(["slope", "--csv", str(path)]) == 1
+        assert f"error: {path} is not an aggregate sweep CSV" in capsys.readouterr().err
+
     def test_sweep_reports_unconverged_trials(self, matched_path, tmp_path, capsys):
         assert main(["sweep", "--config", matched_path, "--out", str(tmp_path / "a.csv")]) == 0
         assert capsys.readouterr().err == "sweep: 12 trials, 0 not converged, 0 failed\n"
@@ -230,7 +241,7 @@ class TestDispatch:
 
         run_trial = experiment.run_trial
 
-        def flaky(config, n, trial_index, ctx=None):
+        def flaky(config, n, trial_index, ctx):
             if (n, trial_index) in ((20, 1), (80, 3)):
                 raise ValueError(f"injected at {n}/{trial_index}")
             return run_trial(config, n, trial_index, ctx)

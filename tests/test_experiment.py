@@ -122,6 +122,12 @@ class TestConfigValidation:
             cfg.validate()
         assert err.value.key == "rsc_alpha"
 
+    def test_rsc_directions_below_100_rejected(self):
+        cfg = ExperimentConfig(p=10, s=2, n_grid=(10,), trials=1, rsc_directions=99)
+        with pytest.raises(ConfigError) as err:
+            cfg.validate()
+        assert err.value.key == "rsc_directions"
+
 
 class TestSlopeFit:
     def test_collinear_half_slope(self):
@@ -223,8 +229,8 @@ class TestRadiusDispatch:
 
 class TestRunTrial:
     def test_deterministic_records(self):
-        a = run_trial(MATCHED_SMALL, 60, 3)
-        b = run_trial(MATCHED_SMALL, 60, 3)
+        a = run_trial(MATCHED_SMALL, 60, 3, prepare_sweep(MATCHED_SMALL))
+        b = run_trial(MATCHED_SMALL, 60, 3, prepare_sweep(MATCHED_SMALL))
         assert a == b
 
     def test_noiseless_matched_recovery(self):
@@ -242,11 +248,11 @@ class TestRunTrial:
             rsc_directions=150,
             solver_tol=1e-12,
         )
-        record = run_trial(cfg, 40, 0)
+        record = run_trial(cfg, 40, 0, prepare_sweep(cfg))
         assert record.error_l2 <= 1e-4
 
     def test_matched_record_fields(self):
-        record = run_trial(MATCHED_SMALL, 30, 0)
+        record = run_trial(MATCHED_SMALL, 30, 0, prepare_sweep(MATCHED_SMALL))
         assert record.t_star == 0.0
         assert math.isnan(record.bound_mismatched)
         assert record.bound_matched > 0
@@ -254,7 +260,7 @@ class TestRunTrial:
         assert record.proj_grad_norm <= record.grad_norm + 1e-12
 
     def test_mismatched_record_fields(self):
-        record = run_trial(MISMATCHED_SMALL, 40, 0)
+        record = run_trial(MISMATCHED_SMALL, 40, 0, prepare_sweep(MISMATCHED_SMALL))
         assert record.t_star > 0
         assert math.isnan(record.bound_matched)
         assert record.bound_mismatched > record.t_star
@@ -273,8 +279,9 @@ class TestRunTrial:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(solver, "projected_gradient", spy)
-        record = run_trial(dataclasses.replace(MATCHED_SMALL, solver_gap_tol=1e-3), 60, 0)
-        default = run_trial(MATCHED_SMALL, 60, 0)
+        ctx = prepare_sweep(MATCHED_SMALL)
+        record = run_trial(dataclasses.replace(MATCHED_SMALL, solver_gap_tol=1e-3), 60, 0, ctx)
+        default = run_trial(MATCHED_SMALL, 60, 0, ctx)
         assert seen == [1e-3, None]
         assert record.final_gap <= 1e-3
         assert record.solver_iters <= default.solver_iters
@@ -360,6 +367,32 @@ class TestRunSweep:
         )
         with pytest.raises(RuntimeError, match="failed"):
             run_sweep(cfg)
+
+
+class TestEdgeSweeps:
+    def test_one_coordinate_zero_noise(self):
+        cfg = ExperimentConfig(
+            p=1, s=1, noise_scale=0.0, n_grid=(1, 2, 4), trials=5, mc_samples=200, master_seed=7, rsc_directions=100
+        )
+        res = run_sweep(cfg)
+        assert len(res.records) == 15
+        for r in res.records:
+            assert not r.failed and r.converged
+            assert r.bound == 0.0  # sigma_max is 0 without noise
+            # f(theta) - f(theta*) = mu e^2 / 2 at p = 1, where the probe's one
+            # direction gives the exact curvature mu = ||A||^2 / n; the gap bounds it
+            assert r.error_l2 <= math.sqrt(2.0 * r.final_gap / r.mu_hat) + 1e-12
+        assert sum(r.error_l2 <= 1e-12 for r in res.records) >= 12
+
+    def test_full_support_below_p_discards_every_trial(self):
+        # at s = p and n < p the descent cone is a half-space, which meets the
+        # design's null space, so no trial clears half the theoretical mu
+        cfg = ExperimentConfig(p=5, s=5, n_grid=(2, 3, 4), trials=4, mc_samples=200, master_seed=6, rsc_directions=200)
+        res = run_sweep(cfg)
+        assert not any(r.failed for r in res.records)
+        for row in res.rows:
+            assert row.discard_rate == 1.0
+            assert row.trials_used == 0
 
 
 class TestWorkers:

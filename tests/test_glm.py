@@ -63,7 +63,6 @@ class TestCumulant:
             lambda: glm.gradient(inst, theta),
             lambda: glm.hessian_quadratic_form(inst, theta, theta),
             lambda: hessian_quadratic_form_batch(inst, theta, E),
-            lambda: glm.segment_quadratic_form_batch(inst, np.zeros(2), E, 1.0),
             lambda: glm.secant_form_batch(inst, np.zeros(2), E),
             lambda: glm.sigma_max(glm.ProblemInstance(np.eye(2), np.zeros(2), theta, POISSON)),
         ):
