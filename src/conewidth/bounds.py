@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,9 +34,8 @@ BOUND_CONSTANT = 2.0 * math.sqrt(2.0 * math.pi)
 # still empty after R rounds with probability at most 2^-R.
 CONE_SAMPLE_MAX_ROUNDS = 100
 
-# The localized sampler projects gaussians at random scales in batches of
-# this many rows, and gives up after this many batches.
-LOCALIZED_SAMPLE_BATCH = 512
+# The localized sampler gives up after this many rounds of drawing the rows
+# still missing.
 LOCALIZED_SAMPLE_MAX_BATCHES = 200
 
 
@@ -46,11 +45,20 @@ class RscEstimate:
 
     ``mu_hat`` is the minimum sampled curvature, ``quantile_mu`` the 1%
     quantile; a finite sample cannot certify an infimum, so both are kept.
+    The quantile is computed on access: ``np.quantile`` imports ``numpy.ma``,
+    which sweeps never need.
     """
 
     mu_hat: float
-    directions_tested: int
-    quantile_mu: float
+    curvatures: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def directions_tested(self) -> int:
+        return int(self.curvatures.size)
+
+    @property
+    def quantile_mu(self) -> float:
+        return float(np.quantile(self.curvatures, 0.01))
 
 
 @dataclass(frozen=True)
@@ -125,6 +133,12 @@ def sample_localized_directions(
     those with norm at least t, and normalizes.  Because F is star-shaped
     around the origin, each kept direction e satisfies ``t e in F`` and
     therefore lies in the conic hull of ``F \\ tB``.
+
+    Each round draws scales and gaussians only for the rows still missing,
+    as :func:`sample_cone_directions` does.  Returns an array of shape
+    (p, m) with unit columns, ``m = num`` unless ``LOCALIZED_SAMPLE_MAX_BATCHES``
+    rounds end short; raises ``ValueError`` if fewer than
+    ``max(2, num // 20)`` were accepted by then.
     """
     if t <= 0:
         raise ValueError("t must be > 0")
@@ -132,39 +146,33 @@ def sample_localized_directions(
     have = 0
     scale = fset.radius_c
     for _ in range(LOCALIZED_SAMPLE_MAX_BATCHES):
-        if have >= num:
+        if have == num:
             break
-        magnitudes = scale * 10.0 ** rng.uniform(-1.5, 0.5, size=LOCALIZED_SAMPLE_BATCH)
-        Z = rng.standard_normal((LOCALIZED_SAMPLE_BATCH, fset.ambient_dim)) * magnitudes[:, None]
+        missing = num - have
+        magnitudes = scale * 10.0 ** rng.uniform(-1.5, 0.5, size=missing)
+        Z = rng.standard_normal((missing, fset.ambient_dim)) * magnitudes[:, None]
         X = fset.project_rows(Z)
         norms = np.linalg.norm(X, axis=1)
         keep = norms >= t
-        if np.any(keep):
-            unit = X[keep] / norms[keep, None]
-            collected.append(unit)
-            have += unit.shape[0]
+        collected.append(X[keep] / norms[keep, None])
+        have += int(np.count_nonzero(keep))
     if have < max(2, num // 20):
         raise ValueError(
             f"could not sample directions from the localized set at t = {t:.6g}; "
             f"accepted {have} of {num} requested (is t larger than the set radius?)"
         )
-    return np.concatenate(collected, axis=0)[:num].T
+    return np.concatenate(collected, axis=0).T
 
 
-def rsc_estimate(instance: glm.ProblemInstance, sample: Callable[[], np.ndarray]) -> RscEstimate:
+def rsc_estimate(instance: glm.ProblemInstance, E: np.ndarray) -> RscEstimate:
     """Probe restricted strong convexity over sampled unit directions.
 
-    ``sample()`` returns a (p, m) array whose columns are unit directions of
-    the bound's set.  Per direction e the probed curvature is the secant form
+    ``E`` is a (p, m) array whose columns are unit directions of the bound's
+    set.  Per direction e the probed curvature is the secant form
     ``<grad f(theta + e) - grad f(theta), e>`` at the truth theta.
     """
-    E = sample()
     q = glm.secant_form_batch(instance, instance.theta_true, E)
-    return RscEstimate(
-        mu_hat=float(np.min(q)),
-        directions_tested=int(E.shape[1]),
-        quantile_mu=float(np.quantile(q, 0.01)),
-    )
+    return RscEstimate(mu_hat=float(np.min(q)), curvatures=q)
 
 
 def sample_size_threshold(width1: float, epsilon: float, alpha: float, c1: float) -> int:

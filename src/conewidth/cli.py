@@ -143,7 +143,7 @@ def _cmd_rsc(config: ExperimentConfig, out_path: str | None) -> None:
     ctx = prepare_sweep(config)
     rows = []
     for n in config.n_grid:
-        est = probe_rsc(config, ctx, make_instance(config, ctx.theta, n, 0), n, 0)
+        est = probe_rsc(ctx, make_instance(config, ctx.theta, n, 0), n)
         rows.append(
             (n, est.mu_hat, est.quantile_mu, ctx.mu_theoretical, est.directions_tested,
              config.rsc_epsilon, config.rsc_alpha)

@@ -19,10 +19,9 @@ CSV conventions: comma separation, '.' decimal point, floats rendered with
 
 from __future__ import annotations
 
-import functools
 import math
 import os
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -190,6 +189,8 @@ class SweepContext:
     A matched sweep is the ``t = 0`` case of a mismatched one: its bound's
     set is the descent cone, and every t* is 0.  ``width_rows`` lists the
     ``(kind, t, estimate)`` rows of the ``width`` subcommand.
+    ``directions[t]`` is the RSC probe's (p, m) direction set at each
+    distinct t*, shared by every trial at that radius.
     """
 
     theta: np.ndarray
@@ -199,6 +200,7 @@ class SweepContext:
     mu_theoretical: float
     tuned_by_n: dict
     width_rows: tuple
+    directions: dict = field(default_factory=dict)
 
     def proj_grad_norm(self, g: np.ndarray, t: float) -> float:
         """``sup <g, u>`` over unit directions u of the bound's set at radius t.
@@ -218,12 +220,17 @@ class SweepContext:
 
 
 def prepare_sweep(config: ExperimentConfig) -> SweepContext:
-    """Ground truth, constraint, widths, and the radius t*(n) of every grid n.
+    """Ground truth, constraint, widths, the radius t*(n) of every grid n,
+    and the RSC probe's directions at each distinct t*.
 
     The only place past :meth:`ExperimentConfig.validate` that reads
     ``constraint_mode``.  Mismatched sweeps tune t only over grid values
     below the feasible set's outer radius: for larger t the set ``F \\ tB``
     is empty, so no trial could probe it.
+
+    The directions are drawn once per radius, independently of every
+    design: the cone set from stream ``("rsc", "cone")``, the localized set
+    at ``t_grid[i]`` from ``("rsc", i)``.
     """
     config.validate()
     theta, c = sweep_truth(config)
@@ -243,7 +250,8 @@ def prepare_sweep(config: ExperimentConfig) -> SweepContext:
             bound_closed_form=math.nan,
         )
         tuned_by_n = {int(n): tuned for n in config.n_grid}
-        return SweepContext(theta, c, fset, cone, mu_theory, tuned_by_n, (("cone", 0.0, width),))
+        ctx = SweepContext(theta, c, fset, cone, mu_theory, tuned_by_n, (("cone", 0.0, width),))
+        return _with_directions(ctx, config, {0.0: "cone"})
     width_global = geometry.global_width_l1(
         fset, config.mc_samples, stream(config.master_seed, "width", "global")
     )
@@ -270,7 +278,18 @@ def prepare_sweep(config: ExperimentConfig) -> SweepContext:
         *(("localized", t, w) for t, w in width_by_t.items()),
         ("global", math.nan, width_global),
     )
-    return SweepContext(theta, c, fset, None, mu_theory, tuned_by_n, width_rows)
+    ctx = SweepContext(theta, c, fset, None, mu_theory, tuned_by_n, width_rows)
+    used = {tuned.t_star for tuned in tuned_by_n.values()}
+    return _with_directions(ctx, config, {t: i for i, t in enumerate(width_by_t) if t in used})
+
+
+def _with_directions(ctx: SweepContext, config: ExperimentConfig, stream_keys: dict) -> SweepContext:
+    """``ctx`` with one probe direction set per radius t, drawn from stream ``("rsc", stream_keys[t])``."""
+    directions = {
+        t: ctx.sample_directions(t, config.rsc_directions, stream(config.master_seed, "rsc", key))
+        for t, key in stream_keys.items()
+    }
+    return replace(ctx, directions=directions)
 
 
 def solve(config: ExperimentConfig, instance: glm.ProblemInstance, c: float) -> solver.SolveReport:
@@ -336,7 +355,7 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int, ctx: SweepCont
     tuned = ctx.tuned_by_n[int(n)]
     t_star, width = tuned.t_star, tuned.width_star
     proj_norm = ctx.proj_grad_norm(-grad0, t_star)
-    rsc = probe_rsc(config, ctx, instance, n, trial_index)
+    rsc = probe_rsc(ctx, instance, n)
 
     sigma_trial = glm.sigma_max(instance)
     mu_used = rsc.mu_hat if config.mu_mode == "empirical" else ctx.mu_theoretical
@@ -370,20 +389,15 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int, ctx: SweepCont
     )
 
 
-def probe_rsc(
-    config: ExperimentConfig, ctx: SweepContext, instance: glm.ProblemInstance, n: int, trial_index: int
-) -> bounds.RscEstimate:
+def probe_rsc(ctx: SweepContext, instance: glm.ProblemInstance, n: int) -> bounds.RscEstimate:
     """Restricted-convexity probe of one trial over the directions its bound uses.
 
-    The directions are those of the bound's set at t*(n): the descent cone
-    in matched sweeps, the localized set otherwise.  The CLI's ``rsc``
-    subcommand runs the same probe.
+    The directions are the sweep's set at t*(n), drawn by
+    :func:`prepare_sweep` from the bound's set: the descent cone in matched
+    sweeps, the localized set otherwise.  The CLI's ``rsc`` subcommand runs
+    the same probe.
     """
-    t_star = ctx.tuned_by_n[int(n)].t_star
-    rng = stream(config.master_seed, "rsc", n, trial_index)
-    return bounds.rsc_estimate(
-        instance, functools.partial(ctx.sample_directions, t_star, config.rsc_directions, rng)
-    )
+    return bounds.rsc_estimate(instance, ctx.directions[ctx.tuned_by_n[int(n)].t_star])
 
 
 @dataclass(frozen=True)

@@ -83,7 +83,8 @@ class ConeModel:
             raise ValueError("support and signs must be 1-D arrays of equal length")
         if support.size == 0:
             raise ValueError("support must be nonempty")
-        if np.unique(support).size != support.size:
+        ordered = np.sort(support)  # np.unique would import numpy.ma
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("support indices must be distinct")
         if np.any(support < 0) or np.any(support >= p):
             raise ValueError("support indices out of range")

@@ -7,7 +7,6 @@ its own seed stream separate from the verification seeds.
 """
 
 import dataclasses
-import functools
 import math
 
 import numpy as np
@@ -329,7 +328,7 @@ def test_criterion_9_rsc_sample_size_threshold():
         rng = stream(109, role, seed, n)
         design = glm.sample_design(n, p, "gaussian", rng)
         inst = glm.ProblemInstance(design, np.zeros(n), theta, family)
-        est = bounds.rsc_estimate(inst, functools.partial(bounds.sample_cone_directions, cone, 400, rng))
+        est = bounds.rsc_estimate(inst, bounds.sample_cone_directions(cone, 400, rng))
         return est.mu_hat >= 1.0 - epsilon
 
     c1 = bounds.calibrate_c1(

@@ -1,6 +1,5 @@
 """Bound formulas, restricted-convexity probes, and the sure inequality."""
 
-import functools
 import math
 from pathlib import Path
 
@@ -26,16 +25,12 @@ def gaussian_instance(rng, n, p, theta, sigma=0.5, ensemble="gaussian"):
     return glm.ProblemInstance(design, responses, theta, family, ensemble)
 
 
-def cone_sampler(cone, num, rng):
-    return functools.partial(bounds.sample_cone_directions, cone, num, rng)
-
-
 class TestRscEstimate:
     def test_identity_design_gives_inverse_n(self):
         n = 6
         theta = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         inst = glm.ProblemInstance(np.eye(n), np.zeros(n), theta, glm.GlmFamily("gaussian", 1.0))
-        est = bounds.rsc_estimate(inst, cone_sampler(descent_cone(theta), 200, stream(70, "id")))
+        est = bounds.rsc_estimate(inst, bounds.sample_cone_directions(descent_cone(theta), 200, stream(70, "id")))
         assert est.mu_hat == pytest.approx(1.0 / n, rel=1e-12)
         assert est.quantile_mu == pytest.approx(1.0 / n, rel=1e-12)
         assert est.directions_tested == 200
@@ -43,7 +38,7 @@ class TestRscEstimate:
     def test_zero_design_gives_zero(self):
         theta = np.array([1.0, 0.0, 0.0])
         inst = glm.ProblemInstance(np.zeros((5, 3)), np.zeros(5), theta, glm.GlmFamily("gaussian", 1.0))
-        est = bounds.rsc_estimate(inst, cone_sampler(descent_cone(theta), 150, stream(71, "z")))
+        est = bounds.rsc_estimate(inst, bounds.sample_cone_directions(descent_cone(theta), 150, stream(71, "z")))
         assert est.mu_hat == 0.0
 
     def test_well_sampled_regime_clears_threshold(self):
@@ -53,7 +48,7 @@ class TestRscEstimate:
         theta = np.zeros(p)
         theta[:s] = 1.0
         inst = gaussian_instance(rng, n, p, theta)
-        est = bounds.rsc_estimate(inst, cone_sampler(descent_cone(theta), 500, rng))
+        est = bounds.rsc_estimate(inst, bounds.sample_cone_directions(descent_cone(theta), 500, rng))
         assert est.mu_hat >= 0.5
         assert est.mu_hat <= est.quantile_mu
 
@@ -61,7 +56,7 @@ class TestRscEstimate:
         theta = np.array([1.0, 0.0])
         inst = glm.ProblemInstance(np.eye(2), np.zeros(2), theta, glm.GlmFamily("gaussian", 1.0))
         E = np.tile(np.array([[-1.0], [0.0]]), (1, 120))
-        est = bounds.rsc_estimate(inst, lambda: E)
+        est = bounds.rsc_estimate(inst, E)
         assert est.mu_hat == pytest.approx(0.5)
 
 
@@ -114,6 +109,22 @@ class TestLocalizedDirectionSampler:
         assert np.allclose(norms, 1.0, atol=1e-10)
         for j in range(E.shape[1]):
             assert fset.contains(t * E[:, j], tol=1e-9)
+
+    def test_rounds_draw_only_missing_rows(self, monkeypatch):
+        fset = FeasibleSet(np.array([0.5, -0.25, 0.0, 0.0]), 1.5)
+        rounds = []
+        project_rows = FeasibleSet.project_rows
+
+        def recording(self, Z):
+            rounds.append(Z.shape[0])
+            return project_rows(self, Z)
+
+        monkeypatch.setattr(FeasibleSet, "project_rows", recording)
+        t = 1.0  # most projected points land inside tB here, so many rounds run
+        E = bounds.sample_localized_directions(fset, t, 300, stream(76, "dirs"))
+        assert E.shape == (4, 300)
+        assert rounds[0] == 300 and len(rounds) > 1
+        assert all(b <= a for a, b in zip(rounds, rounds[1:]))
 
     def test_unreachable_t_errors(self):
         fset = FeasibleSet(np.array([0.5]), 1.0)

@@ -155,8 +155,9 @@ class TestDispatch:
         assert len(out) == 4  # header + one row per grid n
 
     def test_rsc_matches_sweep_probe_mismatched(self, mismatched_path, capsys):
-        # both probe trial 0 at t*(n) with the ("rsc", n, 0) and ("design", n, 0)
-        # streams; at this seed t*(60) = 0.8 probes other directions than t_grid[0]
+        # both probe trial 0's ("design", n, 0) draw on the sweep's direction set
+        # at t*(n); at this seed t* = 0.8 = t_grid[1] at both n, so both use the
+        # set drawn from stream ("rsc", 1), not the one of t_grid[0]
         assert main(["rsc", "--config", mismatched_path, "master_seed=9"]) == 0
         rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
         result = cli.run_sweep(load_config(mismatched_path, ["master_seed=9"]))

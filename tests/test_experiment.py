@@ -3,6 +3,9 @@
 import dataclasses
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,9 @@ from conewidth.experiment import (
     ConfigError,
     ExperimentConfig,
     SlopeFit,
+    SweepContext,
     fit_loglog_slope,
+    make_instance,
     make_truth,
     prepare_sweep,
     resolve_workers,
@@ -225,6 +230,85 @@ class TestRadiusDispatch:
             width = ctx.tuned_by_n[n].width_star.mean
             assert record.bound == bounds.matched_bound(record.sigma_max, width, record.mu_used, n)
             assert record.bound_matched == record.bound
+
+
+class TestSharedDirections:
+    """The probe draws one direction set per distinct t* and shares it across trials."""
+
+    @pytest.mark.parametrize("cfg", [MATCHED_SMALL, MISMATCHED_SMALL], ids=["matched", "mismatched"])
+    def test_one_draw_per_distinct_t_star(self, cfg, monkeypatch):
+        drawn = []
+        real = SweepContext.sample_directions
+
+        def counting(self, t, num, rng):
+            drawn.append(t)
+            return real(self, t, num, rng)
+
+        monkeypatch.setattr(SweepContext, "sample_directions", counting)
+        res = run_sweep(dataclasses.replace(cfg, trials=2))
+        distinct = {tuned.t_star for tuned in res.context.tuned_by_n.values()}
+        assert sorted(drawn) == sorted(distinct)
+        assert set(res.context.directions) == distinct
+        assert len(distinct) == (1 if cfg is MATCHED_SMALL else 2)
+
+    def test_sets_come_from_their_streams(self):
+        ctx = prepare_sweep(MATCHED_SMALL)
+        num = MATCHED_SMALL.rsc_directions
+        cone = geometry.descent_cone(ctx.theta)
+        expected = bounds.sample_cone_directions(cone, num, stream(MATCHED_SMALL.master_seed, "rsc", "cone"))
+        assert np.array_equal(ctx.directions[0.0], expected)
+        ctx = prepare_sweep(MISMATCHED_SMALL)
+        for i, t in enumerate(MISMATCHED_SMALL.t_grid):
+            if t in ctx.directions:
+                rng = stream(MISMATCHED_SMALL.master_seed, "rsc", i)
+                expected = bounds.sample_localized_directions(ctx.fset, t, num, rng)
+                assert np.array_equal(ctx.directions[t], expected)
+
+    def test_trials_at_one_radius_probe_one_set(self):
+        ctx = prepare_sweep(MISMATCHED_SMALL)
+        t = ctx.tuned_by_n[40].t_star
+        assert ctx.tuned_by_n[80].t_star == t
+        for n in (40, 80):
+            record = run_trial(MISMATCHED_SMALL, n, 0, ctx)
+            instance = make_instance(MISMATCHED_SMALL, ctx.theta, n, 0)
+            assert record.mu_hat == bounds.rsc_estimate(instance, ctx.directions[t]).mu_hat
+
+    def test_localized_sets_lie_in_the_bound_set(self):
+        ctx = prepare_sweep(MISMATCHED_SMALL)
+        for t, E in ctx.directions.items():
+            assert E.shape == (MISMATCHED_SMALL.p, MISMATCHED_SMALL.rsc_directions)
+            assert np.all(np.abs(np.linalg.norm(E, axis=0) - 1.0) <= geometry.MATCHED_TOL)
+            l1 = np.sum(np.abs(ctx.theta[:, None] + t * E), axis=0)
+            assert np.all(l1 <= ctx.c + geometry.MATCHED_TOL)
+
+
+NUMPY_MA_PROBE = """\
+import sys
+
+import numpy
+
+if "numpy.ma" in sys.modules:
+    print("preloaded")
+    raise SystemExit
+from conewidth.experiment import ExperimentConfig, run_sweep
+
+run_sweep(ExperimentConfig(**{fields!r}))
+print("loaded" if "numpy.ma" in sys.modules else "absent")
+"""
+
+
+@pytest.mark.parametrize("cfg", [MATCHED_SMALL, MISMATCHED_SMALL], ids=["matched", "mismatched"])
+def test_sweep_does_not_import_numpy_ma(cfg):
+    # numpy.ma costs about 16 ms to import, once per process and pool worker
+    tiny = dataclasses.replace(cfg, trials=1, mc_samples=100, rsc_directions=100)
+    code = NUMPY_MA_PROBE.format(fields=dataclasses.asdict(tiny))
+    env = {k: v for k, v in os.environ.items() if k != "CONEWIDTH_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(Path(__file__).resolve().parents[1] / "src"),
+                                                      env.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    if out.stdout.strip() == "preloaded":
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert out.stdout.strip() == "absent"
 
 
 class TestRunTrial:

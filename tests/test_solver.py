@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conewidth import glm, solver
 from conewidth.rng import stream
@@ -199,6 +201,26 @@ class TestDualityGap:
         report = solver.frank_wolfe(inst, 1.0, gap_tol=1e-4)
         assert report.final_gap <= 1e-4
         assert solver.duality_gap(inst, report.theta_hat, 1.0) == pytest.approx(report.final_gap, abs=1e-12)
+
+    @settings(max_examples=80)
+    @given(data=st.data())
+    def test_bounds_suboptimality_at_feasible_points(self, data):
+        # convexity: f* >= f(theta) + <grad f(theta), s - theta> at the LMO vertex s
+        # (Jaggi 2013), so the gap is at least f(theta) - f*
+        family = data.draw(st.sampled_from([GAUSSIAN, LOGISTIC]), label="family")
+        n = data.draw(st.integers(3, 30), label="n")
+        p = data.draw(st.integers(1, 6), label="p")
+        c = data.draw(st.floats(0.05, 3.0), label="c")
+        inst = small_instance(stream(67, "gap", data.draw(st.integers(0, 2**31), label="seed")), family, n, p)
+        # tol=1e-300: stop on the certificate, never on a small step
+        reference = solver.projected_gradient(inst, c, max_iter=200_000, tol=1e-300, gap_tol=1e-10)
+        assert reference.final_gap <= 1e-10
+        f_star = glm.loss(inst, reference.theta_hat)  # within 1e-10 above the true minimum
+        raw = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=p, max_size=p), label="raw"))
+        radius = data.draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]), label="radius")
+        theta = raw * (radius * c / max(np.sum(np.abs(raw)), 1e-300))
+        gap = solver.duality_gap(inst, theta, c)
+        assert gap >= glm.loss(inst, theta) - f_star - 1e-12 * max(1.0, abs(f_star))
 
     def test_infeasible_point_rejected(self):
         rng = stream(61, "gap")
