@@ -8,16 +8,13 @@ Subpackages by responsibility: :mod:`conewidth.glm` (families and oracles),
 """
 
 from .bounds import (
-    BoundReport,
     RscEstimate,
     TunedBound,
     bound_report,
-    calibrate_c1,
     matched_bound,
     mismatched_bound,
     optimize_t,
     rsc_estimate,
-    sample_size_threshold,
 )
 from .experiment import (
     ConfigError,
@@ -44,7 +41,6 @@ from .geometry import (
 from .glm import (
     GlmFamily,
     ProblemInstance,
-    cumulant_eval,
     gradient,
     hessian_quadratic_form,
     hessian_weight_lower_bound,

@@ -62,27 +62,6 @@ class RscEstimate:
 
 
 @dataclass(frozen=True)
-class BoundReport:
-    """One evaluated error bound and the ingredients that produced it."""
-
-    t: float
-    width: WidthEstimate
-    mu: float
-    sigma_max: float
-    n: int
-    bound_value: float
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("naive", "matched", "mismatched", "optimized_t"):
-            raise ValueError(f"unknown bound kind {self.kind!r}")
-        if self.kind == "matched" and self.t != 0.0:
-            raise ValueError("matched bounds have t = 0")
-        if self.bound_value < 0:
-            raise ValueError("bound_value must be >= 0")
-
-
-@dataclass(frozen=True)
 class TunedBound:
     """Result of minimizing the mismatched bound over t.
 
@@ -175,19 +154,6 @@ def rsc_estimate(instance: glm.ProblemInstance, E: np.ndarray) -> RscEstimate:
     return RscEstimate(mu_hat=float(np.min(q)), curvatures=q)
 
 
-def sample_size_threshold(width1: float, epsilon: float, alpha: float, c1: float) -> int:
-    """Smallest n clearing ``sqrt(n) >= c1 alpha^2 width1 / epsilon`` (floored at 1)."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    if alpha < 1.0:
-        raise ValueError("alpha must be >= 1")
-    if c1 <= 0:
-        raise ValueError("c1 must be > 0")
-    if width1 < 0:
-        raise ValueError("width1 must be >= 0")
-    return max(1, int(math.ceil((c1 * alpha**2 * width1 / epsilon) ** 2)))
-
-
 def matched_bound(sigma_max: float, width1: float, mu: float, n: int) -> float:
     """``2 sqrt(2 pi) sigma_max width1 / (mu sqrt(n))``."""
     if mu <= 0:
@@ -204,19 +170,10 @@ def mismatched_bound(t: float, sigma_max: float, localized_width1: float, mu: fl
     return t + matched_bound(sigma_max, localized_width1, mu, n)
 
 
-def bound_report(
-    kind: str, t: float, width: WidthEstimate, mu: float, sigma_max: float, n: int
-) -> BoundReport:
-    """Evaluate a matched/mismatched bound with its ingredients attached."""
-    if kind == "matched":
-        if t != 0.0:
-            raise ValueError("matched bounds have t = 0")
-        value = matched_bound(sigma_max, width.mean, mu, n)
-    elif kind in ("mismatched", "optimized_t"):
-        value = mismatched_bound(t, sigma_max, width.mean, mu, n)
-    else:
-        raise ValueError(f"unknown bound kind {kind!r}")
-    return BoundReport(t=t, width=width, mu=mu, sigma_max=sigma_max, n=n, bound_value=value, kind=kind)
+# perfbench/tracing.py spans this name as ``bounds.bound``
+def bound_report(t: float, width: WidthEstimate, mu: float, sigma_max: float, n: int) -> float:
+    """The mismatched bound at t with the width estimate's mean; t = 0 is the matched bound."""
+    return mismatched_bound(t, sigma_max, width.mean, mu, n)
 
 
 def optimize_t(
@@ -253,32 +210,3 @@ def optimize_t(
     coef = BOUND_CONSTANT * sigma_max / mu
     t_cf = math.sqrt(coef * global_width / math.sqrt(n))
     return TunedBound(best_t, best_value, best_width, t_cf, 2.0 * t_cf)
-
-
-def calibrate_c1(
-    width1: float,
-    success: Callable[[int, int], bool],
-    seeds: int = 100,
-    epsilon: float = 0.5,
-    alpha: float = 1.0,
-    c1_start: float = 0.25,
-    growth: float = 1.5,
-    target_rate: float = 0.95,
-    c1_cap: float = 64.0,
-) -> float:
-    """Grow c1 until the RSC success rate at the threshold sample size clears the target.
-
-    ``success(n, seed)`` must report whether the restricted-convexity check
-    passed for one seeded draw at sample size n.  The theory guarantees only
-    that some constant works; this pins a concrete, reproducible value.
-    """
-    c1 = c1_start
-    while c1 <= c1_cap:
-        n = sample_size_threshold(width1, epsilon, alpha, c1)
-        hits = sum(1 for seed in range(seeds) if success(n, seed))
-        if hits >= target_rate * seeds:
-            return c1
-        c1 *= growth
-    raise RuntimeError(
-        f"calibration failed: success rate below {target_rate:.0%} even at c1 = {c1_cap}"
-    )

@@ -362,7 +362,7 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int, ctx: SweepCont
     discarded = rsc.mu_hat < 0.5 * ctx.mu_theoretical
     if mu_used > 0:
         # t* = 0 adds exactly nothing, so this is the matched bound bit for bit
-        bound = bounds.bound_report("mismatched", t_star, width, mu_used, sigma_trial, n).bound_value
+        bound = bounds.bound_report(t_star, width, mu_used, sigma_trial, n)
     else:
         bound = math.inf
 
@@ -568,7 +568,6 @@ def _safe_trial(config: ExperimentConfig, n: int, trial_index: int, ctx: SweepCo
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Run all trials of a sweep, aggregate per n, and fit log-log slopes."""
-    config.validate()
     ctx = prepare_sweep(config)
     tasks = [(int(n), j) for n in config.n_grid for j in range(config.trials)]
     workers = resolve_workers()

@@ -27,11 +27,6 @@ import numpy as np
 
 MATCHED_TOL = 1e-12
 
-# Segments of the descending off-support sort that the polar tau search
-# tries before it searches them all.  At p = 200, s = 5 a gaussian row's
-# segment had median 20 and was at most 45 in 100,000 rows.
-POLAR_TAU_WINDOW = 64
-
 
 class ConvergenceError(RuntimeError):
     """An iterative routine did not certify its result within its iteration cap."""
@@ -96,14 +91,6 @@ class ConeModel:
         mask[support] = False
         object.__setattr__(self, "_off_support", np.nonzero(mask)[0])
 
-    def margin(self, v: np.ndarray) -> float:
-        """Membership margin; nonpositive iff v lies in the cone."""
-        v = np.asarray(v, dtype=float)
-        return float(self.signs @ v[self.support] + np.sum(np.abs(v[self._off_support])))
-
-    def contains(self, v: np.ndarray, tol: float = 0.0) -> bool:
-        return self.margin(v) <= tol
-
     def project_batch(self, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Project the rows of H onto the cone; returns (projections, norms)."""
         H = np.atleast_2d(np.asarray(H, dtype=float))
@@ -125,76 +112,34 @@ def descent_cone(theta_true: np.ndarray) -> ConeModel:
     return ConeModel(support, np.sign(theta_true[support]), theta_true.size)
 
 
-def _polar_distance_sq(cone: ConeModel, H: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Squared distance from each row of H to the tau-slice of the polar cone."""
-    on = (H[:, cone.support] - tau[:, None] * cone.signs[None, :]) ** 2
-    total = on.sum(axis=1)
-    off = cone._off_support
-    if off.size:
-        excess = np.maximum(np.abs(H[:, off]) - tau[:, None], 0.0)
-        total = total + (excess**2).sum(axis=1)
-    return total
-
-
 def _polar_tau_batch(cone: ConeModel, H: np.ndarray) -> np.ndarray:
-    """Per-row minimizer over tau >= 0 of the polar slice distance.
+    """Per-row minimizer over tau >= 0 of the distance to the polar slice.
 
-    The squared distance is convex and piecewise quadratic in tau with
-    breakpoints at the off-support magnitudes, so the minimizer is found
-    exactly: on the segment where the k largest off-support magnitudes
-    exceed tau, the stationary point averages the on-support targets with
-    those k magnitudes, and exactly one segment contains its own stationary
-    point (otherwise the minimizer is tau = 0).
-
-    The first ``POLAR_TAU_WINDOW`` segments of the descending sort are
-    searched first; only rows with no self-consistent segment among them
-    search all of them again.  Both searches evaluate the same formulas,
-    so the window never changes tau.  A segment admits its stationary point
-    to within 1e-12 of the row's largest magnitude, the scale of the
-    rounding in that point, so the search is the same at every scale.
+    With the off-support magnitudes of a row sorted in descending order as
+    ``a`` and ``A_j = sum_{i<j} a_i``, the squared distance is convex and
+    piecewise quadratic in tau with breakpoints at the ``a_j``.  On the
+    segment where exactly j magnitudes exceed tau, its stationary point is
+    ``tau_j = (T + A_j) / (s + j)``, T the on-support target ``<h_S, sign>``,
+    and ``tau_j < a_j`` iff ``(s + j) a_j - A_j > T``.  The left side is
+    nonincreasing in j (its step is ``(s + j + 1)(a_{j+1} - a_j)``), so the
+    j that pass form a prefix.  Their count k has ``a_k <= tau_k < a_{k-1}``
+    (the second from j = k - 1 passing), so segment k holds its own
+    stationary point and ``max(0, tau_k)`` is the minimizer: the same
+    sort-and-count as the l1-ball projection (Duchi et al. 2008).
     """
     s_count = cone.support.size
-    on_support = H[:, cone.support]
-    on_target = on_support @ cone.signs
-    off = cone._off_support
-    if off.size == 0:
-        return np.maximum(on_target / s_count, 0.0)
-    a = np.sort(np.abs(H[:, off]), axis=1)[:, ::-1]
-    tol = 1e-12 * np.maximum(a[:, 0], np.max(np.abs(on_support), axis=1))
-    if off.size < POLAR_TAU_WINDOW:
-        tau, found = _first_segment_tau(on_target, a, s_count, tol, complete=True)
-    else:
-        tau, found = _first_segment_tau(on_target, a[:, :POLAR_TAU_WINDOW], s_count, tol, complete=False)
-        rest = np.flatnonzero(~found)
-        if rest.size:
-            tau[rest], found[rest] = _first_segment_tau(
-                on_target[rest], a[rest], s_count, tol[rest], complete=True
-            )
-    # no self-consistent segment means the unconstrained root is negative
-    return np.where(found, np.maximum(tau, 0.0), 0.0)
-
-
-def _first_segment_tau(
-    on_target: np.ndarray, a: np.ndarray, s_count: int, tol: np.ndarray, complete: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stationary tau of each row's first self-consistent segment, and whether one exists.
-
-    ``a`` holds the leading off-support magnitudes in descending order.
-    Segment k lies between ``a[k - 1]`` (infinity for k = 0) and ``a[k]``.
-    With ``complete`` the columns are all of them and the last segment
-    reaches down to 0; otherwise the last column only closes the segment
-    above it.
-    """
-    m = a.shape[0]
-    lower = np.concatenate([a, np.zeros((m, 1))], axis=1) if complete else a
-    segments = lower.shape[1]
-    above = a[:, : segments - 1]
-    prefix = np.concatenate([np.zeros((m, 1)), np.cumsum(above, axis=1)], axis=1)
-    counts = s_count + np.arange(segments, dtype=float)
-    tau_k = (on_target[:, None] + prefix) / counts[None, :]
-    upper = np.concatenate([np.full((m, 1), np.inf), above], axis=1)
-    feasible = (tau_k <= upper + tol[:, None]) & (tau_k >= lower - tol[:, None])
-    return tau_k[np.arange(m), np.argmax(feasible, axis=1)], feasible.any(axis=1)
+    on_target = H[:, cone.support] @ cone.signs
+    a = np.abs(H[:, cone._off_support])
+    a.sort(axis=1)
+    a = a[:, ::-1]
+    m, q = a.shape
+    prefix = np.zeros((m, q + 1))
+    np.cumsum(a, axis=1, out=prefix[:, 1:])
+    # in place, so the peak holds one rows x q array besides the prefix sums
+    a *= s_count + np.arange(q)
+    a -= prefix[:, :q]
+    k = np.count_nonzero(a > on_target[:, None], axis=1)
+    return np.maximum((on_target + prefix[np.arange(m), k]) / (s_count + k), 0.0)
 
 
 def project_onto_descent_cone(cone: ConeModel, h: np.ndarray) -> tuple[np.ndarray, float]:
@@ -210,8 +155,6 @@ def project_onto_descent_cone(cone: ConeModel, h: np.ndarray) -> tuple[np.ndarra
 
 def project_l1_ball(x: np.ndarray, c: float) -> np.ndarray:
     """Euclidean projection onto ``{v : ||v||_1 <= c}`` by soft thresholding."""
-    if c <= 0:
-        raise ValueError("c must be > 0")
     x = np.asarray(x, dtype=float)
     return project_l1_ball_rows(x[None, :], c)[0]
 
@@ -282,15 +225,6 @@ class FeasibleSet:
     @property
     def ambient_dim(self) -> int:
         return self.theta_true.size
-
-    def contains(self, v: np.ndarray, tol: float = 0.0) -> bool:
-        v = np.asarray(v, dtype=float)
-        return float(np.sum(np.abs(self.theta_true + v))) <= self.radius_c + tol
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Projection onto F (a shifted l1-ball projection)."""
-        shifted = np.asarray(x, dtype=float) + self.theta_true
-        return project_l1_ball(shifted, self.radius_c) - self.theta_true
 
     def project_rows(self, X: np.ndarray) -> np.ndarray:
         shifted = np.asarray(X, dtype=float) + self.theta_true[None, :]

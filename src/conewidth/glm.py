@@ -89,21 +89,6 @@ def _cumulant_d2(family: GlmFamily, eta: np.ndarray) -> np.ndarray:
     return np.exp(eta)
 
 
-def cumulant_eval(family: GlmFamily, eta):
-    """Return ``(b(eta), b'(eta), b''(eta))`` elementwise.
-
-    Accepts scalars or arrays; scalar input gives scalar output.  Poisson
-    input above ``family.eta_cap`` raises instead of overflowing.
-    """
-    eta_arr = np.asarray(eta, dtype=float)
-    b = _cumulant(family, eta_arr)
-    b1 = _cumulant_d1(family, eta_arr)
-    b2 = _cumulant_d2(family, eta_arr)
-    if np.isscalar(eta) or np.ndim(eta) == 0:
-        return float(b), float(b1), float(b2)
-    return b, b1, b2
-
-
 @dataclass(frozen=True)
 class ProblemInstance:
     """A regression problem: design, responses, ground truth, family."""

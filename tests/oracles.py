@@ -3,7 +3,9 @@
 Everything here evaluates the quantity under test by a different route than
 the library (finite differences, dense grids, rejection sampling, vertex
 enumeration, projected ascent, golden-section search) so that agreement is
-meaningful.
+meaningful.  It also holds the helpers that only tests use (membership
+margins, the cumulant triple, the c1 calibration of acceptance criterion 9),
+which the package does not carry.
 """
 
 from __future__ import annotations
@@ -14,6 +16,43 @@ import numpy as np
 
 from conewidth import glm
 from conewidth.geometry import ConvergenceError, project_onto_descent_cone
+
+
+def cumulant_eval(family, eta):
+    """Return ``(b(eta), b'(eta), b''(eta))`` elementwise from the library's three cumulant oracles.
+
+    Accepts scalars or arrays; scalar input gives scalar output.  Poisson
+    input above ``family.eta_cap`` raises instead of overflowing.
+    """
+    eta_arr = np.asarray(eta, dtype=float)
+    values = tuple(f(family, eta_arr) for f in (glm._cumulant, glm._cumulant_d1, glm._cumulant_d2))
+    if np.ndim(eta) == 0:
+        return tuple(float(v) for v in values)
+    return values
+
+
+def cone_margin(cone, V):
+    """Descent-cone membership margin of each vector along V's last axis; nonpositive iff in the cone."""
+    V = np.asarray(V, dtype=float)
+    return V[..., cone.support] @ cone.signs + np.sum(np.abs(V[..., cone._off_support]), axis=-1)
+
+
+def feasible_margin(fset, V):
+    """``||theta_true + v||_1 - c`` for each v along V's last axis; nonpositive iff v lies in F."""
+    V = np.asarray(V, dtype=float)
+    return np.sum(np.abs(fset.theta_true + V), axis=-1) - fset.radius_c
+
+
+def project_feasible(fset, x):
+    """Projection of one vector onto F, through the library's row projection."""
+    return fset.project_rows(np.asarray(x, dtype=float)[None, :])[0]
+
+
+def polar_distance_sq(cone, H, tau):
+    """Squared distance from each row of H to the tau-slice of the polar cone."""
+    on = (H[:, cone.support] - tau[:, None] * cone.signs[None, :]) ** 2
+    excess = np.maximum(np.abs(H[:, cone._off_support]) - tau[:, None], 0.0)
+    return on.sum(axis=1) + (excess**2).sum(axis=1)
 
 
 def fd_gradient(instance, theta, h=1e-6):
@@ -38,7 +77,7 @@ def fd_hessian_quadratic_form(instance, theta, v, h=1e-6):
 
 def hessian_quadratic_form_batch(instance, theta, directions):
     """Hessian quadratic form at one base point for many directions (columns)."""
-    b2 = glm.cumulant_eval(instance.family, instance.design @ np.asarray(theta, dtype=float))[2]
+    b2 = cumulant_eval(instance.family, instance.design @ np.asarray(theta, dtype=float))[2]
     av = instance.design @ directions
     return np.mean(b2[:, None] * av**2, axis=0)
 
@@ -80,10 +119,7 @@ def cone_projection_angle_oracle(cone, h, angles=200_000):
     assert h.size == 2
     phi = np.linspace(0.0, 2.0 * np.pi, angles, endpoint=False)
     U = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-    margins = U[:, cone.support] @ cone.signs + np.sum(
-        np.abs(U[:, [i for i in range(2) if i not in set(cone.support)]]), axis=1
-    )
-    members = U[margins <= 1e-12]
+    members = U[cone_margin(cone, U) <= 1e-12]
     if members.size == 0:
         return np.zeros(2), 0.0
     scores = members @ h
@@ -99,11 +135,7 @@ def cone_width_rejection_oracle(cone, samples, sphere_points, rng):
     p = cone.ambient_dim
     U = rng.standard_normal((sphere_points, p))
     U /= np.linalg.norm(U, axis=1, keepdims=True)
-    margins = U[:, cone.support] @ cone.signs
-    off = [i for i in range(p) if i not in set(cone.support.tolist())]
-    if off:
-        margins = margins + np.sum(np.abs(U[:, off]), axis=1)
-    members = U[margins <= 0.0]
+    members = U[cone_margin(cone, U) <= 0.0]
     assert members.shape[0] >= 100, "rejection oracle needs more sphere points"
     H = rng.standard_normal((samples, p))
     sups = np.maximum(np.max(H @ members.T, axis=1), 0.0)
@@ -148,7 +180,7 @@ def grid_min_objective_l1(instance, c, resolution=801):
     keep = (np.abs(V1) + np.abs(V2)) <= c + 1e-12
     thetas = np.stack([V1[keep], V2[keep]], axis=1)
     eta = instance.design @ thetas.T
-    b, _, _ = glm.cumulant_eval(instance.family, eta)
+    b, _, _ = cumulant_eval(instance.family, eta)
     values = np.mean(b - instance.responses[:, None] * eta, axis=0)
     i = int(np.argmin(values))
     return float(values[i]), thetas[i]
@@ -208,7 +240,9 @@ def sup_linear_over_localized_set(h, fset, t, max_iter=500, dykstra_tol=1e-8, dy
     stall_tol = 1e-11 * max(1.0, t * hnorm)
     stalls = 0
     for _ in range(max_iter):
-        v = dykstra_project(v + step * h, fset.project, project_ball, dykstra_tol, dykstra_max_iter)
+        v = dykstra_project(
+            v + step * h, lambda x: project_feasible(fset, x), project_ball, dykstra_tol, dykstra_max_iter
+        )
         value = float(h @ v)
         if value > best + stall_tol:
             stalls = 0
@@ -298,10 +332,13 @@ def max_face_distance(h, fset):
 
 
 def full_width_polar_tau(cone, H):
-    """Polar tau of each row of H, searching every segment of the sort at once.
+    """Polar tau of each row of H by a search for its self-consistent segment.
 
-    The library searches a window of the leading segments first; this is the
-    same exact segment search over all ``p - s + 1`` of them.
+    Every one of the ``p - s + 1`` segments of the descending off-support
+    sort gets its stationary point, and the first segment that contains its
+    own (to within 1e-12 of the row's largest magnitude) gives tau.  The
+    library instead counts the magnitudes above tau; both evaluate the same
+    expression on the segment they pick.
     """
     m = H.shape[0]
     s_count = cone.support.size
@@ -353,3 +390,45 @@ def batched_cone_directions(cone, num, rng, batch=512):
             collected.append(unit)
             have += unit.shape[0]
     return np.concatenate(collected, axis=0)[:num].T
+
+
+def sample_size_threshold(width1, epsilon, alpha, c1):
+    """Smallest n clearing ``sqrt(n) >= c1 alpha^2 width1 / epsilon`` (floored at 1)."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+    if alpha < 1.0:
+        raise ValueError("alpha must be >= 1")
+    if c1 <= 0:
+        raise ValueError("c1 must be > 0")
+    if width1 < 0:
+        raise ValueError("width1 must be >= 0")
+    return max(1, int(math.ceil((c1 * alpha**2 * width1 / epsilon) ** 2)))
+
+
+def calibrate_c1(
+    width1,
+    success,
+    seeds=100,
+    epsilon=0.5,
+    alpha=1.0,
+    c1_start=0.25,
+    growth=1.5,
+    target_rate=0.95,
+    c1_cap=64.0,
+):
+    """Grow c1 until the RSC success rate at the threshold sample size clears the target.
+
+    ``success(n, seed)`` must report whether the restricted-convexity check
+    passed for one seeded draw at sample size n.  The theory guarantees only
+    that some constant works; this pins a concrete, reproducible value.
+    """
+    c1 = c1_start
+    while c1 <= c1_cap:
+        n = sample_size_threshold(width1, epsilon, alpha, c1)
+        hits = sum(1 for seed in range(seeds) if success(n, seed))
+        if hits >= target_rate * seeds:
+            return c1
+        c1 *= growth
+    raise RuntimeError(
+        f"calibration failed: success rate below {target_rate:.0%} even at c1 = {c1_cap}"
+    )

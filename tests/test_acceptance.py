@@ -17,7 +17,15 @@ from conewidth.experiment import ExperimentConfig, fit_loglog_slope, run_sweep
 from conewidth.geometry import ConeModel, FeasibleSet, descent_cone, gaussian_width_cone, localized_width
 from conewidth.rng import stream
 
-from oracles import fd_gradient, grid_min_objective_l1, projected_gradient_norm_at_truth, realized_secant_form
+from oracles import (
+    calibrate_c1,
+    cumulant_eval,
+    fd_gradient,
+    grid_min_objective_l1,
+    projected_gradient_norm_at_truth,
+    realized_secant_form,
+    sample_size_threshold,
+)
 
 BOUND_CONSTANT = 2.0 * math.sqrt(2.0 * math.pi)
 
@@ -54,7 +62,7 @@ def test_criterion_1_gradient_and_hessian_oracles():
         rel = np.linalg.norm(grad - fd_gradient(inst, point)) / max(1.0, np.linalg.norm(grad))
         worst_fd = max(worst_fd, rel / tol)
 
-        _, b1, _ = glm.cumulant_eval(family, design @ theta)
+        _, b1, _ = cumulant_eval(family, design @ theta)
         identity = -design.T @ (responses - b1) / n
         worst_identity = max(worst_identity, float(np.max(np.abs(glm.gradient(inst, theta) - identity))))
     ok = worst_fd <= 1.0 and worst_identity <= 1e-12
@@ -331,14 +339,14 @@ def test_criterion_9_rsc_sample_size_threshold():
         est = bounds.rsc_estimate(inst, bounds.sample_cone_directions(cone, 400, rng))
         return est.mu_hat >= 1.0 - epsilon
 
-    c1 = bounds.calibrate_c1(
+    c1 = calibrate_c1(
         width.mean,
         lambda n, seed: success(n, seed, "calibrate"),
         seeds=60,
         epsilon=epsilon,
         target_rate=0.98,
     )
-    n_star = bounds.sample_size_threshold(width.mean, epsilon, 1.0, c1)
+    n_star = sample_size_threshold(width.mean, epsilon, 1.0, c1)
     hits = sum(success(n_star, seed, "verify") for seed in range(100))
     ok = hits >= 95
     report(9, ok, f"calibrated c1={c1:.3f}, n*={n_star}; mu_hat >= 1-eps on {hits}/100 fresh seeds (>=95)")

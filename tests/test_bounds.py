@@ -12,7 +12,14 @@ from conewidth.experiment import sweep_truth
 from conewidth.geometry import FeasibleSet, WidthEstimate, descent_cone, gaussian_width_cone
 from conewidth.rng import stream
 
-from oracles import batched_cone_directions, projected_gradient_norm_at_truth, realized_secant_form
+from oracles import (
+    batched_cone_directions,
+    calibrate_c1,
+    feasible_margin,
+    projected_gradient_norm_at_truth,
+    realized_secant_form,
+    sample_size_threshold,
+)
 
 SHIPPED_MATCHED = Path(__file__).resolve().parents[1] / "configs" / "matched.cfg"
 BOUND_CONSTANT = 2.0 * math.sqrt(2.0 * math.pi)
@@ -108,7 +115,7 @@ class TestLocalizedDirectionSampler:
         norms = np.linalg.norm(E, axis=0)
         assert np.allclose(norms, 1.0, atol=1e-10)
         for j in range(E.shape[1]):
-            assert fset.contains(t * E[:, j], tol=1e-9)
+            assert feasible_margin(fset, t * E[:, j]) <= 1e-9
 
     def test_rounds_draw_only_missing_rows(self, monkeypatch):
         fset = FeasibleSet(np.array([0.5, -0.25, 0.0, 0.0]), 1.5)
@@ -134,10 +141,10 @@ class TestLocalizedDirectionSampler:
 
 class TestThresholdAndNaive:
     def test_threshold_arithmetic(self):
-        assert bounds.sample_size_threshold(3.0, 0.5, 1.0, 1.0) == 36
+        assert sample_size_threshold(3.0, 0.5, 1.0, 1.0) == 36
 
     def test_threshold_floor(self):
-        assert bounds.sample_size_threshold(0.0, 0.5, 1.0, 1.0) == 1
+        assert sample_size_threshold(0.0, 0.5, 1.0, 1.0) == 1
 
 
 class TestProjectedGradientNormAtTruth:
@@ -262,22 +269,13 @@ class TestOptimizeT:
 
 class TestBoundReport:
     def test_matched_report(self):
+        # t = 0 adds exactly nothing, so the matched bound comes out bit for bit
         w = WidthEstimate(3.0, 0.01, 1000)
-        rep = bounds.bound_report("matched", 0.0, w, 0.5, 1.0, 100)
-        assert rep.bound_value == pytest.approx(bounds.matched_bound(1.0, 3.0, 0.5, 100))
-        assert rep.kind == "matched" and rep.t == 0.0
+        assert bounds.bound_report(0.0, w, 0.5, 1.0, 100) == bounds.matched_bound(1.0, 3.0, 0.5, 100)
 
     def test_mismatched_report(self):
         w = WidthEstimate(2.0, 0.01, 1000)
-        rep = bounds.bound_report("mismatched", 0.3, w, 0.5, 1.0, 100)
-        assert rep.bound_value == pytest.approx(bounds.mismatched_bound(0.3, 1.0, 2.0, 0.5, 100))
-
-    def test_matched_with_nonzero_t_rejected(self):
-        w = WidthEstimate(2.0, 0.01, 1000)
-        with pytest.raises(ValueError, match="t = 0"):
-            bounds.bound_report("matched", 0.5, w, 0.5, 1.0, 100)
-        with pytest.raises(ValueError, match="kind"):
-            bounds.bound_report("sideways", 0.0, w, 0.5, 1.0, 100)
+        assert bounds.bound_report(0.3, w, 0.5, 1.0, 100) == bounds.mismatched_bound(0.3, 1.0, 2.0, 0.5, 100)
 
 
 class TestSureInequality:
@@ -355,11 +353,11 @@ class TestCalibration:
             calls.append(n)
             return n >= 37
 
-        c1 = bounds.calibrate_c1(3.0, success, seeds=10, epsilon=0.5, alpha=1.0)
-        assert bounds.sample_size_threshold(3.0, 0.5, 1.0, c1) >= 37
+        c1 = calibrate_c1(3.0, success, seeds=10, epsilon=0.5, alpha=1.0)
+        assert sample_size_threshold(3.0, 0.5, 1.0, c1) >= 37
         # the previous rung of the ladder must have failed
-        assert bounds.sample_size_threshold(3.0, 0.5, 1.0, c1 / 1.5) < 37
+        assert sample_size_threshold(3.0, 0.5, 1.0, c1 / 1.5) < 37
 
     def test_cap_raises(self):
         with pytest.raises(RuntimeError, match="calibration failed"):
-            bounds.calibrate_c1(1.0, lambda n, seed: False, seeds=5, c1_cap=2.0)
+            calibrate_c1(1.0, lambda n, seed: False, seeds=5, c1_cap=2.0)

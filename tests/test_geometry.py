@@ -27,12 +27,16 @@ from conewidth.experiment import sweep_truth
 from conewidth.rng import stream
 
 from oracles import (
+    cone_margin,
     cone_projection_angle_oracle,
     cone_width_rejection_oracle,
+    feasible_margin,
     full_width_polar_tau,
     full_width_project_batch,
     golden_section_sup_rows,
     grid_min_distance_l1_ball,
+    polar_distance_sq,
+    project_feasible,
     sup_linear_over_localized_set,
     sup_localized_p2_oracle,
 )
@@ -133,8 +137,8 @@ class TestLmo:
 class TestDescentCone:
     def test_membership_examples(self):
         cone = descent_cone(np.array([1.0, 0.0]))
-        assert cone.contains(np.array([-1.0, 0.5]))
-        assert not cone.contains(np.array([0.0, 1.0]))
+        assert cone_margin(cone, np.array([-1.0, 0.5])) <= 0.0
+        assert cone_margin(cone, np.array([0.0, 1.0])) > 0.0
 
     def test_signs_and_support(self):
         cone = descent_cone(np.array([-2.0, 0.0, 0.0]))
@@ -196,7 +200,7 @@ class TestConeProjection:
             assert abs(proj @ polar) <= 1e-8
             assert abs(h @ h - proj @ proj - polar @ polar) <= 1e-8
             # projection lands in the cone, and is optimal among cone members
-            assert cone.margin(proj) <= 1e-9
+            assert cone_margin(cone, proj) <= 1e-9
             assert abs((h - proj) @ proj) <= 1e-8
 
     @settings(max_examples=300)
@@ -218,7 +222,7 @@ class TestConeProjection:
         scale = float(np.linalg.norm(h))
         tol = 1e-12 * scale
         assert abs(float(P @ U)) <= tol * scale
-        assert cone.margin(P) <= tol
+        assert cone_margin(cone, P) <= tol
         on_support = U[support] * signs
         tau = float(on_support[0])
         assert tau >= -tol
@@ -244,10 +248,10 @@ class TestConeProjection:
             cone = random_cone(rng, p=12)
             H = rng.normal(size=(1, 12)) * rng.uniform(0.2, 4.0)
             tau = geometry._polar_tau_batch(cone, H)
-            base = geometry._polar_distance_sq(cone, H, tau)
+            base = polar_distance_sq(cone, H, tau)
             for delta in (1e-7, -1e-7, 1e-3, -1e-3):
                 shifted = np.maximum(tau + delta, 0.0)
-                assert geometry._polar_distance_sq(cone, H, shifted) >= base - 1e-12
+                assert polar_distance_sq(cone, H, shifted) >= base - 1e-12
 
     def test_projection_beats_cone_members(self):
         rng = np.random.default_rng(26)
@@ -268,8 +272,8 @@ def shipped_matched_cone():
     return descent_cone(theta)
 
 
-class TestPolarTauWindow:
-    """The windowed tau search against the full-width search, bit for bit."""
+class TestPolarTauCount:
+    """The counted tau against the self-consistent segment search, bit for bit."""
 
     def assert_same_as_full_width(self, cone, H):
         tau = geometry._polar_tau_batch(cone, H)
@@ -291,11 +295,12 @@ class TestPolarTauWindow:
     def test_rows_past_the_window(self):
         cone = shipped_matched_cone()
         H = stream(82, "H").standard_normal((400, 200))
-        # on-support entries against the sign pull tau below the 64th magnitude
+        # on-support entries against the sign pull tau below the 64th magnitude,
+        # where many segments lie above the one the count picks
         H[:, cone.support] = -cone.signs * stream(82, "depth").uniform(15.0, 30.0, size=(400, 1))
         tau = self.assert_same_as_full_width(cone, H)
         magnitudes = np.sort(np.abs(H[:, cone._off_support]), axis=1)[:, ::-1]
-        past = (tau > 0) & (tau < magnitudes[:, geometry.POLAR_TAU_WINDOW - 1])
+        past = (tau > 0) & (tau < magnitudes[:, 63])
         assert np.count_nonzero(past) >= 300
 
     def test_rows_with_zero_tau(self):
@@ -321,6 +326,39 @@ class TestPolarTauWindow:
         tau = self.assert_same_as_full_width(cone, H)
         segment = np.sum(a[None, :] > tau[:, None], axis=1)
         assert np.array_equal(segment, np.arange(101))
+
+    @settings(max_examples=400)
+    @given(data=st.data())
+    def test_ties_on_a_coarse_grid(self, data):
+        """h on a 1/3 grid, so magnitudes tie and tau can sit exactly on a breakpoint.
+
+        There the count can pick the segment after the one the segment
+        search picks; both give the same tau in exact arithmetic, so the two
+        agree to rounding, and tau still minimizes the polar distance and
+        gives the Moreau split.
+        """
+        p = data.draw(st.integers(1, 12), label="p")
+        s = data.draw(st.integers(1, p), label="s")
+        support = np.array(data.draw(st.permutations(range(p)), label="order")[:s])
+        signs = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=s, max_size=s), label="signs"))
+        cone = ConeModel(support, signs, p)
+        steps = data.draw(st.lists(st.integers(-6, 6), min_size=p, max_size=p), label="h")
+        H = np.array(steps, dtype=float)[None, :] / 3.0
+        scale = float(np.max(np.abs(H)))
+        eps = np.finfo(float).eps
+        tau = geometry._polar_tau_batch(cone, H)
+        assert abs(tau[0] - full_width_polar_tau(cone, H)[0]) <= 2.0 * eps * scale
+        # a convex piecewise quadratic: no breakpoint and no nearby tau does better
+        candidates = np.concatenate([[0.0], np.abs(H[0]), np.maximum(tau + [-1e-6, 1e-6], 0.0)])
+        distances = polar_distance_sq(cone, np.repeat(H, candidates.size, axis=0), candidates)
+        assert polar_distance_sq(cone, H, tau)[0] <= np.min(distances) + 1e-12 * max(1.0, scale**2)
+        P = cone.project_batch(H)[0][0]
+        U = H[0] - P
+        tol = 4.0 * eps * max(1.0, scale) * p
+        assert abs(float(P @ U)) <= tol * max(1.0, scale)
+        assert cone_margin(cone, P) <= tol
+        assert np.all(np.abs(U[support] * signs - tau[0]) <= tol)
+        assert np.all(np.abs(np.delete(U, support)) <= tau[0] + tol)
 
 
 def _gaussian_tail(x):
@@ -441,8 +479,8 @@ class TestFeasibleSet:
         fset = FeasibleSet(np.array([0.5, -0.5]), 2.0)
         rng = np.random.default_rng(33)
         for _ in range(20):
-            v = fset.project(rng.normal(scale=3.0, size=2))
-            assert fset.contains(v, tol=1e-10)
+            v = project_feasible(fset, rng.normal(scale=3.0, size=2))
+            assert feasible_margin(fset, v) <= 1e-10
 
 
 class TestSupLinearLocalized:
@@ -604,10 +642,10 @@ class TestLocalizedSupRootFind:
         value = geometry._sup_localized_dual_rows(h, fset, t)[0]
         tol = 1e-10 * max(1.0, float(np.linalg.norm(h)) * t)
         # weak duality: every multiplier gives an upper bound
-        v = fset.project(h / (2.0 * lam))
+        v = project_feasible(fset, h / (2.0 * lam))
         assert value <= h @ v - lam * (v @ v) + lam * t * t + tol
         # any point of F scaled into the t-ball is feasible (0 lies in F)
-        w = fset.project(x)
+        w = project_feasible(fset, x)
         w_norm = float(np.linalg.norm(w))
         if w_norm > t:
             w *= t / w_norm

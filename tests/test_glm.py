@@ -8,7 +8,7 @@ import pytest
 from conewidth import glm
 from conewidth.rng import stream
 
-from oracles import fd_gradient, fd_hessian_quadratic_form, hessian_quadratic_form_batch
+from oracles import cumulant_eval, fd_gradient, fd_hessian_quadratic_form, hessian_quadratic_form_batch
 
 GAUSSIAN = glm.GlmFamily("gaussian", 0.5)
 LOGISTIC = glm.GlmFamily("logistic")
@@ -29,26 +29,26 @@ def random_instance(rng, family, n=None, p=None, magnitude=0.5):
 
 class TestCumulant:
     def test_logistic_at_zero(self):
-        b, b1, b2 = glm.cumulant_eval(LOGISTIC, 0.0)
+        b, b1, b2 = cumulant_eval(LOGISTIC, 0.0)
         assert b == pytest.approx(math.log(2.0), abs=1e-15)
         assert b1 == pytest.approx(0.5, abs=1e-15)
         assert b2 == pytest.approx(0.25, abs=1e-15)
 
     def test_gaussian_at_two(self):
-        assert glm.cumulant_eval(GAUSSIAN, 2.0) == pytest.approx((2.0, 2.0, 1.0))
+        assert cumulant_eval(GAUSSIAN, 2.0) == pytest.approx((2.0, 2.0, 1.0))
 
     def test_poisson_at_zero(self):
-        assert glm.cumulant_eval(POISSON, 0.0) == pytest.approx((1.0, 1.0, 1.0))
+        assert cumulant_eval(POISSON, 0.0) == pytest.approx((1.0, 1.0, 1.0))
 
     def test_logistic_stable_in_tails(self):
-        b, b1, b2 = glm.cumulant_eval(LOGISTIC, np.array([-800.0, 800.0]))
+        b, b1, b2 = cumulant_eval(LOGISTIC, np.array([-800.0, 800.0]))
         assert np.all(np.isfinite(b)) and np.all(np.isfinite(b1)) and np.all(np.isfinite(b2))
         assert b[1] == pytest.approx(800.0)
         assert b1[0] == pytest.approx(0.0, abs=1e-300)
 
     def test_poisson_cap_rejected(self):
         with pytest.raises(ValueError, match="cap"):
-            glm.cumulant_eval(POISSON, 31.0)
+            cumulant_eval(POISSON, 31.0)
 
     def test_poisson_cap_rejected_on_every_oracle(self):
         # the solver's backtracking treats this ValueError as a rejected step
@@ -72,15 +72,15 @@ class TestCumulant:
     def test_arrays_match_scalars(self):
         etas = np.linspace(-6.0, 6.0, 41)
         for family in (GAUSSIAN, LOGISTIC, POISSON):
-            b, b1, b2 = glm.cumulant_eval(family, etas)
+            b, b1, b2 = cumulant_eval(family, etas)
             for i, eta in enumerate(etas):
-                assert glm.cumulant_eval(family, float(eta)) == (b[i], b1[i], b2[i])
+                assert cumulant_eval(family, float(eta)) == (b[i], b1[i], b2[i])
 
     def test_convexity_everywhere_tested(self):
         rng = np.random.default_rng(7)
         etas = rng.uniform(-8, 8, size=200)
         for family in (GAUSSIAN, LOGISTIC, POISSON):
-            _, _, b2 = glm.cumulant_eval(family, etas)
+            _, _, b2 = cumulant_eval(family, etas)
             assert np.all(b2 >= 0)
 
     def test_mean_function_matches_sampler(self):
@@ -90,7 +90,7 @@ class TestCumulant:
         for family, eta in ((GAUSSIAN, 0.7), (LOGISTIC, 0.3), (POISSON, 0.4)):
             theta = np.array([eta])
             y = glm.sample_responses(design, theta, family, rng)
-            _, b1, b2 = glm.cumulant_eval(family, eta)
+            _, b1, b2 = cumulant_eval(family, eta)
             scale = family.noise_scale if family.tag == "gaussian" else math.sqrt(b2)
             assert abs(np.mean(y) - b1) < 4 * scale / math.sqrt(10_000)
 
@@ -179,7 +179,7 @@ class TestGradient:
         design = glm.sample_design(15, 4, "gaussian", stream(10, "d"))
         theta = np.array([0.3, -0.2, 0.0, 0.1])
         for family in (glm.GlmFamily("gaussian", 0.0), LOGISTIC, POISSON):
-            _, b1, _ = glm.cumulant_eval(family, design @ theta)
+            _, b1, _ = cumulant_eval(family, design @ theta)
             inst = glm.ProblemInstance(design, b1, theta, family)
             assert np.max(np.abs(glm.gradient(inst, theta))) < 1e-14
 
@@ -202,7 +202,7 @@ class TestGradient:
         for family in (GAUSSIAN, LOGISTIC, POISSON):
             inst = random_instance(rng, family)
             theta = inst.theta_true
-            _, b1, _ = glm.cumulant_eval(family, inst.design @ theta)
+            _, b1, _ = cumulant_eval(family, inst.design @ theta)
             identity = -inst.design.T @ (inst.responses - b1) / inst.n
             assert np.max(np.abs(glm.gradient(inst, theta) - identity)) <= 1e-12
 
@@ -297,5 +297,5 @@ class TestHessianWeightLowerBound:
         c = 2.3
         etas = np.linspace(-c, c, 20_001)
         for family in (LOGISTIC, POISSON):
-            _, _, b2 = glm.cumulant_eval(family, etas)
+            _, _, b2 = cumulant_eval(family, etas)
             assert glm.hessian_weight_lower_bound(family, c) == pytest.approx(np.min(b2), rel=1e-6)

@@ -1,0 +1,66 @@
+"""The package holds only what a ``conewidth`` subcommand runs.
+
+Code that only the tests use belongs in ``tests/`` (``tests/oracles.py`` for
+reference computations and test-only helpers).  This check parses every
+module of ``src/conewidth`` except ``__init__.py`` and requires each
+top-level function and class, and each method that is not a dunder, to be
+referenced somewhere in those modules outside its own definition: as a name,
+an attribute, an import, or a string equal to the name (``TrialRecord``'s
+bound properties are read by ``getattr`` over the CSV column names).  The
+re-exports in ``__init__.py`` do not count, or every exported helper would
+pass.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "conewidth"
+
+# cli.py's config writer: the sweep manifest planned in ROADMAP item 1 will
+# record the config with it; until then only the config round-trip tests call it.
+ALLOWED_UNUSED = {"cli.py:serialize_config"}
+
+
+def _definitions(tree: ast.Module):
+    """Top-level functions and classes, and the non-dunder methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not (
+                    member.name.startswith("__") and member.name.endswith("__")
+                ):
+                    yield member
+
+
+def _references(tree: ast.Module):
+    """``(name, line)`` of every name, attribute, import and exact-name string."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            yield node.value, node.lineno
+
+
+def test_every_definition_in_src_is_used_in_src():
+    modules = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    del modules["__init__.py"]
+    references = [
+        (module, name, line) for module, tree in modules.items() for name, line in _references(tree)
+    ]
+    unused = set()
+    for module, tree in modules.items():
+        for node in _definitions(tree):
+            if not any(
+                name == node.name and not (where == module and node.lineno <= line <= node.end_lineno)
+                for where, name, line in references
+            ):
+                unused.add(f"{module}:{node.name}")
+    assert unused - ALLOWED_UNUSED == set(), "used only outside src/ (move to tests/ or delete)"
+    # an entry goes once src/ uses the name, so the allowlist cannot go stale
+    assert ALLOWED_UNUSED <= unused, "allowlisted but now used in src/"
