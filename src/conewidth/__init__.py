@@ -49,7 +49,7 @@ from .glm import (
     sample_responses,
     sigma_max,
 )
-from .solver import SolveReport, duality_gap, frank_wolfe, projected_gradient
+from .solver import SolveReport, frank_wolfe, projected_gradient
 from .rng import stream
 
 __version__ = "0.1.0"

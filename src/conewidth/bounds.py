@@ -66,13 +66,11 @@ class TunedBound:
     """Result of minimizing the mismatched bound over t.
 
     A matched sweep's is fixed at ``t_star = 0`` with the cone width, and
-    its tuned and closed-form bounds are nan.
+    its closed-form bound is nan.
     """
 
     t_star: float
-    bound_star: float
     width_star: WidthEstimate
-    t_closed_form: float
     bound_closed_form: float
 
 
@@ -209,4 +207,4 @@ def optimize_t(
             best_t, best_value, best_width = t, value, estimate
     coef = BOUND_CONSTANT * sigma_max / mu
     t_cf = math.sqrt(coef * global_width / math.sqrt(n))
-    return TunedBound(best_t, best_value, best_width, t_cf, 2.0 * t_cf)
+    return TunedBound(best_t, best_width, 2.0 * t_cf)

@@ -32,7 +32,6 @@ from .rng import seed_fingerprint, stream
 THREADS_ENV_VAR = "CONEWIDTH_THREADS"
 FLOAT_FORMAT = "{:.17g}"
 
-CONSTRAINT_MODES = ("matched", "mismatched")
 MU_MODES = ("empirical", "theoretical")
 SOLVERS = ("projected_gradient", "frank_wolfe")
 
@@ -71,8 +70,7 @@ class ExperimentConfig:
     family: str = "gaussian"
     ensemble: str = "gaussian"
     theta_magnitude: float = 1.0
-    constraint_mode: str = "matched"
-    slack: float = 0.0
+    slack: float = 0.0  # c = ||theta*||_1 + slack: 0 is matched, > 0 mismatched
     noise_scale: float = 0.5
     n_grid: tuple[int, ...] = ()
     trials: int = 1
@@ -99,18 +97,12 @@ class ExperimentConfig:
             raise ConfigError("ensemble", f"must be one of {glm.ENSEMBLES}")
         if self.s > 0 and self.theta_magnitude <= 0:
             raise ConfigError("theta_magnitude", "must be > 0 when s > 0")
-        if self.constraint_mode not in CONSTRAINT_MODES:
-            raise ConfigError("constraint_mode", f"must be one of {CONSTRAINT_MODES}")
-        if self.constraint_mode == "matched":
-            if self.slack != 0.0:
-                raise ConfigError("slack", "must be 0 in matched mode")
-            if self.s < 1:
-                raise ConfigError("s", "matched mode needs a nonzero ground truth (s >= 1)")
-        else:
-            if self.slack <= 0.0:
-                raise ConfigError("slack", "must be > 0 in mismatched mode")
-            if not self.t_grid:
-                raise ConfigError("t_grid", "required in mismatched mode")
+        if not self.slack >= 0.0:
+            raise ConfigError("slack", "must be >= 0 (0 = matched, > 0 = mismatched)")
+        if self.slack == 0.0 and self.s < 1:
+            raise ConfigError("s", "a matched constraint (slack = 0) needs a nonzero ground truth (s >= 1)")
+        if self.slack > 0.0 and not self.t_grid:
+            raise ConfigError("t_grid", "required by a mismatched constraint (slack > 0)")
         if self.noise_scale < 0:
             raise ConfigError("noise_scale", "must be >= 0")
         if not self.n_grid:
@@ -223,8 +215,9 @@ def prepare_sweep(config: ExperimentConfig) -> SweepContext:
     """Ground truth, constraint, widths, the radius t*(n) of every grid n,
     and the RSC probe's directions at each distinct t*.
 
-    The only place past :meth:`ExperimentConfig.validate` that reads
-    ``constraint_mode``.  Mismatched sweeps tune t only over grid values
+    The constraint is matched exactly when ``slack == 0``: theta* lies on
+    the sphere of the l1 ball, whose tangent cone there is the descent
+    cone.  Mismatched sweeps (``slack > 0``) tune t only over grid values
     below the feasible set's outer radius: for larger t the set ``F \\ tB``
     is empty, so no trial could probe it.
 
@@ -237,18 +230,12 @@ def prepare_sweep(config: ExperimentConfig) -> SweepContext:
     family = config.glm_family()
     fset = FeasibleSet(theta, c)
     mu_theory = (1.0 - config.rsc_epsilon) * glm.hessian_weight_lower_bound(family, c)
-    if config.constraint_mode == "matched":
+    if config.slack == 0.0:
         cone = geometry.descent_cone(theta)
         width = geometry.gaussian_width_cone(
             cone, config.mc_samples, stream(config.master_seed, "width", "cone")
         )
-        tuned = bounds.TunedBound(
-            t_star=0.0,
-            bound_star=math.nan,
-            width_star=width,
-            t_closed_form=math.nan,
-            bound_closed_form=math.nan,
-        )
+        tuned = bounds.TunedBound(t_star=0.0, width_star=width, bound_closed_form=math.nan)
         tuned_by_n = {int(n): tuned for n in config.n_grid}
         ctx = SweepContext(theta, c, fset, cone, mu_theory, tuned_by_n, (("cone", 0.0, width),))
         return _with_directions(ctx, config, {0.0: "cone"})

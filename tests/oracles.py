@@ -4,8 +4,8 @@ Everything here evaluates the quantity under test by a different route than
 the library (finite differences, dense grids, rejection sampling, vertex
 enumeration, projected ascent, golden-section search) so that agreement is
 meaningful.  It also holds the helpers that only tests use (membership
-margins, the cumulant triple, the c1 calibration of acceptance criterion 9),
-which the package does not carry.
+margins, the cumulant triple, the duality gap at an arbitrary point, the c1
+calibration of acceptance criterion 9), which the package does not carry.
 """
 
 from __future__ import annotations
@@ -15,7 +15,9 @@ import math
 import numpy as np
 
 from conewidth import glm
-from conewidth.geometry import ConvergenceError, project_onto_descent_cone
+from conewidth.geometry import ConvergenceError, lmo_l1_ball, project_onto_descent_cone
+
+FEASIBILITY_TOL = 1e-9
 
 
 def cumulant_eval(family, eta):
@@ -170,6 +172,16 @@ def sup_localized_p2_oracle(h, fset, t, angles=100_000):
         hi = np.where(good, hi, mid)
     r = np.where(ok_at_t, t, lo)
     return float(np.max(r * (U @ h)))
+
+
+def duality_gap(instance, theta, c):
+    """Frank-Wolfe gap ``<grad f(theta), theta - s>`` at a feasible theta, from a fresh gradient."""
+    theta = np.asarray(theta, dtype=float)
+    if np.sum(np.abs(theta)) > c + FEASIBILITY_TOL:
+        raise ValueError(f"theta is infeasible: ||theta||_1 = {np.sum(np.abs(theta)):.12g} > c = {c:.12g}")
+    grad = glm.gradient(instance, theta)
+    s = lmo_l1_ball(grad, c)
+    return float(grad @ (theta - s))
 
 
 def grid_min_objective_l1(instance, c, resolution=801):

@@ -238,7 +238,6 @@ def test_criterion_6_matched_bound_validity_and_rate():
         family="gaussian",
         ensemble="gaussian",
         theta_magnitude=0.2,  # low-signal regime where the root-n rate shows at these n
-        constraint_mode="matched",
         noise_scale=0.5,
         n_grid=(40, 60, 90, 135, 200),
         trials=50,
@@ -267,7 +266,6 @@ def test_criterion_7_glm_bound_validity():
         family="logistic",
         ensemble="rademacher",
         theta_magnitude=1.0,
-        constraint_mode="matched",
         n_grid=(60, 120, 240),
         trials=50,
         mc_samples=4000,
@@ -299,7 +297,6 @@ def test_criterion_8_mismatched_quarter_rate():
         family="gaussian",
         ensemble="gaussian",
         theta_magnitude=1.0,
-        constraint_mode="mismatched",
         slack=2.5,  # 0.5 * ||theta||_1
         noise_scale=0.5,
         n_grid=(64, 128, 256, 512, 1024, 2048, 4096),
@@ -355,7 +352,7 @@ def test_criterion_9_rsc_sample_size_threshold():
 def test_criterion_10_sweep_determinism(tmp_path):
     config_text = (
         "family = gaussian\nensemble = gaussian\np = 40\ns = 3\n"
-        "theta_magnitude = 0.5\nconstraint_mode = matched\nnoise_scale = 0.5\n"
+        "theta_magnitude = 0.5\nnoise_scale = 0.5\n"
         "n_grid = 30,60,120\ntrials = 6\nmc_samples = 600\nmaster_seed = 110\n"
         "rsc_directions = 150\n"
     )

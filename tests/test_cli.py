@@ -2,12 +2,15 @@
 
 import dataclasses
 import hashlib
+from pathlib import Path
 
 import pytest
 
 from conewidth import cli, experiment
 from conewidth.cli import load_config, main, serialize_config
 from conewidth.experiment import ConfigError, ExperimentConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MATCHED_CFG = """\
 # minimal matched sweep
@@ -16,7 +19,6 @@ ensemble = gaussian
 p = 30
 s = 3
 theta_magnitude = 0.5
-constraint_mode = matched
 noise_scale = 0.5
 n_grid = 20,40,80
 trials = 4
@@ -29,7 +31,6 @@ MISMATCHED_CFG = """\
 family = gaussian
 p = 20
 s = 2
-constraint_mode = mismatched
 slack = 0.8
 n_grid = 30,60
 trials = 3
@@ -68,9 +69,11 @@ class TestLoadConfig:
         assert cfg.noise_scale == 0.25
 
     def test_unknown_key_named(self, matched_path):
-        with pytest.raises(ConfigError) as err:
-            load_config(matched_path, ["frobnicate=3"])
-        assert err.value.key == "frobnicate"
+        # constraint_mode is no key: slack alone sets matched (0) or mismatched (> 0)
+        for key in ("frobnicate", "constraint_mode"):
+            with pytest.raises(ConfigError) as err:
+                load_config(matched_path, [f"{key}=matched"])
+            assert err.value.key == key
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "dup.cfg"
@@ -85,9 +88,17 @@ class TestLoadConfig:
             load_config(str(path))
         assert err.value.key == "p"
 
-    def test_matched_slack_invariant_enforced(self, matched_path):
-        with pytest.raises(ConfigError, match="slack"):
-            load_config(matched_path, ["slack=0.5"])
+    def test_shipped_configs_and_readme_example_load(self, tmp_path):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        example = tmp_path / "example.cfg"
+        example.write_text(readme.split("Example:\n\n```\n", 1)[1].split("```", 1)[0])
+        # slack alone sets the constraint: 0 is matched, > 0 mismatched
+        for path, matched in (
+            (ROOT / "configs" / "matched.cfg", True),
+            (ROOT / "configs" / "mismatched.cfg", False),
+            (example, True),
+        ):
+            assert (load_config(str(path)).slack == 0.0) == matched, path
 
     def test_round_trip(self, matched_path, tmp_path):
         cfg = load_config(matched_path)
@@ -109,15 +120,18 @@ class TestLoadConfig:
 class TestDispatch:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
-        assert "subcommand" in capsys.readouterr().out or True
+        out = capsys.readouterr().out
+        for name in ("width", "solve", "rsc", "sweep", "slope"):
+            assert name in out
 
     def test_missing_subcommand_exits_two(self):
         assert main([]) == 2
 
     def test_unknown_override_exits_two(self, matched_path, capsys):
-        code = main(["width", "--config", matched_path, "bogus_key=1"])
-        assert code == 2
-        assert "bogus_key" in capsys.readouterr().err
+        for key in ("bogus_key", "constraint_mode"):
+            code = main(["width", "--config", matched_path, f"{key}=1"])
+            assert code == 2
+            assert key in capsys.readouterr().err
 
     def test_missing_config_file_exits_one(self, tmp_path):
         assert main(["width", "--config", str(tmp_path / "absent.cfg")]) == 1

@@ -32,7 +32,6 @@ MATCHED_SMALL = ExperimentConfig(
     family="gaussian",
     ensemble="gaussian",
     theta_magnitude=0.5,
-    constraint_mode="matched",
     noise_scale=0.5,
     n_grid=(30, 60, 120),
     trials=12,
@@ -47,7 +46,6 @@ MISMATCHED_SMALL = ExperimentConfig(
     family="gaussian",
     ensemble="gaussian",
     theta_magnitude=1.0,
-    constraint_mode="mismatched",
     slack=1.0,
     noise_scale=0.5,
     n_grid=(40, 80, 160),
@@ -64,7 +62,6 @@ SMALL_OUTER_RADIUS = ExperimentConfig(
     p=20,
     s=2,
     theta_magnitude=0.5,
-    constraint_mode="mismatched",
     slack=0.5,
     noise_scale=5.0,
     n_grid=(10, 20, 40),
@@ -95,13 +92,15 @@ class TestMakeTruth:
 
 
 class TestConfigValidation:
-    def test_matched_slack_rejected(self):
-        cfg = ExperimentConfig(p=10, s=2, n_grid=(10,), trials=1, slack=0.5)
-        with pytest.raises(ConfigError, match="slack"):
-            cfg.validate()
+    def test_negative_slack_rejected(self):
+        for slack in (-0.5, math.nan):
+            cfg = ExperimentConfig(p=10, s=2, n_grid=(10,), trials=1, slack=slack, t_grid=(0.5,))
+            with pytest.raises(ConfigError) as err:
+                cfg.validate()
+            assert err.value.key == "slack"
 
     def test_mismatched_needs_t_grid(self):
-        cfg = ExperimentConfig(p=10, s=2, constraint_mode="mismatched", slack=0.5, n_grid=(10,), trials=1)
+        cfg = ExperimentConfig(p=10, s=2, slack=0.5, n_grid=(10,), trials=1)
         with pytest.raises(ConfigError, match="t_grid"):
             cfg.validate()
 
@@ -323,7 +322,6 @@ class TestRunTrial:
             s=3,
             family="gaussian",
             theta_magnitude=1.0,
-            constraint_mode="matched",
             noise_scale=0.0,
             n_grid=(40,),
             trials=1,
@@ -442,7 +440,6 @@ class TestRunSweep:
             family="poisson",
             ensemble="rademacher",
             theta_magnitude=50.0,
-            constraint_mode="matched",
             n_grid=(20,),
             trials=5,
             mc_samples=100,

@@ -29,9 +29,9 @@ rsc_directions = 100
 """
 
 TINY = {
-    "matched": (COMMON + "constraint_mode = matched\n", {"geometry.width_cone"}),
+    "matched": (COMMON, {"geometry.width_cone"}),
     "mismatched": (
-        COMMON + "constraint_mode = mismatched\nslack = 0.5\nmu_mode = theoretical\nt_grid = 0.3,0.6\n",
+        COMMON + "slack = 0.5\nmu_mode = theoretical\nt_grid = 0.3,0.6\n",
         {"geometry.width_global", "geometry.width_localized", "bounds.optimize_t"},
     ),
 }

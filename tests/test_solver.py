@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conewidth import glm, solver
 from conewidth.rng import stream
 
-from oracles import grid_min_objective_l1
+from oracles import duality_gap, grid_min_objective_l1
 
 GAUSSIAN = glm.GlmFamily("gaussian", 0.5)
 LOGISTIC = glm.GlmFamily("logistic")
@@ -177,9 +177,23 @@ class TestSolverAgreement:
 
 
 class TestDualityGap:
+    @pytest.mark.parametrize("family", [GAUSSIAN, LOGISTIC, POISSON], ids=lambda f: f.tag)
+    def test_projected_gradient_reports_gap_at_returned_iterate(self, family):
+        # the report's gap comes from the loop's last gradient; a fresh one agrees bit for bit
+        inst = small_instance(stream(62, "final-gap", family.tag), family)
+        c = 0.8 * float(np.sum(np.abs(inst.theta_true)))
+        certified = solver.projected_gradient(inst, c)
+        step_test = solver.projected_gradient(inst, c, tol=1e-2, gap_tol=1e-300)
+        capped = solver.projected_gradient(inst, c, max_iter=1, gap_tol=1e-300)
+        assert certified.converged
+        assert 1 <= step_test.iterations < 20_000 and not step_test.converged
+        assert capped.iterations == 1 and not capped.converged
+        for report in (certified, step_test, capped):
+            assert report.final_gap == duality_gap(inst, report.theta_hat, c)
+
     def test_zero_at_interior_optimum(self):
         inst = glm.ProblemInstance(np.eye(2), np.array([0.2, 0.1]), np.array([0.2, 0.1]), GAUSSIAN)
-        assert solver.duality_gap(inst, np.array([0.2, 0.1]), 1.0) <= 1e-8
+        assert duality_gap(inst, np.array([0.2, 0.1]), 1.0) <= 1e-8
 
     def test_upper_bounds_suboptimality_vs_grid(self):
         rng = stream(59, "gap")
@@ -188,7 +202,7 @@ class TestDualityGap:
         for _ in range(10):
             raw = rng.normal(size=2)
             theta = raw * min(1.0, 1.0 / np.sum(np.abs(raw)))
-            gap = solver.duality_gap(inst, theta, 1.0)
+            gap = duality_gap(inst, theta, 1.0)
             assert gap >= glm.loss(inst, theta) - grid_value - 1e-6
 
     def test_stopped_solver_gap_below_tolerance(self):
@@ -196,7 +210,7 @@ class TestDualityGap:
         inst = small_instance(rng, GAUSSIAN)
         report = solver.frank_wolfe(inst, 1.0, gap_tol=1e-4)
         assert report.final_gap <= 1e-4
-        assert solver.duality_gap(inst, report.theta_hat, 1.0) == pytest.approx(report.final_gap, abs=1e-12)
+        assert duality_gap(inst, report.theta_hat, 1.0) == pytest.approx(report.final_gap, abs=1e-12)
 
     @settings(max_examples=80)
     @given(data=st.data())
@@ -215,11 +229,11 @@ class TestDualityGap:
         raw = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=p, max_size=p), label="raw"))
         radius = data.draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]), label="radius")
         theta = raw * (radius * c / max(np.sum(np.abs(raw)), 1e-300))
-        gap = solver.duality_gap(inst, theta, c)
+        gap = duality_gap(inst, theta, c)
         assert gap >= glm.loss(inst, theta) - f_star - 1e-12 * max(1.0, abs(f_star))
 
     def test_infeasible_point_rejected(self):
         rng = stream(61, "gap")
         inst = small_instance(rng, GAUSSIAN, p=3)
         with pytest.raises(ValueError, match="infeasible"):
-            solver.duality_gap(inst, np.array([2.0, 0.0, 0.0]), 1.0)
+            duality_gap(inst, np.array([2.0, 0.0, 0.0]), 1.0)
