@@ -11,7 +11,6 @@ from .bounds import (
     RscEstimate,
     TunedBound,
     bound_report,
-    matched_bound,
     mismatched_bound,
     optimize_t,
     rsc_estimate,

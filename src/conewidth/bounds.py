@@ -152,20 +152,19 @@ def rsc_estimate(instance: glm.ProblemInstance, E: np.ndarray) -> RscEstimate:
     return RscEstimate(mu_hat=float(np.min(q)), curvatures=q)
 
 
-def matched_bound(sigma_max: float, width1: float, mu: float, n: int) -> float:
-    """``2 sqrt(2 pi) sigma_max width1 / (mu sqrt(n))``."""
+def mismatched_bound(t: float, sigma_max: float, localized_width1: float, mu: float, n: int) -> float:
+    """``t + 2 sqrt(2 pi) sigma_max omega_1(t) / (mu sqrt(n))``.
+
+    At t = 0 this is the matched bound ``2 sqrt(2 pi) sigma_max omega_1 / (mu sqrt(n))``
+    bit for bit, since ``0.0 + x == x``.
+    """
+    if t < 0:
+        raise ValueError("t must be >= 0")
     if mu <= 0:
         raise ValueError("mu must be > 0")
     if n < 1:
         raise ValueError("n must be >= 1")
-    return BOUND_CONSTANT * sigma_max * width1 / (mu * math.sqrt(n))
-
-
-def mismatched_bound(t: float, sigma_max: float, localized_width1: float, mu: float, n: int) -> float:
-    """``t + 2 sqrt(2 pi) sigma_max omega_1(t) / (mu sqrt(n))``; t = 0 recovers the matched bound."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return t + matched_bound(sigma_max, localized_width1, mu, n)
+    return t + BOUND_CONSTANT * sigma_max * localized_width1 / (mu * math.sqrt(n))
 
 
 # perfbench/tracing.py spans this name as ``bounds.bound``

@@ -77,13 +77,9 @@ class ExperimentConfig:
     mc_samples: int = 2000
     master_seed: int = 0
     rsc_epsilon: float = 0.5
-    rsc_alpha: float = 1.0
     rsc_directions: int = 2000
     mu_mode: str = "empirical"
     solver: str = "projected_gradient"
-    solver_max_iter: int = 50_000
-    solver_gap_tol: float = 0.0  # 0 = solver.default_gap_tol, an absolute 1e-6
-    solver_tol: float = 1e-10
     t_grid: tuple[float, ...] = ()
 
     def validate(self) -> None:
@@ -95,16 +91,16 @@ class ExperimentConfig:
             raise ConfigError("family", f"must be one of {glm.FAMILIES}")
         if self.ensemble not in glm.ENSEMBLES:
             raise ConfigError("ensemble", f"must be one of {glm.ENSEMBLES}")
-        if self.s > 0 and self.theta_magnitude <= 0:
-            raise ConfigError("theta_magnitude", "must be > 0 when s > 0")
-        if not self.slack >= 0.0:
-            raise ConfigError("slack", "must be >= 0 (0 = matched, > 0 = mismatched)")
+        if not math.isfinite(self.theta_magnitude) or (self.s > 0 and self.theta_magnitude <= 0):
+            raise ConfigError("theta_magnitude", "must be finite, and > 0 when s > 0")
+        if not 0.0 <= self.slack < math.inf:
+            raise ConfigError("slack", "must be finite and >= 0 (0 = matched, > 0 = mismatched)")
         if self.slack == 0.0 and self.s < 1:
             raise ConfigError("s", "a matched constraint (slack = 0) needs a nonzero ground truth (s >= 1)")
         if self.slack > 0.0 and not self.t_grid:
             raise ConfigError("t_grid", "required by a mismatched constraint (slack > 0)")
-        if self.noise_scale < 0:
-            raise ConfigError("noise_scale", "must be >= 0")
+        if not 0.0 <= self.noise_scale < math.inf:
+            raise ConfigError("noise_scale", "must be finite and >= 0")
         if not self.n_grid:
             raise ConfigError("n_grid", "must be nonempty")
         if any(n < 1 for n in self.n_grid):
@@ -117,23 +113,15 @@ class ExperimentConfig:
             raise ConfigError("mc_samples", "must be >= 2")
         if not 0.0 < self.rsc_epsilon < 1.0:
             raise ConfigError("rsc_epsilon", "must lie in (0, 1)")
-        if self.rsc_alpha < 1.0:
-            raise ConfigError("rsc_alpha", "must be >= 1")
         if self.rsc_directions < 100:
             raise ConfigError("rsc_directions", "must be >= 100")
         if self.mu_mode not in MU_MODES:
             raise ConfigError("mu_mode", f"must be one of {MU_MODES}")
         if self.solver not in SOLVERS:
             raise ConfigError("solver", f"must be one of {SOLVERS}")
-        if self.solver_max_iter < 1:
-            raise ConfigError("solver_max_iter", "must be >= 1")
-        if self.solver_gap_tol < 0:
-            raise ConfigError("solver_gap_tol", "must be >= 0 (0 = automatic)")
-        if self.solver_tol <= 0:
-            raise ConfigError("solver_tol", "must be > 0")
         if self.t_grid:
-            if any(t <= 0 for t in self.t_grid):
-                raise ConfigError("t_grid", "entries must be > 0")
+            if not all(0.0 < t < math.inf for t in self.t_grid):
+                raise ConfigError("t_grid", "entries must be finite and > 0")
             if any(b <= a for a, b in zip(self.t_grid, self.t_grid[1:])):
                 raise ConfigError("t_grid", "must be strictly increasing")
 
@@ -280,11 +268,10 @@ def _with_directions(ctx: SweepContext, config: ExperimentConfig, stream_keys: d
 
 
 def solve(config: ExperimentConfig, instance: glm.ProblemInstance, c: float) -> solver.SolveReport:
-    """Run the configured solver; ``solver_gap_tol = 0`` means the default tolerance."""
-    gap_tol = None if config.solver_gap_tol == 0.0 else config.solver_gap_tol
+    """Run the configured solver with its fixed iteration cap and tolerances."""
     if config.solver == "frank_wolfe":
-        return solver.frank_wolfe(instance, c, config.solver_max_iter, gap_tol)
-    return solver.projected_gradient(instance, c, config.solver_max_iter, config.solver_tol, gap_tol=gap_tol)
+        return solver.frank_wolfe(instance, c)
+    return solver.projected_gradient(instance, c)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ The per-sample loss is ``b(eta) - y * eta`` with linear predictor
 
 * gaussian:  b(eta) = eta^2 / 2
 * logistic:  b(eta) = log(1 + e^eta)
-* poisson:   b(eta) = e^eta   (predictor capped; see ``GlmFamily.eta_cap``)
+* poisson:   b(eta) = e^eta   (predictor capped at ``POISSON_ETA_CAP``)
 
 The empirical loss ``f_n(theta)`` averages this over the n rows of the
 design.  Its gradient at the true parameter is ``-(1/n) A^T (y - b'(A theta))``,
@@ -23,7 +23,9 @@ import numpy as np
 FAMILIES = ("gaussian", "logistic", "poisson")
 ENSEMBLES = ("gaussian", "rademacher")
 
-DEFAULT_POISSON_ETA_CAP = 30.0
+# Largest poisson linear predictor: evaluation and sampling refuse to
+# exponentiate past it instead of overflowing silently.
+POISSON_ETA_CAP = 30.0
 
 
 @dataclass(frozen=True)
@@ -32,13 +34,10 @@ class GlmFamily:
 
     ``noise_scale`` is the sigma of the gaussian linear model
     ``y = <a, theta> + sigma * w`` and is ignored by the other families.
-    ``eta_cap`` bounds the poisson linear predictor; evaluation and sampling
-    refuse to exponentiate past it instead of overflowing silently.
     """
 
     tag: str
     noise_scale: float = 1.0
-    eta_cap: float = DEFAULT_POISSON_ETA_CAP
 
     def __post_init__(self) -> None:
         if self.tag not in FAMILIES:
@@ -53,9 +52,9 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
     return np.where(eta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _check_eta_cap(family: GlmFamily, eta: np.ndarray) -> None:
-    if eta.size and np.max(eta) > family.eta_cap:
-        raise ValueError(f"poisson linear predictor {np.max(eta):.6g} exceeds cap {family.eta_cap:.6g}")
+def _check_eta_cap(eta: np.ndarray) -> None:
+    if eta.size and np.max(eta) > POISSON_ETA_CAP:
+        raise ValueError(f"poisson linear predictor {np.max(eta):.6g} exceeds cap {POISSON_ETA_CAP:.6g}")
 
 
 def _cumulant(family: GlmFamily, eta: np.ndarray) -> np.ndarray:
@@ -64,7 +63,7 @@ def _cumulant(family: GlmFamily, eta: np.ndarray) -> np.ndarray:
         return 0.5 * eta**2
     if family.tag == "logistic":
         return np.logaddexp(0.0, eta)
-    _check_eta_cap(family, eta)
+    _check_eta_cap(eta)
     return np.exp(eta)
 
 
@@ -74,7 +73,7 @@ def _cumulant_d1(family: GlmFamily, eta: np.ndarray) -> np.ndarray:
         return eta
     if family.tag == "logistic":
         return _sigmoid(eta)
-    _check_eta_cap(family, eta)
+    _check_eta_cap(eta)
     return np.exp(eta)
 
 
@@ -85,7 +84,7 @@ def _cumulant_d2(family: GlmFamily, eta: np.ndarray) -> np.ndarray:
     if family.tag == "logistic":
         s = _sigmoid(eta)
         return s * (1.0 - s)
-    _check_eta_cap(family, eta)
+    _check_eta_cap(eta)
     return np.exp(eta)
 
 
@@ -150,11 +149,11 @@ def sample_responses(
         return eta + family.noise_scale * rng.standard_normal(eta.shape[0])
     if family.tag == "logistic":
         return (rng.random(eta.shape[0]) < _sigmoid(eta)).astype(float)
-    over = eta > family.eta_cap
+    over = eta > POISSON_ETA_CAP
     if np.any(over):
         idx = int(np.argmax(over))
         raise ValueError(
-            f"poisson linear predictor {eta[idx]:.6g} at sample {idx} exceeds cap {family.eta_cap:.6g}"
+            f"poisson linear predictor {eta[idx]:.6g} at sample {idx} exceeds cap {POISSON_ETA_CAP:.6g}"
         )
     return rng.poisson(np.exp(eta)).astype(float)
 
@@ -233,7 +232,7 @@ def sigma_max_upper_bound(family: GlmFamily, c: float) -> float:
         return float(family.noise_scale)
     if family.tag == "logistic":
         return 0.5
-    return float(np.exp(0.5 * min(c, family.eta_cap)))
+    return float(np.exp(0.5 * min(c, POISSON_ETA_CAP)))
 
 
 def hessian_weight_lower_bound(family: GlmFamily, c: float) -> float:

@@ -21,6 +21,9 @@ from .geometry import lmo_l1_ball, project_l1_ball
 # projected gradient's first trial step; backtracking halves it as needed
 INITIAL_STEP = 1.0
 
+# steps a solve may take before it stops uncertified
+MAX_ITER = 50_000
+
 
 class SolverError(RuntimeError):
     """A solve failed (non-finite values or a step-size underflow)."""
@@ -50,7 +53,7 @@ def default_gap_tol(instance: glm.ProblemInstance) -> float:
 def frank_wolfe(
     instance: glm.ProblemInstance,
     c: float,
-    max_iter: int = 50_000,
+    max_iter: int = MAX_ITER,
     gap_tol: float | None = None,
 ) -> SolveReport:
     """Frank-Wolfe from the origin, stopping when the gap certificate is at
@@ -108,7 +111,7 @@ def frank_wolfe(
 def projected_gradient(
     instance: glm.ProblemInstance,
     c: float,
-    max_iter: int = 20_000,
+    max_iter: int = MAX_ITER,
     tol: float = 1e-10,
     gap_tol: float | None = None,
 ) -> SolveReport:

@@ -24,7 +24,7 @@ def cumulant_eval(family, eta):
     """Return ``(b(eta), b'(eta), b''(eta))`` elementwise from the library's three cumulant oracles.
 
     Accepts scalars or arrays; scalar input gives scalar output.  Poisson
-    input above ``family.eta_cap`` raises instead of overflowing.
+    input above ``glm.POISSON_ETA_CAP`` raises instead of overflowing.
     """
     eta_arr = np.asarray(eta, dtype=float)
     values = tuple(f(family, eta_arr) for f in (glm._cumulant, glm._cumulant_d1, glm._cumulant_d2))

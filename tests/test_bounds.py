@@ -194,19 +194,16 @@ class TestProjectedGradientNormAtTruth:
 
 class TestBoundFormulas:
     def test_matched_bound_arithmetic(self):
-        value = bounds.matched_bound(1.0, 3.0, 0.5, 100)
+        value = bounds.mismatched_bound(0.0, 1.0, 3.0, 0.5, 100)
         assert value == pytest.approx(6.0 * math.sqrt(2.0 * math.pi) / 5.0, rel=1e-12)
 
     def test_matched_bound_root_n_scaling(self):
-        assert bounds.matched_bound(1.0, 3.0, 0.5, 400) == pytest.approx(
-            0.5 * bounds.matched_bound(1.0, 3.0, 0.5, 100)
+        assert bounds.mismatched_bound(0.0, 1.0, 3.0, 0.5, 400) == pytest.approx(
+            0.5 * bounds.mismatched_bound(0.0, 1.0, 3.0, 0.5, 100)
         )
 
     def test_matched_bound_zero_sigma(self):
-        assert bounds.matched_bound(0.0, 3.0, 0.5, 100) == 0.0
-
-    def test_mismatched_reduces_to_matched_at_zero_t(self):
-        assert bounds.mismatched_bound(0.0, 1.3, 2.0, 0.7, 50) == bounds.matched_bound(1.3, 2.0, 0.7, 50)
+        assert bounds.mismatched_bound(0.0, 0.0, 3.0, 0.5, 100) == 0.0
 
     def test_mismatched_arithmetic(self):
         value = bounds.mismatched_bound(0.1, 1.0, 2.0, 1.0, 400)
@@ -218,7 +215,7 @@ class TestBoundFormulas:
 
     def test_invalid_mu(self):
         with pytest.raises(ValueError):
-            bounds.matched_bound(1.0, 1.0, 0.0, 10)
+            bounds.mismatched_bound(0.0, 1.0, 1.0, 0.0, 10)
 
 
 class TestOptimizeT:
@@ -271,7 +268,7 @@ class TestBoundReport:
     def test_matched_report(self):
         # t = 0 adds exactly nothing, so the matched bound comes out bit for bit
         w = WidthEstimate(3.0, 0.01, 1000)
-        assert bounds.bound_report(0.0, w, 0.5, 1.0, 100) == bounds.matched_bound(1.0, 3.0, 0.5, 100)
+        assert bounds.bound_report(0.0, w, 0.5, 1.0, 100) == bounds.mismatched_bound(0.0, 1.0, 3.0, 0.5, 100)
 
     def test_mismatched_report(self):
         w = WidthEstimate(2.0, 0.01, 1000)

@@ -1,12 +1,13 @@
 """CLI: config parsing, subcommand dispatch, exit codes, determinism."""
 
 import dataclasses
+import functools
 import hashlib
 from pathlib import Path
 
 import pytest
 
-from conewidth import cli, experiment
+from conewidth import cli, experiment, solver
 from conewidth.cli import load_config, main, serialize_config
 from conewidth.experiment import ConfigError, ExperimentConfig
 
@@ -42,6 +43,18 @@ t_grid = 0.4,0.8,1.6
 """
 
 
+# none is a config key, so each exits 2 with "unknown key"; all but the
+# first were keys once
+UNKNOWN_KEYS = (
+    "frobnicate",
+    "constraint_mode",
+    "solver_max_iter",
+    "solver_tol",
+    "solver_gap_tol",
+    "rsc_alpha",
+)
+
+
 @pytest.fixture
 def matched_path(tmp_path):
     path = tmp_path / "matched.cfg"
@@ -69,8 +82,9 @@ class TestLoadConfig:
         assert cfg.noise_scale == 0.25
 
     def test_unknown_key_named(self, matched_path):
-        # constraint_mode is no key: slack alone sets matched (0) or mismatched (> 0)
-        for key in ("frobnicate", "constraint_mode"):
+        # constraint_mode is no key: slack alone sets matched (0) or mismatched (> 0);
+        # the solver's cap and tolerances and the rsc alpha are constants
+        for key in UNKNOWN_KEYS:
             with pytest.raises(ConfigError) as err:
                 load_config(matched_path, [f"{key}=matched"])
             assert err.value.key == key
@@ -107,7 +121,7 @@ class TestLoadConfig:
         assert load_config(str(rendered)) == cfg
 
     def test_round_trip_every_field_in_field_order(self, mismatched_path, tmp_path):
-        overrides = ["solver=frank_wolfe", "ensemble=rademacher", "solver_gap_tol=1e-5"]
+        overrides = ["solver=frank_wolfe", "ensemble=rademacher", "rsc_epsilon=0.3"]
         cfg = load_config(mismatched_path, overrides)
         text = serialize_config(cfg)
         names = [f.name for f in dataclasses.fields(ExperimentConfig)]
@@ -128,10 +142,16 @@ class TestDispatch:
         assert main([]) == 2
 
     def test_unknown_override_exits_two(self, matched_path, capsys):
-        for key in ("bogus_key", "constraint_mode"):
+        for key in UNKNOWN_KEYS:
             code = main(["width", "--config", matched_path, f"{key}=1"])
             assert code == 2
-            assert key in capsys.readouterr().err
+            assert f"'{key}': unknown key" in capsys.readouterr().err
+
+    def test_non_finite_value_exits_two(self, mismatched_path, capsys):
+        for override in ("theta_magnitude=nan", "noise_scale=inf", "slack=inf", "t_grid=0.5,nan"):
+            key = override.split("=")[0]
+            assert main(["sweep", "--config", mismatched_path, override]) == 2
+            assert f"config key '{key}'" in capsys.readouterr().err
 
     def test_missing_config_file_exits_one(self, tmp_path):
         assert main(["width", "--config", str(tmp_path / "absent.cfg")]) == 1
@@ -164,9 +184,12 @@ class TestDispatch:
         assert out[1].split(",")[1] == "projected_gradient"
 
     def test_rsc_rows(self, matched_path, capsys):
-        assert main(["rsc", "--config", matched_path]) == 0
-        out = capsys.readouterr().out.strip().split("\n")
-        assert len(out) == 4  # header + one row per grid n
+        assert main(["rsc", "--config", matched_path, "rsc_epsilon=0.25"]) == 0
+        header, *rows = (line.split(",") for line in capsys.readouterr().out.strip().split("\n"))
+        assert header == ["n", "mu_hat", "quantile_mu", "mu_theoretical", "directions", "epsilon", "alpha"]
+        assert [int(row[0]) for row in rows] == [20, 40, 80]  # one row per grid n
+        for row in rows:
+            assert row[4:] == ["120", "0.25", "1"]  # rsc_directions, rsc_epsilon, alpha = 1
 
     def test_rsc_matches_sweep_probe_mismatched(self, mismatched_path, capsys):
         # both probe trial 0's ("design", n, 0) draw on the sweep's direction set
@@ -239,12 +262,13 @@ class TestDispatch:
         assert main(["slope", "--csv", str(path)]) == 1
         assert f"error: {path} is not an aggregate sweep CSV" in capsys.readouterr().err
 
-    def test_sweep_reports_unconverged_trials(self, matched_path, tmp_path, capsys):
+    def test_sweep_reports_unconverged_trials(self, matched_path, tmp_path, capsys, monkeypatch):
         assert main(["sweep", "--config", matched_path, "--out", str(tmp_path / "a.csv")]) == 0
         assert capsys.readouterr().err == "sweep: 12 trials, 0 not converged, 0 failed\n"
+        monkeypatch.setattr(solver, "projected_gradient", functools.partial(solver.projected_gradient, max_iter=1))
         out = tmp_path / "capped.csv"
-        assert main(["sweep", "--config", matched_path, "--out", str(out), "solver_max_iter=1"]) == 0
-        result = cli.run_sweep(load_config(matched_path, ["solver_max_iter=1"]))
+        assert main(["sweep", "--config", matched_path, "--out", str(out)]) == 0
+        result = cli.run_sweep(load_config(matched_path))
         unconverged = sum(not r.converged for r in result.records)
         assert unconverged > 0
         assert capsys.readouterr().err == f"sweep: 12 trials, {unconverged} not converged, 0 failed\n"

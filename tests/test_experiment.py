@@ -115,16 +115,20 @@ class TestConfigValidation:
             cfg.validate()
 
     def test_error_names_key(self):
-        cfg = ExperimentConfig(p=10, s=2, n_grid=(10,), trials=1, rsc_epsilon=2.0)
-        with pytest.raises(ConfigError) as err:
-            cfg.validate()
-        assert err.value.key == "rsc_epsilon"
-
-    def test_rsc_alpha_below_one_rejected(self):
-        cfg = ExperimentConfig(p=10, s=2, n_grid=(10,), trials=1, rsc_alpha=0.5)
-        with pytest.raises(ConfigError) as err:
-            cfg.validate()
-        assert err.value.key == "rsc_alpha"
+        cfg = ExperimentConfig(p=10, s=2, n_grid=(10,), trials=1, slack=0.5, t_grid=(0.5,))
+        for key, value in (
+            ("rsc_epsilon", 2.0),
+            ("theta_magnitude", math.nan),
+            ("theta_magnitude", math.inf),
+            ("noise_scale", math.nan),
+            ("noise_scale", math.inf),
+            ("slack", math.inf),
+            ("t_grid", (0.5, math.nan)),
+            ("t_grid", (0.5, math.inf)),
+        ):
+            with pytest.raises(ConfigError) as err:
+                dataclasses.replace(cfg, **{key: value}).validate()
+            assert err.value.key == key, (key, value)
 
     def test_rsc_directions_below_100_rejected(self):
         cfg = ExperimentConfig(p=10, s=2, n_grid=(10,), trials=1, rsc_directions=99)
@@ -227,7 +231,7 @@ class TestRadiusDispatch:
         for n in MATCHED_SMALL.n_grid:
             record = run_trial(MATCHED_SMALL, n, 1, ctx)
             width = ctx.tuned_by_n[n].width_star.mean
-            assert record.bound == bounds.matched_bound(record.sigma_max, width, record.mu_used, n)
+            assert record.bound == bounds.mismatched_bound(0.0, record.sigma_max, width, record.mu_used, n)
             assert record.bound_matched == record.bound
 
 
@@ -328,7 +332,6 @@ class TestRunTrial:
             mc_samples=400,
             master_seed=13,
             rsc_directions=150,
-            solver_tol=1e-12,
         )
         record = run_trial(cfg, 40, 0, prepare_sweep(cfg))
         assert record.error_l2 <= 1e-4
@@ -346,27 +349,6 @@ class TestRunTrial:
         assert record.t_star > 0
         assert math.isnan(record.bound_matched)
         assert record.bound_mismatched > record.t_star
-
-
-    def test_solver_gap_tol_reaches_projected_gradient(self, monkeypatch):
-        import dataclasses
-
-        from conewidth import solver
-
-        seen = []
-        real = solver.projected_gradient
-
-        def spy(*args, **kwargs):
-            seen.append(kwargs.get("gap_tol"))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "projected_gradient", spy)
-        ctx = prepare_sweep(MATCHED_SMALL)
-        record = run_trial(dataclasses.replace(MATCHED_SMALL, solver_gap_tol=1e-3), 60, 0, ctx)
-        default = run_trial(MATCHED_SMALL, 60, 0, ctx)
-        assert seen == [1e-3, None]
-        assert record.final_gap <= 1e-3
-        assert record.solver_iters <= default.solver_iters
 
 
 class TestRunSweep:
