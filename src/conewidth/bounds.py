@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import glm
+from . import geometry, glm
 from .geometry import ConeModel, FeasibleSet, WidthEstimate
 
 BOUND_CONSTANT = 2.0 * math.sqrt(2.0 * math.pi)
@@ -77,28 +77,30 @@ class TunedBound:
 def sample_cone_directions(cone: ConeModel, num: int, rng: np.random.Generator) -> np.ndarray:
     """Unit directions in the cone: project gaussians, drop zeros, normalize.
 
-    Each round draws as many rows as are still missing, so the kept
-    directions are the first ``num`` nonzero projections of one gaussian
-    stream.  Returns an array of shape (p, num) with unit columns; raises
-    ``ValueError`` after ``CONE_SAMPLE_MAX_ROUNDS`` rounds that leave some
-    missing.
+    Each round draws as many rows as are still missing, block by block
+    (:func:`geometry.blocks`), so the kept directions are the first ``num``
+    nonzero projections of one gaussian stream.  Returns an array of shape
+    (p, num) with unit columns; raises ``ValueError`` after
+    ``CONE_SAMPLE_MAX_ROUNDS`` rounds that leave some missing.
     """
-    collected: list[np.ndarray] = []
+    p = cone.ambient_dim
+    out = np.empty((num, p))
     have = 0
     for _ in range(CONE_SAMPLE_MAX_ROUNDS):
         if have == num:
             break
-        H = rng.standard_normal((num - have, cone.ambient_dim))
-        proj, norms = cone.project_batch(H)
-        keep = norms > 1e-12
-        collected.append(proj[keep] / norms[keep, None])
-        have += int(np.count_nonzero(keep))
+        for block in geometry.blocks(num - have, p):
+            proj, norms = cone.project_batch(rng.standard_normal((block.stop - block.start, p)))
+            keep = norms > 1e-12
+            kept = int(np.count_nonzero(keep))
+            out[have : have + kept] = proj[keep] / norms[keep, None]
+            have += kept
     if have < num:
         raise ValueError(
             f"could not sample directions from the cone: {have} of {num} nonzero projections "
             f"after {CONE_SAMPLE_MAX_ROUNDS} rounds"
         )
-    return np.concatenate(collected, axis=0).T
+    return out.T
 
 
 def sample_localized_directions(
@@ -112,33 +114,36 @@ def sample_localized_directions(
     therefore lies in the conic hull of ``F \\ tB``.
 
     Each round draws scales and gaussians only for the rows still missing,
-    as :func:`sample_cone_directions` does.  Returns an array of shape
+    as :func:`sample_cone_directions` does: first the round's scales, then
+    its gaussian rows block by block.  Returns an array of shape
     (p, m) with unit columns, ``m = num`` unless ``LOCALIZED_SAMPLE_MAX_BATCHES``
     rounds end short; raises ``ValueError`` if fewer than
     ``max(2, num // 20)`` were accepted by then.
     """
     if t <= 0:
         raise ValueError("t must be > 0")
-    collected: list[np.ndarray] = []
+    p = fset.ambient_dim
+    out = np.empty((num, p))
     have = 0
     scale = fset.radius_c
     for _ in range(LOCALIZED_SAMPLE_MAX_BATCHES):
         if have == num:
             break
-        missing = num - have
-        magnitudes = scale * 10.0 ** rng.uniform(-1.5, 0.5, size=missing)
-        Z = rng.standard_normal((missing, fset.ambient_dim)) * magnitudes[:, None]
-        X = fset.project_rows(Z)
-        norms = np.linalg.norm(X, axis=1)
-        keep = norms >= t
-        collected.append(X[keep] / norms[keep, None])
-        have += int(np.count_nonzero(keep))
+        magnitudes = scale * 10.0 ** rng.uniform(-1.5, 0.5, size=num - have)
+        for block in geometry.blocks(magnitudes.size, p):
+            Z = rng.standard_normal((block.stop - block.start, p)) * magnitudes[block, None]
+            X = fset.project_rows(Z)
+            norms = np.linalg.norm(X, axis=1)
+            keep = norms >= t
+            kept = int(np.count_nonzero(keep))
+            out[have : have + kept] = X[keep] / norms[keep, None]
+            have += kept
     if have < max(2, num // 20):
         raise ValueError(
             f"could not sample directions from the localized set at t = {t:.6g}; "
             f"accepted {have} of {num} requested (is t larger than the set radius?)"
         )
-    return np.concatenate(collected, axis=0).T
+    return out[:have].T
 
 
 def rsc_estimate(instance: glm.ProblemInstance, E: np.ndarray) -> RscEstimate:

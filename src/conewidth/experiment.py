@@ -502,7 +502,11 @@ def render_csv(columns: tuple[str, ...], rows) -> str:
 
 
 def resolve_workers() -> int:
-    """Worker count from the CONEWIDTH_THREADS environment variable (0 = auto)."""
+    """Worker count from the CONEWIDTH_THREADS environment variable.
+
+    0 means one worker per CPU this process may run on (its affinity mask
+    where the platform reports one, else ``os.cpu_count()``).
+    """
     raw = os.environ.get(THREADS_ENV_VAR)
     if raw is None:
         return 1
@@ -513,6 +517,8 @@ def resolve_workers() -> int:
     if workers < 0:
         raise ValueError(f"{THREADS_ENV_VAR} must be >= 0")
     if workers == 0:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     return workers
 
@@ -541,11 +547,15 @@ def _safe_trial(config: ExperimentConfig, n: int, trial_index: int, ctx: SweepCo
 
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
-    """Run all trials of a sweep, aggregate per n, and fit log-log slopes."""
+    """Run all trials of a sweep, aggregate per n, and fit log-log slopes.
+
+    The pool gets at most one worker per trial: under fork,
+    ``ProcessPoolExecutor`` starts all of its workers up front.
+    """
     ctx = prepare_sweep(config)
     tasks = [(int(n), j) for n in config.n_grid for j in range(config.trials)]
-    workers = resolve_workers()
-    if workers > 1 and len(tasks) > 1:
+    workers = min(resolve_workers(), len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # serial runs skip its import cost
 
         with ProcessPoolExecutor(

@@ -16,20 +16,66 @@ Geometry conventions used throughout:
 * Localized widths maximize over the intersection with the l2 *ball* of
   radius t rather than the sphere; the ball version upper-bounds the sphere
   version and keeps the inner problem convex.
+* The Monte-Carlo kernels, the direction samplers and the curvature probe
+  work on blocks of about ``BLOCK_ELEMENTS`` float64 values (see
+  :func:`blocks`), so their memory does not grow with the sample count.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 MATCHED_TOL = 1e-12
 
+# Element budget of one block: 512 KiB of float64.  With 1 MiB blocks the
+# allocator handed a matched sweep's freed blocks back to the OS between
+# trials, so its trials took ten times the minor page faults and ran 8%
+# slower (glibc, shipped matched.cfg).
+BLOCK_ELEMENTS = 1 << 16
+# A block spans a multiple of this many rows or columns, and a remainder
+# shorter than it joins the block before it.  BLAS kernels then see each
+# block's rows or columns in the tiles they would have in one call over the
+# whole array, and never a lone row or column (which numpy hands to a
+# different BLAS routine), so blocked products keep one call's bits.  (The
+# one exception seen: the last m mod 8 columns of a product whose m columns
+# span several blocks can round differently.)
+BLOCK_ALIGN = 32
+
 
 class ConvergenceError(RuntimeError):
     """An iterative routine did not certify its result within its iteration cap."""
+
+
+def blocks(total: int, width: int) -> Iterator[slice]:
+    """Consecutive slices covering ``range(total)``, for items of ``width`` values each.
+
+    A block holds ``BLOCK_ELEMENTS // width`` items rounded down to a
+    multiple of ``BLOCK_ALIGN`` (at least ``BLOCK_ALIGN``); the last one
+    absorbs a remainder shorter than ``BLOCK_ALIGN``.
+    """
+    step = max(BLOCK_ALIGN, BLOCK_ELEMENTS // max(width, 1) // BLOCK_ALIGN * BLOCK_ALIGN)
+    start = 0
+    while start < total:
+        stop = start + step if total - start >= step + BLOCK_ALIGN else total
+        yield slice(start, stop)
+        start = stop
+
+
+def _gaussian_row_values(rows: int, p: int, rng: np.random.Generator, row_values) -> np.ndarray:
+    """``row_values(H)`` of ``rows`` standard gaussian rows of length p, drawn and evaluated block by block.
+
+    ``Generator.standard_normal`` fills in C order, so the blocks hold the
+    rows that one draw of the whole (rows, p) array would; ``row_values``
+    must compute each row's value from that row alone.
+    """
+    out = np.empty(rows)
+    for block in blocks(rows, p):
+        out[block] = row_values(rng.standard_normal((block.stop - block.start, p)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -253,8 +299,7 @@ def gaussian_width_cone(cone, samples: int, rng: np.random.Generator) -> WidthEs
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    H = rng.standard_normal((samples, cone.ambient_dim))
-    _, norms = cone.project_batch(H)
+    norms = _gaussian_row_values(samples, cone.ambient_dim, rng, lambda H: cone.project_batch(H)[1])
     return WidthEstimate.from_samples(norms)
 
 
@@ -446,14 +491,20 @@ def localized_width(fset: FeasibleSet, t: float, samples: int, rng: np.random.Ge
         raise ValueError("samples must be >= 2")
     if t <= 0:
         raise ValueError("t must be > 0")
-    H = rng.standard_normal((samples, fset.ambient_dim))
-    return WidthEstimate.from_samples(_sup_localized_dual_rows(H, fset, t) / t)
+    values = _gaussian_row_values(
+        samples, fset.ambient_dim, rng, lambda H: _sup_localized_dual_rows(H, fset, t) / t
+    )
+    return WidthEstimate.from_samples(values)
 
 
 def global_width_l1(fset: FeasibleSet, samples: int, rng: np.random.Generator) -> WidthEstimate:
     """Monte-Carlo estimate of the unlocalized width ``E sup_{v in F} <h, v>``."""
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    H = rng.standard_normal((samples, fset.ambient_dim))
-    values = fset.radius_c * np.max(np.abs(H), axis=1) - H @ fset.theta_true
+    values = _gaussian_row_values(
+        samples,
+        fset.ambient_dim,
+        rng,
+        lambda H: fset.radius_c * np.max(np.abs(H), axis=1) - H @ fset.theta_true,
+    )
     return WidthEstimate.from_samples(values)

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import blocks
+
 FAMILIES = ("gaussian", "logistic", "poisson")
 ENSEMBLES = ("gaussian", "rademacher")
 
@@ -197,15 +199,26 @@ def hessian_quadratic_form(instance: ProblemInstance, theta: np.ndarray, v: np.n
 
 
 def secant_form_batch(instance: ProblemInstance, base: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """Per-column secant form ``<grad f(base + e_j) - grad f(base), e_j> / ||e_j||^2``."""
+    """Per-column secant form ``<grad f(base + e_j) - grad f(base), e_j> / ||e_j||^2``.
+
+    The columns go through in blocks (:func:`geometry.blocks`), so each n x m
+    temporary holds about one block.  A poisson predictor above
+    ``POISSON_ETA_CAP`` raises with the largest predictor of the first block
+    that has one.
+    """
     base = _check_theta(instance, base)
     eta0 = instance.design @ base
-    ae = instance.design @ directions
-    b1_shift = _cumulant_d1(instance.family, eta0[:, None] + ae)
-    b1_base = _cumulant_d1(instance.family, eta0)
-    sq = np.sum(directions**2, axis=0)
-    sq = np.where(sq > 0, sq, 1.0)
-    return np.mean((b1_shift - b1_base[:, None]) * ae, axis=0) / sq
+    b1_base = _cumulant_d1(instance.family, eta0)[:, None]
+    out = np.empty(directions.shape[1])
+    for cols in blocks(directions.shape[1], instance.n):
+        E = directions[:, cols]
+        ae = instance.design @ E
+        q = _cumulant_d1(instance.family, eta0[:, None] + ae)
+        q -= b1_base
+        q *= ae
+        sq = np.sum(E**2, axis=0)
+        out[cols] = np.mean(q, axis=0) / np.where(sq > 0, sq, 1.0)
+    return out
 
 
 def sigma_max(instance: ProblemInstance) -> float:

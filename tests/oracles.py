@@ -5,7 +5,9 @@ the library (finite differences, dense grids, rejection sampling, vertex
 enumeration, projected ascent, golden-section search) so that agreement is
 meaningful.  It also holds the helpers that only tests use (membership
 margins, the cumulant triple, the duality gap at an arbitrary point, the c1
-calibration of acceptance criterion 9), which the package does not carry.
+calibration of acceptance criterion 9), which the package does not carry,
+and the single-draw forms of the library's blocked Monte-Carlo kernels,
+which draw and evaluate every row or column in one array.
 """
 
 from __future__ import annotations
@@ -14,8 +16,14 @@ import math
 
 import numpy as np
 
-from conewidth import glm
-from conewidth.geometry import ConvergenceError, lmo_l1_ball, project_onto_descent_cone
+from conewidth import bounds, glm
+from conewidth.geometry import (
+    ConvergenceError,
+    WidthEstimate,
+    _sup_localized_dual_rows,
+    lmo_l1_ball,
+    project_onto_descent_cone,
+)
 
 FEASIBILITY_TOL = 1e-9
 
@@ -402,6 +410,69 @@ def batched_cone_directions(cone, num, rng, batch=512):
             collected.append(unit)
             have += unit.shape[0]
     return np.concatenate(collected, axis=0)[:num].T
+
+
+# ---------------------------------------------------------------------------
+# Single-draw forms of the blocked kernels: one (samples, p) gaussian draw,
+# one design product.  The library's blocked kernels must equal them bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def single_draw_width_cone(cone, samples, rng):
+    H = rng.standard_normal((samples, cone.ambient_dim))
+    return WidthEstimate.from_samples(cone.project_batch(H)[1])
+
+
+def single_draw_width_global(fset, samples, rng):
+    H = rng.standard_normal((samples, fset.ambient_dim))
+    return WidthEstimate.from_samples(fset.radius_c * np.max(np.abs(H), axis=1) - H @ fset.theta_true)
+
+
+def single_draw_width_localized(fset, t, samples, rng):
+    H = rng.standard_normal((samples, fset.ambient_dim))
+    return WidthEstimate.from_samples(_sup_localized_dual_rows(H, fset, t) / t)
+
+
+def single_draw_cone_directions(cone, num, rng, max_rounds=bounds.CONE_SAMPLE_MAX_ROUNDS):
+    """Each round draws all ``num - have`` missing rows in one array."""
+    collected = []
+    have = 0
+    for _ in range(max_rounds):
+        if have == num:
+            break
+        proj, norms = cone.project_batch(rng.standard_normal((num - have, cone.ambient_dim)))
+        keep = norms > 1e-12
+        collected.append(proj[keep] / norms[keep, None])
+        have += int(np.count_nonzero(keep))
+    return np.concatenate(collected, axis=0).T
+
+
+def single_draw_localized_directions(fset, t, num, rng, max_rounds=bounds.LOCALIZED_SAMPLE_MAX_BATCHES):
+    """Each round draws its scales, then all of its missing gaussian rows in one array."""
+    collected = []
+    have = 0
+    for _ in range(max_rounds):
+        if have == num:
+            break
+        missing = num - have
+        magnitudes = fset.radius_c * 10.0 ** rng.uniform(-1.5, 0.5, size=missing)
+        X = fset.project_rows(rng.standard_normal((missing, fset.ambient_dim)) * magnitudes[:, None])
+        norms = np.linalg.norm(X, axis=1)
+        keep = norms >= t
+        collected.append(X[keep] / norms[keep, None])
+        have += int(np.count_nonzero(keep))
+    return np.concatenate(collected, axis=0).T
+
+
+def single_call_secant_form(instance, base, directions):
+    """The secant form from one n x m design product."""
+    eta0 = instance.design @ np.asarray(base, dtype=float)
+    ae = instance.design @ directions
+    b1_shift = glm._cumulant_d1(instance.family, eta0[:, None] + ae)
+    b1_base = glm._cumulant_d1(instance.family, eta0)
+    sq = np.sum(directions**2, axis=0)
+    sq = np.where(sq > 0, sq, 1.0)
+    return np.mean((b1_shift - b1_base[:, None]) * ae, axis=0) / sq
 
 
 def sample_size_threshold(width1, epsilon, alpha, c1):

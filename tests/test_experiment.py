@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conewidth import bounds, geometry
+from conewidth import bounds, experiment, geometry, glm
 from conewidth.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -447,6 +447,39 @@ class TestEdgeSweeps:
             assert r.error_l2 <= math.sqrt(2.0 * r.final_gap / r.mu_hat) + 1e-12
         assert sum(r.error_l2 <= 1e-12 for r in res.records) >= 12
 
+    @pytest.mark.parametrize("budget", (geometry.BLOCK_ELEMENTS, 8 * geometry.BLOCK_ALIGN))
+    def test_poisson_predictors_at_the_cap_fail_their_trials(self, monkeypatch, budget):
+        # n = 8 rows with |eta| near 11 |a_0|: trial 7 draws a predictor above
+        # the cap, trial 5 passes sampling but its probe at theta + e crosses
+        # it.  The small budget splits the probe's 100 directions into blocks.
+        monkeypatch.setattr(geometry, "BLOCK_ELEMENTS", budget)
+        cfg = ExperimentConfig(
+            p=2,
+            s=1,
+            family="poisson",
+            theta_magnitude=11.0,
+            slack=1.0,
+            n_grid=(8,),
+            trials=10,
+            mc_samples=100,
+            master_seed=72,
+            rsc_directions=100,
+            mu_mode="theoretical",
+            t_grid=(0.25, 0.5, 1.0),
+        )
+        res = run_sweep(cfg)
+        failed = [r for r in res.records if r.failed]
+        assert len(res.records) == 10
+        assert [(r.n, r.trial) for r in failed] == [(8, 5), (8, 7)]
+        assert all(f"exceeds cap {glm.POISSON_ETA_CAP:.6g}" in r.error_message for r in failed)
+        assert "at sample" in failed[1].error_message and "at sample" not in failed[0].error_message
+        line = res.status_line()
+        assert line.startswith("sweep: 10 trials, ") and line.count("(8, ") == 2
+        assert all(repr((r.n, r.trial, r.error_message)) in line for r in failed)
+        # a failed trial has no CSV row; the others keep theirs
+        rows = res.trials_csv().splitlines()[1:]
+        assert [int(row.split(",")[1]) for row in rows] == [0, 1, 2, 3, 4, 6, 8, 9]
+
     def test_full_support_below_p_discards_every_trial(self):
         # at s = p and n < p the descent cone is a half-space, which meets the
         # design's null space, so no trial clears half the theoretical mu
@@ -465,10 +498,52 @@ class TestWorkers:
         monkeypatch.setenv("CONEWIDTH_THREADS", "3")
         assert resolve_workers() == 3
         monkeypatch.setenv("CONEWIDTH_THREADS", "0")
-        assert resolve_workers() == (os.cpu_count() or 1)
+        usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+        assert resolve_workers() == len(usable)
         monkeypatch.setenv("CONEWIDTH_THREADS", "junk")
         with pytest.raises(ValueError):
             resolve_workers()
+
+    def test_auto_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.setenv("CONEWIDTH_THREADS", "0")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert resolve_workers() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert resolve_workers() == 64
+
+    def test_pool_has_at_most_one_worker_per_trial(self, monkeypatch):
+        # the recording pool runs tasks inline, so no process is started
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(experiment, "_WORKER_STATE", {})
+        cfg = dataclasses.replace(MATCHED_SMALL, trials=3, n_grid=(30, 60))
+        monkeypatch.delenv("CONEWIDTH_THREADS", raising=False)
+        serial = run_sweep(cfg)
+        for threads, expected in (("8", [6]), ("4", [6, 4])):
+            monkeypatch.setenv("CONEWIDTH_THREADS", threads)
+            assert run_sweep(cfg).trials_csv() == serial.trials_csv()
+            assert sizes == expected
+        monkeypatch.setenv("CONEWIDTH_THREADS", "8")
+        run_sweep(dataclasses.replace(cfg, trials=1, n_grid=(30,)))  # one trial runs serially
+        assert sizes == [6, 4]
 
     def test_parallel_matches_serial(self, monkeypatch):
         import dataclasses
