@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .experiment import (
+    RSC_EPSILON,
     ConfigError,
     ExperimentConfig,
     fit_series,
@@ -141,15 +142,15 @@ def _cmd_solve(config: ExperimentConfig, out_path: str | None) -> None:
 def _cmd_rsc(config: ExperimentConfig, out_path: str | None) -> None:
     """The probe of each grid n's trial 0, exactly as the sweep runs it.
 
-    The ``alpha`` column is always 1; it stays so that the CSV keeps its
-    documented columns.
+    The ``epsilon`` column is always ``RSC_EPSILON`` and the ``alpha`` column
+    always 1; they stay so that the CSV keeps its documented columns.
     """
     ctx = prepare_sweep(config)
     rows = []
     for n in config.n_grid:
         est = probe_rsc(ctx, make_instance(config, ctx.theta, n, 0), n)
         rows.append(
-            (n, est.mu_hat, est.quantile_mu, ctx.mu_theoretical, est.directions_tested, config.rsc_epsilon, 1)
+            (n, est.mu_hat, est.quantile_mu, ctx.mu_theoretical, est.directions_tested, RSC_EPSILON, 1)
         )
     columns = ("n", "mu_hat", "quantile_mu", "mu_theoretical", "directions", "epsilon", "alpha")
     _write_output(render_csv(columns, rows), out_path)

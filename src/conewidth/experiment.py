@@ -76,7 +76,6 @@ class ExperimentConfig:
     trials: int = 1
     mc_samples: int = 2000
     master_seed: int = 0
-    rsc_epsilon: float = 0.5
     rsc_directions: int = 2000
     mu_mode: str = "empirical"
     solver: str = "projected_gradient"
@@ -111,8 +110,6 @@ class ExperimentConfig:
             raise ConfigError("trials", "must be >= 1")
         if self.mc_samples < 2:
             raise ConfigError("mc_samples", "must be >= 2")
-        if not 0.0 < self.rsc_epsilon < 1.0:
-            raise ConfigError("rsc_epsilon", "must lie in (0, 1)")
         if self.rsc_directions < 100:
             raise ConfigError("rsc_directions", "must be >= 100")
         if self.mu_mode not in MU_MODES:
@@ -199,6 +196,11 @@ class SweepContext:
         return bounds.sample_localized_directions(self.fset, t, num, rng)
 
 
+# The theoretical curvature is (1 - RSC_EPSILON) times the family's Hessian
+# weight bound over the constraint ball.
+RSC_EPSILON = 0.5
+
+
 def prepare_sweep(config: ExperimentConfig) -> SweepContext:
     """Ground truth, constraint, widths, the radius t*(n) of every grid n,
     and the RSC probe's directions at each distinct t*.
@@ -217,7 +219,7 @@ def prepare_sweep(config: ExperimentConfig) -> SweepContext:
     theta, c = sweep_truth(config)
     family = config.glm_family()
     fset = FeasibleSet(theta, c)
-    mu_theory = (1.0 - config.rsc_epsilon) * glm.hessian_weight_lower_bound(family, c)
+    mu_theory = (1.0 - RSC_EPSILON) * glm.hessian_weight_lower_bound(family, c)
     if config.slack == 0.0:
         cone = geometry.descent_cone(theta)
         width = geometry.gaussian_width_cone(

@@ -78,6 +78,35 @@ def _gaussian_row_values(rows: int, p: int, rng: np.random.Generator, row_values
     return out
 
 
+def _water_level(a: np.ndarray, offset, target) -> np.ndarray:
+    """Per row, the level ``x >= 0`` where ``sum_j (a_j - x)_+ = offset x - target``, else 0.
+
+    The one soft threshold behind the l1-ball projection (offset 0, target
+    ``-c``), a descent cone's polar scale (:func:`_polar_tau_batch`) and the
+    localized path's threshold (:meth:`_OffSupportPath.sums`), found by one
+    sort and one count (Duchi, Shalev-Shwartz, Singer & Chandra 2008).  The
+    rows of ``a`` are nonnegative and sorted in descending order, and are
+    overwritten.  ``offset`` (a count) and ``target`` are scalars or (rows, 1)
+    columns, with ``offset > 0 or target < 0`` in every row.
+
+    The left side minus the right, f(x), is nonincreasing.  With
+    ``A_j = sum_{i<j} a_i``, ``f(a_j) < 0`` iff ``(offset + j) a_j - A_j >
+    target``, and since ``f(a_j)`` is nondecreasing in j the j that pass form
+    a prefix; the precondition makes j = 0 pass when offset is 0, so their
+    count k has ``offset + k >= 1``.  As ``f(a_{k-1}) < 0 <= f(a_k)`` (read
+    ``a_q`` as 0), the root lies on the piece where exactly k terms are
+    positive, ``x = (target + A_k) / (offset + k)``; it is negative only
+    when ``f(0) <= 0``, and then the level is 0.
+    """
+    rows, q = a.shape
+    prefix = np.zeros((rows, q + 1))
+    np.cumsum(a, axis=1, out=prefix[:, 1:])
+    a *= offset + np.arange(q)
+    a -= prefix[:, :q]
+    k = (a > target).sum(axis=1, keepdims=True)
+    return np.maximum((target + prefix[np.arange(rows)[:, None], k]) / (offset + k), 0.0)[:, 0]
+
+
 @dataclass(frozen=True)
 class WidthEstimate:
     """Monte-Carlo width estimate with its standard error."""
@@ -106,15 +135,6 @@ class ConeModel:
     signs: np.ndarray
     ambient_dim: int
     _off_support: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ConeModel):
-            return NotImplemented
-        return (
-            self.ambient_dim == other.ambient_dim
-            and np.array_equal(self.support, other.support)
-            and np.array_equal(self.signs, other.signs)
-        )
 
     def __post_init__(self) -> None:
         support = np.asarray(self.support, dtype=int)
@@ -161,31 +181,14 @@ def descent_cone(theta_true: np.ndarray) -> ConeModel:
 def _polar_tau_batch(cone: ConeModel, H: np.ndarray) -> np.ndarray:
     """Per-row minimizer over tau >= 0 of the distance to the polar slice.
 
-    With the off-support magnitudes of a row sorted in descending order as
-    ``a`` and ``A_j = sum_{i<j} a_i``, the squared distance is convex and
-    piecewise quadratic in tau with breakpoints at the ``a_j``.  On the
-    segment where exactly j magnitudes exceed tau, its stationary point is
-    ``tau_j = (T + A_j) / (s + j)``, T the on-support target ``<h_S, sign>``,
-    and ``tau_j < a_j`` iff ``(s + j) a_j - A_j > T``.  The left side is
-    nonincreasing in j (its step is ``(s + j + 1)(a_{j+1} - a_j)``), so the
-    j that pass form a prefix.  Their count k has ``a_k <= tau_k < a_{k-1}``
-    (the second from j = k - 1 passing), so segment k holds its own
-    stationary point and ``max(0, tau_k)`` is the minimizer: the same
-    sort-and-count as the l1-ball projection (Duchi et al. 2008).
+    Its stationarity equation is ``sum_{i not in S} (|h_i| - tau)_+ =
+    |S| tau - <h_S, sign>``, solved by :func:`_water_level`.
     """
-    s_count = cone.support.size
     on_target = H[:, cone.support] @ cone.signs
     a = np.abs(H[:, cone._off_support])
     a.sort(axis=1)
-    a = a[:, ::-1]
-    m, q = a.shape
-    prefix = np.zeros((m, q + 1))
-    np.cumsum(a, axis=1, out=prefix[:, 1:])
-    # in place, so the peak holds one rows x q array besides the prefix sums
-    a *= s_count + np.arange(q)
-    a -= prefix[:, :q]
-    k = np.count_nonzero(a > on_target[:, None], axis=1)
-    return np.maximum((on_target + prefix[np.arange(m), k]) / (s_count + k), 0.0)
+    # the kernel works in place, so the peak holds one rows x q array besides its prefix sums
+    return _water_level(a[:, ::-1], cone.support.size, on_target[:, None])
 
 
 def project_onto_descent_cone(cone: ConeModel, h: np.ndarray) -> tuple[np.ndarray, float]:
@@ -212,15 +215,10 @@ def project_l1_ball_rows(X: np.ndarray, c: float) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     absX = np.abs(X)
     inside = absX.sum(axis=1) <= c
-    if np.all(inside):
+    if inside.all():
         return X.copy()
-    u = np.sort(absX, axis=1)[:, ::-1]
-    cs = np.cumsum(u, axis=1)
-    ranks = np.arange(1, X.shape[1] + 1)
-    positive = u - (cs - c) / ranks > 0
-    k = positive.sum(axis=1) - 1  # last prefix index with a positive gap
-    lam = (cs[np.arange(X.shape[0]), k] - c) / (k + 1)
-    lam = np.where(inside, 0.0, np.maximum(lam, 0.0))
+    lam = _water_level(np.sort(absX, axis=1)[:, ::-1], 0, -c)
+    lam[inside] = 0.0  # the prefix sums can round a row inside the ball to a level above 0
     return np.sign(X) * np.maximum(absX - lam[:, None], 0.0)
 
 
@@ -412,7 +410,6 @@ class _OffSupportPath:
         self.m, self.block = m, block
         self.ends = np.arange(block - 1, width, block)[None, :]
         self.in_block = np.arange(block)
-        self.ranks = np.arange(1, support.size + 1)
 
     def keep(self, mask: np.ndarray) -> None:
         self.h_s, self.base = self.h_s[mask], self.base[mask]
@@ -439,23 +436,13 @@ class _OffSupportPath:
         first = self.block * self._count_below(self.ends, b_over_s, c_over_s)
         k = first + self._count_below(first[:, None] + self.in_block, b_over_s, c_over_s)
         # On that piece the off-support part of g is s A1 - k lam, A1 the sum
-        # of the k largest a.  Extended linearly, this piece's g is below c
-        # exactly at the q support magnitudes above lam (it equals g from
-        # s a_k up, and is at least g(s a_k) >= c below).  Inside the ball
-        # the root is negative and lam is 0.
+        # of the k largest a, so lam is the support magnitudes' water level
+        # with offset k and target s A1 - c (A1 = 0 when k = 0, so the
+        # target is then -c < 0).  Inside the ball that level is 0.
         top = base + np.maximum(k - 1, 0)
         a_top, E_top, D_top = self.a[top], self.E[top], self.D[top]
         A1 = E_top + k * a_top
-        sA1 = s * A1
-        order = np.sort(b, axis=1)[:, ::-1]
-        prefix = np.zeros((s.size, order.shape[1] + 1))
-        np.cumsum(order, axis=1, out=prefix[:, 1:])
-        g_at = prefix[:, 1:] - (self.ranks + k[:, None]) * order + sA1[:, None]
-        q = (g_at < c).sum(axis=1)
-        # q + k >= 1: k = 0 needs g(s a_0) >= c, which only support terms can
-        # give, and then the piece's g is 0 < c at the largest b
-        lam = (np.take_along_axis(prefix, q[:, None], axis=1)[:, 0] + sA1 - c) / (q + k)
-        lam = np.maximum(lam, 0.0)
+        lam = _water_level(np.sort(b, axis=1)[:, ::-1], k[:, None], (s * A1 - c)[:, None])
 
         # support columns, explicitly
         on = b > lam[:, None]

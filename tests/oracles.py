@@ -351,6 +351,32 @@ def max_face_distance(h, fset):
     return math.sqrt(float(np.sum((c * w - c * target) ** 2) + np.sum(theta[~top] ** 2)))
 
 
+def water_level_bisection(a, offset, target):
+    """The root ``x >= 0`` of ``sum_j (a_j - x)_+ = offset x - target`` by bisection, or 0 when there is none.
+
+    a is one row in any order; needs ``target <= offset max(a)`` (and
+    ``target < 0`` when offset is 0), so the root lies in ``[0, max(a)]``.
+    """
+    a = np.asarray(a, dtype=float)
+
+    def excess(x):
+        return float(np.sum(np.maximum(a - x, 0.0))) - (offset * x - target)
+
+    top = float(np.max(a))
+    lo, hi = 0.0, top
+    if excess(lo) <= 0.0:
+        return 0.0
+    assert excess(hi) <= 0.0
+    mid = 0.5 * top
+    while hi - lo > 1e-15 * top and lo < mid < hi:
+        if excess(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid
+
+
 def full_width_polar_tau(cone, H):
     """Polar tau of each row of H by a search for its self-consistent segment.
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conewidth import bounds, cli, geometry, glm, solver
-from conewidth.experiment import ExperimentConfig, fit_loglog_slope, run_sweep
+from conewidth.experiment import RSC_EPSILON, ExperimentConfig, fit_loglog_slope, run_sweep
 from conewidth.geometry import ConeModel, FeasibleSet, descent_cone, gaussian_width_cone, localized_width
 from conewidth.rng import stream
 
@@ -243,7 +243,6 @@ def test_criterion_6_matched_bound_validity_and_rate():
         trials=50,
         mc_samples=4000,
         master_seed=106,
-        rsc_epsilon=0.5,
         rsc_directions=800,
         mu_mode="empirical",
     )
@@ -270,7 +269,6 @@ def test_criterion_7_glm_bound_validity():
         trials=50,
         mc_samples=4000,
         master_seed=107,
-        rsc_epsilon=0.5,
         rsc_directions=400,
         mu_mode="theoretical",
     )
@@ -278,7 +276,7 @@ def test_criterion_7_glm_bound_validity():
     c = 3.0
     sig = 1.0 / (1.0 + math.exp(-c))
     nu = sig * (1.0 - sig)
-    mu_expected = nu * (1.0 - cfg.rsc_epsilon)
+    mu_expected = nu * (1.0 - RSC_EPSILON)
     mu_ok = all(abs(row.mu_used - mu_expected) < 1e-12 for row in res.rows)
     held = all(row.mean_error <= row.bound for row in res.rows)
     report(
@@ -303,7 +301,6 @@ def test_criterion_8_mismatched_quarter_rate():
         trials=50,
         mc_samples=1500,
         master_seed=108,
-        rsc_epsilon=0.5,
         rsc_directions=128,
         mu_mode="theoretical",
         t_grid=tuple(float(t) for t in np.geomspace(0.25, 8.0, 12)),

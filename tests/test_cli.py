@@ -52,6 +52,7 @@ UNKNOWN_KEYS = (
     "solver_tol",
     "solver_gap_tol",
     "rsc_alpha",
+    "rsc_epsilon",
 )
 
 
@@ -121,7 +122,7 @@ class TestLoadConfig:
         assert load_config(str(rendered)) == cfg
 
     def test_round_trip_every_field_in_field_order(self, mismatched_path, tmp_path):
-        overrides = ["solver=frank_wolfe", "ensemble=rademacher", "rsc_epsilon=0.3"]
+        overrides = ["solver=frank_wolfe", "ensemble=rademacher"]
         cfg = load_config(mismatched_path, overrides)
         text = serialize_config(cfg)
         names = [f.name for f in dataclasses.fields(ExperimentConfig)]
@@ -184,12 +185,12 @@ class TestDispatch:
         assert out[1].split(",")[1] == "projected_gradient"
 
     def test_rsc_rows(self, matched_path, capsys):
-        assert main(["rsc", "--config", matched_path, "rsc_epsilon=0.25"]) == 0
+        assert main(["rsc", "--config", matched_path]) == 0
         header, *rows = (line.split(",") for line in capsys.readouterr().out.strip().split("\n"))
         assert header == ["n", "mu_hat", "quantile_mu", "mu_theoretical", "directions", "epsilon", "alpha"]
         assert [int(row[0]) for row in rows] == [20, 40, 80]  # one row per grid n
         for row in rows:
-            assert row[4:] == ["120", "0.25", "1"]  # rsc_directions, rsc_epsilon, alpha = 1
+            assert row[4:] == ["120", "0.5", "1"]  # rsc_directions, epsilon = 0.5, alpha = 1
 
     def test_rsc_matches_sweep_probe_mismatched(self, mismatched_path, capsys):
         # both probe trial 0's ("design", n, 0) draw on the sweep's direction set

@@ -117,7 +117,6 @@ class TestConfigValidation:
     def test_error_names_key(self):
         cfg = ExperimentConfig(p=10, s=2, n_grid=(10,), trials=1, slack=0.5, t_grid=(0.5,))
         for key, value in (
-            ("rsc_epsilon", 2.0),
             ("theta_magnitude", math.nan),
             ("theta_magnitude", math.inf),
             ("noise_scale", math.nan),

@@ -39,6 +39,7 @@ from oracles import (
     project_feasible,
     sup_linear_over_localized_set,
     sup_localized_p2_oracle,
+    water_level_bisection,
 )
 
 SHIPPED_MATCHED = Path(__file__).resolve().parents[1] / "configs" / "matched.cfg"
@@ -272,6 +273,41 @@ def shipped_matched_cone():
     return descent_cone(theta)
 
 
+class TestWaterLevel:
+    @settings(max_examples=400)
+    @given(data=st.data())
+    def test_against_bisection(self, data):
+        """The kernel in the three forms its callers use: offset 0 with a scalar
+        target below 0 (the l1 ball), a scalar support size with a target per
+        row (the polar tau), and a count per row, 0 included, with a target
+        per row (the localized threshold).  Entries tie and include exact
+        zeros; a row may have one column."""
+        rows = data.draw(st.integers(1, 4), label="rows")
+        q = data.draw(st.integers(1, 10), label="columns")
+        entries = st.sampled_from([0.0, 0.25, 1.0, 3.0]) | st.floats(0.0, 10.0)
+        a = np.array(data.draw(st.lists(entries, min_size=rows * q, max_size=rows * q), label="a"))
+        a = -np.sort(-a.reshape(rows, q), axis=1)
+        top = a[:, 0]
+        # target = fraction * max(a) <= offset * max(a), so the root lies in [0, max(a)]
+        fractions = st.floats(-2.0 * (q + 1), 1.0)
+        form = data.draw(st.sampled_from(["ball", "cone", "localized"]), label="form")
+        if form == "ball":
+            offset = 0
+            target = -data.draw(st.floats(0.05, 2.0 * (q + 1)), label="c") * max(float(top.max()), 1.0)
+        elif form == "cone":
+            offset = data.draw(st.integers(1, 6), label="support")
+            target = np.array(data.draw(st.lists(fractions, min_size=rows, max_size=rows), label="t"))[:, None]
+            target = target * top[:, None]
+        else:
+            offset = np.array(data.draw(st.lists(st.integers(0, 6), min_size=rows, max_size=rows), label="k"))[:, None]
+            t = np.array(data.draw(st.lists(fractions, min_size=rows, max_size=rows), label="t"))[:, None]
+            target = np.where(offset == 0, -(np.abs(t) + 0.05) * np.maximum(top[:, None], 1.0), t * top[:, None])
+        level = geometry._water_level(a.copy(), offset, target)
+        offsets, targets = np.broadcast_to(offset, (rows, 1))[:, 0], np.broadcast_to(target, (rows, 1))[:, 0]
+        for row, off, tgt, x in zip(a, offsets, targets, level):
+            assert abs(x - water_level_bisection(row, off, tgt)) <= 1e-12 * row[0]
+
+
 class TestPolarTauCount:
     """The counted tau against the self-consistent segment search, bit for bit."""
 
@@ -427,9 +463,10 @@ class TestWidthEstimators:
 
     def test_scale_freeness(self):
         theta = np.array([0.0, 1.5, 0.0, -0.2, 0.0])
-        assert descent_cone(theta) == descent_cone(3.0 * theta)
-        w1 = gaussian_width_cone(descent_cone(theta), 5000, stream(31, "w"))
-        w2 = gaussian_width_cone(descent_cone(3.0 * theta), 5000, stream(31, "w"))
+        cone, scaled = descent_cone(theta), descent_cone(3.0 * theta)
+        assert np.array_equal(cone.support, scaled.support) and np.array_equal(cone.signs, scaled.signs)
+        w1 = gaussian_width_cone(cone, 5000, stream(31, "w"))
+        w2 = gaussian_width_cone(scaled, 5000, stream(31, "w"))
         assert w1 == w2
 
     def test_sparsity_width_bound(self):

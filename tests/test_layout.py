@@ -6,9 +6,9 @@ module of ``src/conewidth`` except ``__init__.py`` and requires each
 top-level function and class, and each method that is not a dunder, to be
 referenced somewhere in those modules outside its own definition: as a name,
 an attribute, an import, or a string equal to the name (``TrialRecord``'s
-bound properties are read by ``getattr`` over the CSV column names).  The
-re-exports in ``__init__.py`` do not count, or every exported helper would
-pass.
+bound properties are read by ``getattr`` over the CSV column names).
+``__init__.py`` holds only the package docstring and version; a re-export
+there must not count, or every exported helper would pass.
 """
 
 import ast
