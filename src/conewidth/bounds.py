@@ -19,7 +19,7 @@ surrogate, and the theoretical values (``1 - eps`` for the gaussian model,
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,10 +63,9 @@ class RscEstimate:
 
 @dataclass(frozen=True)
 class TunedBound:
-    """Result of minimizing the mismatched bound over t.
+    """Result of minimizing the bound over the candidate radii.
 
-    A matched sweep's is fixed at ``t_star = 0`` with the cone width, and
-    its closed-form bound is nan.
+    A matched sweep's only candidate is t = 0, and its closed-form bound is nan.
     """
 
     t_star: float
@@ -179,36 +178,26 @@ def bound_report(t: float, width: WidthEstimate, mu: float, sigma_max: float, n:
 
 
 def optimize_t(
-    width_of_t: Callable[[float], WidthEstimate],
-    global_width: float,
-    sigma_max: float,
-    mu: float,
-    n: int,
-    t_grid,
+    widths: Mapping[float, WidthEstimate], global_width: float, sigma_max: float, mu: float, n: int
 ) -> TunedBound:
-    """Minimize the mismatched bound over a t grid.
+    """Minimize ``t + 2 sqrt(2 pi) sigma_max omega_1(t) / (mu sqrt(n))`` over the radii t >= 0.
+
+    ``widths`` maps each candidate t to its width estimate, ``{0: cone
+    width}`` for a matched constraint.  The first of tied candidates wins,
+    so at ``mu = 0``, where every bound is infinite, the first one does.
 
     Also reports the closed-form relaxation obtained by replacing the
     localized width with ``global_width / t``: the bound
     ``t + C global_width / (t sqrt(n))`` with ``C = 2 sqrt(2 pi) sigma_max / mu``
     is minimized at ``t* = sqrt(C global_width / sqrt(n))`` with value
-    ``2 t*``, which decays like ``n^{-1/4}``.
+    ``2 t*``, which decays like ``n^{-1/4}``; nan for a nan ``global_width``.
     """
-    t_grid = [float(t) for t in t_grid]
-    if not t_grid or any(t <= 0 for t in t_grid):
-        raise ValueError("t_grid must be nonempty with positive entries")
-    if mu <= 0:
-        raise ValueError("mu must be > 0")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    best_t = None
-    best_value = math.inf
-    best_width = None
-    for t in t_grid:
-        estimate = width_of_t(t)
-        value = mismatched_bound(t, sigma_max, estimate.mean, mu, n)
-        if value < best_value:
-            best_t, best_value, best_width = t, value, estimate
-    coef = BOUND_CONSTANT * sigma_max / mu
+    if not widths or min(widths) < 0 or mu < 0 or n < 1:
+        raise ValueError("optimize_t needs candidate radii t >= 0, mu >= 0 and n >= 1")
+    if mu > 0:
+        t_star = min(widths, key=lambda t: mismatched_bound(t, sigma_max, widths[t].mean, mu, n))
+        coef = BOUND_CONSTANT * sigma_max / mu
+    else:
+        t_star, coef = next(iter(widths)), math.inf
     t_cf = math.sqrt(coef * global_width / math.sqrt(n))
-    return TunedBound(best_t, best_width, 2.0 * t_cf)
+    return TunedBound(t_star, widths[t_star], 2.0 * t_cf)

@@ -155,7 +155,7 @@ def make_instance(
     responses = glm.sample_responses(
         design, theta, family, stream(config.master_seed, "responses", n, trial_index)
     )
-    return glm.ProblemInstance(design, responses, theta, family, config.ensemble)
+    return glm.ProblemInstance(design, responses, theta, family)
 
 
 @dataclass(frozen=True)
@@ -207,9 +207,9 @@ def prepare_sweep(config: ExperimentConfig) -> SweepContext:
 
     The constraint is matched exactly when ``slack == 0``: theta* lies on
     the sphere of the l1 ball, whose tangent cone there is the descent
-    cone.  Mismatched sweeps (``slack > 0``) tune t only over grid values
-    below the feasible set's outer radius: for larger t the set ``F \\ tB``
-    is empty, so no trial could probe it.
+    cone.  :func:`bounds.optimize_t` picks every t*(n) among the candidate
+    radii: 0 in a matched sweep, else the grid values below the feasible
+    set's outer radius (for larger t the set ``F \\ tB`` is empty).
 
     The directions are drawn once per radius, independently of every
     design: the cone set from stream ``("rsc", "cone")``, the localized set
@@ -225,47 +225,39 @@ def prepare_sweep(config: ExperimentConfig) -> SweepContext:
         width = geometry.gaussian_width_cone(
             cone, config.mc_samples, stream(config.master_seed, "width", "cone")
         )
-        tuned = bounds.TunedBound(t_star=0.0, width_star=width, bound_closed_form=math.nan)
-        tuned_by_n = {int(n): tuned for n in config.n_grid}
-        ctx = SweepContext(theta, c, fset, cone, mu_theory, tuned_by_n, (("cone", 0.0, width),))
-        return _with_directions(ctx, config, {0.0: "cone"})
-    width_global = geometry.global_width_l1(
-        fset, config.mc_samples, stream(config.master_seed, "width", "global")
-    )
-    width_by_t = {
-        float(t): geometry.localized_width(
-            fset, float(t), config.mc_samples, stream(config.master_seed, "width", i)
+        candidates, global_width = {0.0: width}, math.nan
+        width_rows = (("cone", 0.0, width),)
+    else:
+        cone = None
+        width_global = geometry.global_width_l1(
+            fset, config.mc_samples, stream(config.master_seed, "width", "global")
         )
-        for i, t in enumerate(config.t_grid)
-    }
-    usable = [t for t in width_by_t if t < fset.outer_radius]
-    if not usable:
-        raise ConfigError(
-            "t_grid",
-            f"needs an entry below the feasible set's outer radius {fset.outer_radius:.6g}",
+        width_by_t = {
+            float(t): geometry.localized_width(
+                fset, float(t), config.mc_samples, stream(config.master_seed, "width", i)
+            )
+            for i, t in enumerate(config.t_grid)
+        }
+        candidates = {t: w for t, w in width_by_t.items() if t < fset.outer_radius}
+        if not candidates:
+            raise ConfigError(
+                "t_grid", f"needs an entry below the feasible set's outer radius {fset.outer_radius:.6g}"
+            )
+        global_width = width_global.mean
+        width_rows = (
+            *(("localized", t, w) for t, w in width_by_t.items()),
+            ("global", math.nan, width_global),
         )
     sigma_ref = glm.sigma_max_upper_bound(family, c)
     tuned_by_n = {
-        int(n): bounds.optimize_t(
-            lambda t: width_by_t[t], width_global.mean, sigma_ref, mu_theory, int(n), usable
-        )
+        int(n): bounds.optimize_t(candidates, global_width, sigma_ref, mu_theory, int(n))
         for n in config.n_grid
     }
-    width_rows = (
-        *(("localized", t, w) for t, w in width_by_t.items()),
-        ("global", math.nan, width_global),
-    )
-    ctx = SweepContext(theta, c, fset, None, mu_theory, tuned_by_n, width_rows)
-    used = {tuned.t_star for tuned in tuned_by_n.values()}
-    return _with_directions(ctx, config, {t: i for i, t in enumerate(width_by_t) if t in used})
-
-
-def _with_directions(ctx: SweepContext, config: ExperimentConfig, stream_keys: dict) -> SweepContext:
-    """``ctx`` with one probe direction set per radius t, drawn from stream ``("rsc", stream_keys[t])``."""
-    directions = {
-        t: ctx.sample_directions(t, config.rsc_directions, stream(config.master_seed, "rsc", key))
-        for t, key in stream_keys.items()
-    }
+    ctx = SweepContext(theta, c, fset, cone, mu_theory, tuned_by_n, width_rows)
+    directions = {}
+    for t in {tuned.t_star for tuned in tuned_by_n.values()}:
+        rng = stream(config.master_seed, "rsc", config.t_grid.index(t) if t > 0.0 else "cone")
+        directions[t] = ctx.sample_directions(t, config.rsc_directions, rng)
     return replace(ctx, directions=directions)
 
 

@@ -98,7 +98,6 @@ class ProblemInstance:
     responses: np.ndarray
     theta_true: np.ndarray
     family: GlmFamily
-    ensemble: str = "gaussian"
 
     def __post_init__(self) -> None:
         design = np.asarray(self.design, dtype=float)
@@ -111,10 +110,6 @@ class ProblemInstance:
             raise ValueError(f"responses must have shape ({n},), got {responses.shape}")
         if theta_true.shape != (p,):
             raise ValueError(f"theta_true must have shape ({p},), got {theta_true.shape}")
-        if self.ensemble not in ENSEMBLES:
-            raise ValueError(f"unknown ensemble {self.ensemble!r}; expected one of {ENSEMBLES}")
-        if self.ensemble == "rademacher" and not np.all(np.abs(design) == 1.0):
-            raise ValueError("rademacher design must have all entries in {+1, -1}")
         object.__setattr__(self, "design", design)
         object.__setattr__(self, "responses", responses)
         object.__setattr__(self, "theta_true", theta_true)

@@ -55,7 +55,7 @@ def test_criterion_1_gradient_and_hessian_oracles():
         ensemble = "rademacher" if rng.random() < 0.5 else "gaussian"
         design = glm.sample_design(n, p, ensemble, rng)
         responses = glm.sample_responses(design, theta, family, rng)
-        inst = glm.ProblemInstance(design, responses, theta, family, ensemble)
+        inst = glm.ProblemInstance(design, responses, theta, family)
 
         point = rng.normal(scale=0.3, size=p)
         grad = glm.gradient(inst, point)

@@ -117,7 +117,7 @@ def probe_instance(family):
     ensemble = "rademacher" if family == "logistic" else "gaussian"
     design = glm.sample_design(N, P, ensemble, rng)
     fam = glm.GlmFamily(family, 0.5)
-    return glm.ProblemInstance(design, glm.sample_responses(design, THETA, fam, rng), THETA, fam, ensemble)
+    return glm.ProblemInstance(design, glm.sample_responses(design, THETA, fam, rng), THETA, fam)
 
 
 class TestSecantFormIdentity:

@@ -29,7 +29,7 @@ def gaussian_instance(rng, n, p, theta, sigma=0.5, ensemble="gaussian"):
     family = glm.GlmFamily("gaussian", sigma)
     design = glm.sample_design(n, p, ensemble, rng)
     responses = glm.sample_responses(design, theta, family, rng)
-    return glm.ProblemInstance(design, responses, theta, family, ensemble)
+    return glm.ProblemInstance(design, responses, theta, family)
 
 
 class TestRscEstimate:
@@ -223,8 +223,8 @@ class TestOptimizeT:
         # constants chosen so C * global_width = 4: minimizer t* = 1, bound 2 at n = 16
         sigma = 1.0
         mu = 2.0 * math.sqrt(2.0 * math.pi) / 2.0  # makes C = 2
-        width_of_t = lambda t: WidthEstimate(2.0 / t, 0.0, 2)
-        tuned = bounds.optimize_t(width_of_t, 2.0, sigma, mu, 16, [0.5, 1.0, 2.0])
+        widths = {t: WidthEstimate(2.0 / t, 0.0, 2) for t in (0.5, 1.0, 2.0)}
+        tuned = bounds.optimize_t(widths, 2.0, sigma, mu, 16)
         assert tuned.bound_closed_form == pytest.approx(2.0)
         assert tuned.t_star == 1.0
         assert bounds.mismatched_bound(tuned.t_star, sigma, tuned.width_star.mean, mu, 16) == pytest.approx(2.0)
@@ -238,16 +238,12 @@ class TestOptimizeT:
         sigma, mu, n = 1.0, 0.5, 64
         coef = BOUND_CONSTANT * sigma / mu
         t_cf = math.sqrt(coef * wg.mean / math.sqrt(n))
-        cache = {}
-
-        def width_of_t(t):
-            if t not in cache:
-                cache[t] = geometry.localized_width(fset, t, 3000, stream(78, t))
-            return cache[t]
-
-        tuned = bounds.optimize_t(width_of_t, wg.mean, sigma, mu, n, [0.25 * t_cf, t_cf, 4 * t_cf])
+        widths = {
+            t: geometry.localized_width(fset, t, 3000, stream(78, t)) for t in (0.25 * t_cf, t_cf, 4 * t_cf)
+        }
+        tuned = bounds.optimize_t(widths, wg.mean, sigma, mu, n)
         mc_allowance = 3 * (BOUND_CONSTANT * sigma / (mu * math.sqrt(n))) * (
-            width_of_t(t_cf).stderr + wg.stderr / t_cf
+            widths[t_cf].stderr + wg.stderr / t_cf
         )
         bound_star = bounds.mismatched_bound(tuned.t_star, sigma, tuned.width_star.mean, mu, n)
         assert bound_star <= tuned.bound_closed_form + mc_allowance
@@ -258,10 +254,49 @@ class TestOptimizeT:
         sigma, mu, width = 0.7, 0.4, 11.0
         points = []
         for k in range(6, 15):
-            tuned = bounds.optimize_t(lambda t: WidthEstimate(width / t, 0.0, 2), width, sigma, mu, 2**k, [1.0])
+            tuned = bounds.optimize_t({1.0: WidthEstimate(width, 0.0, 2)}, width, sigma, mu, 2**k)
             points.append((2**k, tuned.bound_closed_form))
         fit = fit_loglog_slope(points)
         assert fit.slope == pytest.approx(-0.25, abs=1e-12)
+
+    def test_matched_candidate(self):
+        # a matched sweep's one candidate: t* = 0, the matched bound, and no closed form
+        w = WidthEstimate(3.0, 0.01, 1000)
+        tuned = bounds.optimize_t({0.0: w}, math.nan, 0.8, 0.4, 100)
+        assert tuned.t_star == 0.0 and tuned.width_star is w
+        assert math.isnan(tuned.bound_closed_form)
+        assert bounds.bound_report(tuned.t_star, tuned.width_star, 0.4, 0.8, 100) == (
+            BOUND_CONSTANT * 0.8 * 3.0 / (0.4 * 10.0)
+        )
+
+    @pytest.mark.parametrize("global_width, closed_form", [(2.0, math.inf), (math.nan, math.nan)])
+    def test_zero_mu_takes_first_candidate(self, global_width, closed_form):
+        # every bound is infinite, so the first radius wins even where a later one is smaller
+        widths = {1.0: WidthEstimate(5.0, 0.0, 2), 0.5: WidthEstimate(1.0, 0.0, 2)}
+        tuned = bounds.optimize_t(widths, global_width, 1.0, 0.0, 64)
+        assert tuned.t_star == 1.0 and tuned.width_star is widths[1.0]
+        assert tuned.bound_closed_form == pytest.approx(closed_form, nan_ok=True)
+
+    def test_tie_takes_first_candidate(self):
+        # 0.5 + 2 and 1.5 + 1 tie exactly at C / sqrt(n) = 1
+        mu = BOUND_CONSTANT / 4.0
+        widths = {1.5: WidthEstimate(1.0, 0.0, 2), 0.5: WidthEstimate(2.0, 0.0, 2)}
+        assert bounds.mismatched_bound(1.5, 1.0, 1.0, mu, 16) == bounds.mismatched_bound(0.5, 1.0, 2.0, mu, 16)
+        assert bounds.optimize_t(widths, 1.0, 1.0, mu, 16).t_star == 1.5
+        assert bounds.optimize_t(dict(reversed(widths.items())), 1.0, 1.0, mu, 16).t_star == 0.5
+
+    @pytest.mark.parametrize(
+        "widths, mu",
+        [
+            ({-0.5: WidthEstimate(1.0, 0.0, 2)}, 1.0),
+            ({-0.5: WidthEstimate(1.0, 0.0, 2)}, 0.0),
+            ({0.5: WidthEstimate(1.0, 0.0, 2)}, -1.0),
+            ({}, 1.0),
+        ],
+    )
+    def test_invalid(self, widths, mu):
+        with pytest.raises(ValueError):
+            bounds.optimize_t(widths, 1.0, 1.0, mu, 16)
 
 
 class TestBoundReport:

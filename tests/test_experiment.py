@@ -479,6 +479,37 @@ class TestEdgeSweeps:
         rows = res.trials_csv().splitlines()[1:]
         assert [int(row.split(",")[1]) for row in rows] == [0, 1, 2, 3, 4, 6, 8, 9]
 
+    @pytest.mark.parametrize("mu_mode", experiment.MU_MODES)
+    @pytest.mark.parametrize("slack", (0.0, 1.0))
+    def test_theoretical_mu_underflow(self, slack, mu_mode):
+        # sigmoid(c) rounds to 1 at c >= 800, so the theoretical mu is exactly 0:
+        # every theoretical bound is infinite, and t* is the first candidate
+        cfg = ExperimentConfig(
+            p=20,
+            s=2,
+            family="logistic",
+            ensemble="rademacher",
+            theta_magnitude=400.0,
+            slack=slack,
+            n_grid=(40, 60, 90),
+            trials=2,
+            mc_samples=200,
+            master_seed=106,
+            rsc_directions=100,
+            mu_mode=mu_mode,
+            t_grid=(0.5, 1.0) if slack else (),
+        )
+        res = run_sweep(cfg)
+        assert res.context.mu_theoretical == 0.0
+        assert len(res.records) == 6 and not any(r.failed for r in res.records)
+        for row in res.rows:
+            if slack:
+                assert row.t_star == 0.5 and row.bound_closed_form == math.inf
+            else:
+                assert row.t_star == 0.0 and math.isnan(row.bound_closed_form)
+            if mu_mode == "theoretical":
+                assert row.bound == math.inf
+
     def test_full_support_below_p_discards_every_trial(self):
         # at s = p and n < p the descent cone is a half-space, which meets the
         # design's null space, so no trial clears half the theoretical mu

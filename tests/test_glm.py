@@ -24,7 +24,7 @@ def random_instance(rng, family, n=None, p=None, magnitude=0.5):
     if family.tag == "poisson":
         theta = theta / max(1.0, 0.5 * np.sum(np.abs(theta)))  # keep eta in range
     responses = glm.sample_responses(design, theta, family, rng)
-    return glm.ProblemInstance(design, responses, theta, family, ensemble)
+    return glm.ProblemInstance(design, responses, theta, family)
 
 
 class TestCumulant:
@@ -138,10 +138,6 @@ class TestSamplers:
         y1 = glm.sample_responses(design, theta, GAUSSIAN, stream(8, "r"))
         y2 = glm.sample_responses(design, theta, GAUSSIAN, stream(8, "r"))
         assert np.array_equal(y1, y2)
-
-    def test_rademacher_instance_validated(self):
-        with pytest.raises(ValueError, match="rademacher"):
-            glm.ProblemInstance(np.eye(2) * 0.5, np.zeros(2), np.zeros(2), GAUSSIAN, "rademacher")
 
 
 class TestLoss:
@@ -274,7 +270,7 @@ class TestSigmaMax:
         theta = np.zeros(6)
         theta[2] = 1.0
         y = glm.sample_responses(design, theta, POISSON, rng)
-        inst = glm.ProblemInstance(design, y, theta, POISSON, "rademacher")
+        inst = glm.ProblemInstance(design, y, theta, POISSON)
         assert glm.sigma_max(inst) <= math.exp(0.5) + 1e-12
 
     def test_upper_bound_helper(self):

@@ -32,13 +32,14 @@ TINY = {
     "matched": (COMMON, {"geometry.width_cone"}),
     "mismatched": (
         COMMON + "slack = 0.5\nmu_mode = theoretical\nt_grid = 0.3,0.6\n",
-        {"geometry.width_global", "geometry.width_localized", "bounds.optimize_t"},
+        {"geometry.width_global", "geometry.width_localized"},
     ),
 }
 
 EVERY_SWEEP = {
     "experiment.prepare_sweep",
     "experiment.trial",
+    "bounds.optimize_t",
     "geometry.proj_grad",
     "bounds.rsc",
     "bounds.bound",
