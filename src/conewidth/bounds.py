@@ -145,7 +145,7 @@ def sample_localized_directions(
     return out[:have].T
 
 
-def rsc_estimate(instance: glm.ProblemInstance, E: np.ndarray) -> RscEstimate:
+def rsc_estimate(instance: glm.Instance, E: np.ndarray) -> RscEstimate:
     """Probe restricted strong convexity over sampled unit directions.
 
     ``E`` is a (p, m) array whose columns are unit directions of the bound's

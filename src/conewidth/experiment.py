@@ -144,18 +144,20 @@ def sweep_truth(config: ExperimentConfig) -> tuple[np.ndarray, float]:
     return theta, float(np.sum(np.abs(theta))) + config.slack
 
 
-def make_instance(
-    config: ExperimentConfig, theta: np.ndarray, n: int, trial_index: int
-) -> glm.ProblemInstance:
-    """The seeded design and responses of one trial."""
-    family = config.glm_family()
-    design = glm.sample_design(
-        n, config.p, config.ensemble, stream(config.master_seed, "design", n, trial_index)
+def make_instance(config: ExperimentConfig, theta: np.ndarray, n: int, trial_index: int) -> glm.Instance:
+    """The seeded instance of one trial, from its design and responses streams.
+
+    :func:`glm.sample_instance` chooses its form: a gaussian trial with
+    n >= p is held by its sufficient statistics, every other by its design.
+    """
+    return glm.sample_instance(
+        n,
+        config.ensemble,
+        theta,
+        config.glm_family(),
+        stream(config.master_seed, "design", n, trial_index),
+        stream(config.master_seed, "responses", n, trial_index),
     )
-    responses = glm.sample_responses(
-        design, theta, family, stream(config.master_seed, "responses", n, trial_index)
-    )
-    return glm.ProblemInstance(design, responses, theta, family)
 
 
 @dataclass(frozen=True)
@@ -261,7 +263,7 @@ def prepare_sweep(config: ExperimentConfig) -> SweepContext:
     return replace(ctx, directions=directions)
 
 
-def solve(config: ExperimentConfig, instance: glm.ProblemInstance, c: float) -> solver.SolveReport:
+def solve(config: ExperimentConfig, instance: glm.Instance, c: float) -> solver.SolveReport:
     """Run the configured solver with its fixed iteration cap and tolerances."""
     if config.solver == "frank_wolfe":
         return solver.frank_wolfe(instance, c)
@@ -357,7 +359,7 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int, ctx: SweepCont
     )
 
 
-def probe_rsc(ctx: SweepContext, instance: glm.ProblemInstance, n: int) -> bounds.RscEstimate:
+def probe_rsc(ctx: SweepContext, instance: glm.Instance, n: int) -> bounds.RscEstimate:
     """Restricted-convexity probe of one trial over the directions its bound uses.
 
     The directions are the sweep's set at t*(n), drawn by

@@ -12,6 +12,14 @@ design.  Its gradient at the true parameter is ``-(1/n) A^T (y - b'(A theta))``,
 which is the identity the bound calculators depend on; everything downstream
 (solvers, restricted-convexity probes, bound evaluation) goes through the
 functions in this module.
+
+A trial's instance comes in one of two forms, and only this module tells
+them apart.  :class:`ProblemInstance` holds the design and the responses.
+:class:`GramInstance` holds the sufficient statistics of a gaussian trial
+with n >= p, whose loss depends on the data only through ``A^T A / n`` and
+``A^T y / n``; :func:`sample_instance` picks the form.  The solvers work on
+an affine *predictor* of theta (:func:`predictor`): ``A theta`` for a
+design, ``G (theta - theta*)`` for a Gram instance.
 """
 
 from __future__ import annotations
@@ -123,6 +131,34 @@ class ProblemInstance:
         return self.design.shape[1]
 
 
+@dataclass(frozen=True)
+class GramInstance:
+    """A gaussian regression problem held by its sufficient statistics.
+
+    With the residual ``w = y - A theta*`` at the truth, it keeps
+    ``gram = A^T A / n``, ``shift = A^T w / n`` and ``loss_at_truth =
+    f_n(theta*)``.  In ``d = theta - theta*`` the gaussian loss is then
+    ``f_n(theta) = f_n(theta*) - <shift, d> + d^T gram d / 2``, with gradient
+    ``gram d - shift``.  Centred on the truth, the gradient there is exactly 0
+    at zero noise, as on the design, and the loss near the optimum avoids the
+    cancellation of ``theta^T G theta / 2 - <A^T y / n, theta>``.
+    """
+
+    gram: np.ndarray
+    shift: np.ndarray
+    loss_at_truth: float
+    theta_true: np.ndarray
+    family: GlmFamily
+    n: int
+
+    @property
+    def p(self) -> int:
+        return self.theta_true.shape[0]
+
+
+Instance = ProblemInstance | GramInstance
+
+
 def sample_design(n: int, p: int, ensemble: str, rng: np.random.Generator) -> np.ndarray:
     """Draw an n-by-p design with i.i.d. standard gaussian or Rademacher entries."""
     if n < 1 or p < 1:
@@ -155,56 +191,125 @@ def sample_responses(
     return rng.poisson(np.exp(eta)).astype(float)
 
 
-def _check_theta(instance: ProblemInstance, theta: np.ndarray) -> np.ndarray:
+def sample_instance(
+    n: int,
+    ensemble: str,
+    theta_true: np.ndarray,
+    family: GlmFamily,
+    design_rng: np.random.Generator,
+    responses_rng: np.random.Generator,
+) -> Instance:
+    """One trial's instance: its design from ``design_rng``, its responses from ``responses_rng``.
+
+    A gaussian family at n >= p gets a :class:`GramInstance`.  Its statistics
+    are summed over the row blocks of :func:`geometry.blocks`, each drawn by
+    :func:`sample_design` and :func:`sample_responses` on the two generators,
+    so the whole design never exists.  Both generators fill in order, so the
+    blocks hold the rows and the noise of one draw.  Every other trial gets
+    its :class:`ProblemInstance`.
+    """
+    theta_true = np.asarray(theta_true, dtype=float)
+    p = theta_true.shape[0]
+    if family.tag != "gaussian" or n < p:
+        design = sample_design(n, p, ensemble, design_rng)
+        return ProblemInstance(design, sample_responses(design, theta_true, family, responses_rng), theta_true, family)
+    gram = np.zeros((p, p))
+    shift = np.zeros(p)
+    loss_sum = 0.0
+    for rows in blocks(n, p):
+        design = sample_design(rows.stop - rows.start, p, ensemble, design_rng)
+        responses = sample_responses(design, theta_true, family, responses_rng)
+        eta = design @ theta_true
+        gram += design.T @ design
+        shift += (responses - eta) @ design
+        loss_sum += float(np.sum(_cumulant(family, eta) - responses * eta))
+    return GramInstance(gram / n, shift / n, loss_sum / n, theta_true, family, n)
+
+
+def _check_theta(instance: Instance, theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (instance.p,):
         raise ValueError(f"theta must have shape ({instance.p},), got {theta.shape}")
     return theta
 
 
-def loss_at_predictor(instance: ProblemInstance, eta: np.ndarray) -> float:
-    """Empirical loss ``(1/n) sum_i [b(eta_i) - y_i eta_i]`` given ``eta = A theta``."""
+def predictor(instance: Instance, theta: np.ndarray) -> np.ndarray:
+    """The affine predictor of theta that the loss and the gradient are taken from.
+
+    It is ``A theta`` on a design and ``G (theta - theta*)`` on a Gram
+    instance.  Being affine, the predictor of ``theta + beta (theta -
+    theta')`` is the same combination of the predictors of theta and theta'.
+    """
+    theta = _check_theta(instance, theta)
+    if isinstance(instance, GramInstance):
+        return instance.gram @ (theta - instance.theta_true)
+    return instance.design @ theta
+
+
+def loss_at_predictor(instance: Instance, theta: np.ndarray, eta: np.ndarray) -> float:
+    """Empirical loss at theta given its predictor ``eta``.
+
+    On a design that is ``(1/n) sum_i [b(eta_i) - y_i eta_i]``, which needs
+    eta alone; on a Gram instance it is the quadratic in ``theta - theta*``.
+    """
+    if isinstance(instance, GramInstance):
+        d = theta - instance.theta_true
+        return float(instance.loss_at_truth - instance.shift @ d + 0.5 * (d @ eta))
     b = _cumulant(instance.family, np.asarray(eta, dtype=float))
     return float(np.mean(b - instance.responses * eta))
 
 
-def gradient_at_predictor(instance: ProblemInstance, eta: np.ndarray) -> np.ndarray:
-    """Gradient ``(1/n) A^T (b'(eta) - y)`` given ``eta = A theta``."""
+def gradient_at_predictor(instance: Instance, eta: np.ndarray) -> np.ndarray:
+    """Gradient given the predictor ``eta``: ``(1/n) A^T (b'(eta) - y)``, or
+    ``eta - shift`` on a Gram instance."""
+    if isinstance(instance, GramInstance):
+        return eta - instance.shift
     b1 = _cumulant_d1(instance.family, np.asarray(eta, dtype=float))
     return instance.design.T @ (b1 - instance.responses) / instance.n
 
 
-def loss(instance: ProblemInstance, theta: np.ndarray) -> float:
+def loss(instance: Instance, theta: np.ndarray) -> float:
     """Empirical loss ``(1/n) sum_i [b(eta_i) - y_i eta_i]``."""
-    return loss_at_predictor(instance, instance.design @ _check_theta(instance, theta))
+    return loss_at_predictor(instance, theta, predictor(instance, theta))
 
 
-def gradient(instance: ProblemInstance, theta: np.ndarray) -> np.ndarray:
+def gradient(instance: Instance, theta: np.ndarray) -> np.ndarray:
     """Gradient ``(1/n) A^T (b'(A theta) - y)``."""
-    return gradient_at_predictor(instance, instance.design @ _check_theta(instance, theta))
+    return gradient_at_predictor(instance, predictor(instance, theta))
 
 
-def hessian_quadratic_form(instance: ProblemInstance, theta: np.ndarray, v: np.ndarray) -> float:
+def hessian_quadratic_form(instance: Instance, theta: np.ndarray, v: np.ndarray) -> float:
     """Quadratic form ``v^T Hess f_n(theta) v = (1/n) sum_i b''(eta_i) <a_i, v>^2``."""
     theta = _check_theta(instance, theta)
     v = _check_theta(instance, v)
+    if isinstance(instance, GramInstance):
+        return float(v @ (instance.gram @ v))
     b2 = _cumulant_d2(instance.family, instance.design @ theta)
     av = instance.design @ v
     return float(np.mean(b2 * av**2))
 
 
-def secant_form_batch(instance: ProblemInstance, base: np.ndarray, directions: np.ndarray) -> np.ndarray:
+def secant_form_batch(instance: Instance, base: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """Per-column secant form ``<grad f(base + e_j) - grad f(base), e_j> / ||e_j||^2``.
 
     The columns go through in blocks (:func:`geometry.blocks`), so each n x m
-    temporary holds about one block.  A poisson predictor above
+    temporary (p x m on a Gram instance, where the form is ``e^T G e`` at
+    every base) holds about one block.  A poisson predictor above
     ``POISSON_ETA_CAP`` raises with the largest predictor of the first block
     that has one.
     """
     base = _check_theta(instance, base)
+    out = np.empty(directions.shape[1])
+    if isinstance(instance, GramInstance):
+        for cols in blocks(directions.shape[1], instance.p):
+            E = directions[:, cols]
+            ge = instance.gram @ E
+            ge *= E
+            sq = np.sum(E**2, axis=0)
+            out[cols] = np.sum(ge, axis=0) / np.where(sq > 0, sq, 1.0)
+        return out
     eta0 = instance.design @ base
     b1_base = _cumulant_d1(instance.family, eta0)[:, None]
-    out = np.empty(directions.shape[1])
     for cols in blocks(directions.shape[1], instance.n):
         E = directions[:, cols]
         ae = instance.design @ E
@@ -216,7 +321,7 @@ def secant_form_batch(instance: ProblemInstance, base: np.ndarray, directions: n
     return out
 
 
-def sigma_max(instance: ProblemInstance) -> float:
+def sigma_max(instance: Instance) -> float:
     """Largest response standard deviation ``max_i sqrt(var y_i)``.
 
     Computed from the model, never estimated from the drawn sample: the

@@ -39,7 +39,7 @@ class SolveReport:
     converged: bool
 
 
-def default_gap_tol(instance: glm.ProblemInstance) -> float:
+def default_gap_tol(instance: glm.Instance) -> float:
     """Default certificate tolerance: an absolute 1e-6 on the duality gap.
 
     It does not depend on ``instance``.  The loss at the origin is the
@@ -51,7 +51,7 @@ def default_gap_tol(instance: glm.ProblemInstance) -> float:
 
 
 def frank_wolfe(
-    instance: glm.ProblemInstance,
+    instance: glm.Instance,
     c: float,
     max_iter: int = MAX_ITER,
     gap_tol: float | None = None,
@@ -109,7 +109,7 @@ def frank_wolfe(
 
 
 def projected_gradient(
-    instance: glm.ProblemInstance,
+    instance: glm.Instance,
     c: float,
     max_iter: int = MAX_ITER,
     tol: float = 1e-10,
@@ -125,19 +125,21 @@ def projected_gradient(
     most ``gap_tol`` (default :func:`default_gap_tol`, an absolute 1e-6), or
     when an accepted step is below ``tol`` relative to ``||theta||``.
 
-    Predictors ``A theta`` are cached per accepted iterate and the
-    extrapolated predictor is the same combination of cached ones, so a
-    candidate costs one design matvec for its loss; gradients are taken
-    from cached predictors.  The report's ``final_gap`` is the gap at the
-    final iterate, from the gradient the loop already holds there.
+    Predictors (:func:`glm.predictor`, ``A theta`` on a design) are cached
+    per accepted iterate and the extrapolated predictor is the same
+    combination of cached ones, so a candidate costs one predictor product
+    for its loss (an n x p matvec on a design, p x p on a Gram instance);
+    gradients are taken from cached predictors.  The report's ``final_gap``
+    is the gap at the final iterate, from the gradient the loop already
+    holds there.
     """
     if c <= 0:
         raise ValueError("c must be > 0")
     if gap_tol is None:
         gap_tol = default_gap_tol(instance)
     theta = np.zeros(instance.p)
-    eta = np.zeros(instance.n)  # instance.design @ theta
-    value = glm.loss_at_predictor(instance, eta)
+    eta = glm.predictor(instance, theta)
+    value = glm.loss_at_predictor(instance, theta, eta)
     grad = glm.gradient_at_predictor(instance, eta)
     theta_prev, eta_prev = theta, eta
     momentum = 1.0
@@ -157,7 +159,7 @@ def projected_gradient(
             z = theta + beta * (theta - theta_prev)
             eta_z = eta + beta * (eta - eta_prev)
             try:
-                z_value = glm.loss_at_predictor(instance, eta_z)
+                z_value = glm.loss_at_predictor(instance, z, eta_z)
                 z_grad = glm.gradient_at_predictor(instance, eta_z)
             except ValueError:  # extrapolated poisson predictor past its cap
                 z_value = np.inf
@@ -184,13 +186,13 @@ def _backtrack(instance, c, point, value, grad, step, k):
     """Projected-gradient step from ``point``, halving ``step`` until the
     proximal sufficient-decrease condition holds.
 
-    Returns ``(candidate, design @ candidate, loss, step)``.
+    Returns ``(candidate, its predictor, loss, step)``.
     """
     while True:
         candidate = project_l1_ball(point - step * grad, c)
-        cand_eta = instance.design @ candidate
+        cand_eta = glm.predictor(instance, candidate)
         try:
-            cand_value = glm.loss_at_predictor(instance, cand_eta)
+            cand_value = glm.loss_at_predictor(instance, candidate, cand_eta)
         except ValueError:
             cand_value = np.inf
         diff = candidate - point

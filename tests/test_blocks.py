@@ -6,7 +6,7 @@ p = 20 spans many blocks, each kernel must equal its single-draw form in
 ``tests/oracles.py`` bit for bit at sample counts of one block minus one,
 exactly one block, one block plus one (which joins the block before it) and
 several blocks.  At the shipped budget, the traced peak of each kernel must
-not grow with its sample count.
+not grow with its sample count, nor that of a gaussian trial with its n.
 """
 
 import tracemalloc
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conewidth import bounds, geometry, glm
+from conewidth import bounds, experiment, geometry, glm
 
 P = 20
 ROWS = 64  # rows of length P per block under the small budget
@@ -178,3 +178,15 @@ class TestBoundedMemory:
         instance = glm.ProblemInstance(design, glm.sample_responses(design, self.theta, family, rng), self.theta, family)
         E = bounds.sample_cone_directions(geometry.descent_cone(self.theta), 800, rng)
         assert traced_peak(lambda: glm.secant_form_batch(instance, self.theta, E)) < CAP_BYTES
+
+    @pytest.mark.parametrize("n", (4096, 40_960))
+    def test_gaussian_trial(self, n):
+        # a 40,960 x 200 design alone would take 62.5 MiB
+        config = experiment.ExperimentConfig(p=200, s=5, slack=2.5, noise_scale=0.5, n_grid=(n,), master_seed=7)
+        theta, c = experiment.sweep_truth(config)
+
+        def trial():
+            instance = experiment.make_instance(config, theta, n, 0)
+            assert experiment.solve(config, instance, c).converged
+
+        assert traced_peak(trial) < CAP_BYTES

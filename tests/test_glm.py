@@ -1,11 +1,11 @@
-"""GLM family oracles: cumulants, samplers, loss/gradient/Hessian."""
+"""GLM family oracles: cumulants, samplers, loss/gradient/Hessian, and the Gram form of gaussian trials."""
 
 import math
 
 import numpy as np
 import pytest
 
-from conewidth import glm
+from conewidth import geometry, glm
 from conewidth.rng import stream
 
 from oracles import cumulant_eval, fd_gradient, fd_hessian_quadratic_form, hessian_quadratic_form_batch
@@ -57,7 +57,7 @@ class TestCumulant:
         eta = np.array([31.0, 0.0])
         E = np.array([[31.0], [0.0]])
         for call in (
-            lambda: glm.loss_at_predictor(inst, eta),
+            lambda: glm.loss_at_predictor(inst, theta, eta),
             lambda: glm.gradient_at_predictor(inst, eta),
             lambda: glm.loss(inst, theta),
             lambda: glm.gradient(inst, theta),
@@ -295,3 +295,72 @@ class TestHessianWeightLowerBound:
         for family in (LOGISTIC, POISSON):
             _, _, b2 = cumulant_eval(family, etas)
             assert glm.hessian_weight_lower_bound(family, c) == pytest.approx(np.min(b2), rel=1e-6)
+
+
+GRAM_P = 20
+GRAM_ROWS = 32  # rows of length GRAM_P per block under the small budget
+
+
+def gram_twin(n, ensemble, noise_scale=0.5, seed=21):
+    """One draw, twice: the sampled instance, and the design instance of the same streams drawn at once."""
+    theta = np.zeros(GRAM_P)
+    theta[[2, 9, 15]] = (1.0, -0.5, 0.25)
+    family = glm.GlmFamily("gaussian", noise_scale)
+    sampled = glm.sample_instance(n, ensemble, theta, family, stream(seed, "d", n), stream(seed, "r", n))
+    design = glm.sample_design(n, GRAM_P, ensemble, stream(seed, "d", n))
+    responses = glm.sample_responses(design, theta, family, stream(seed, "r", n))
+    return sampled, glm.ProblemInstance(design, responses, theta, family)
+
+
+def assert_close(a, b, rtol=1e-12):
+    assert np.linalg.norm(np.subtract(a, b)) <= rtol * np.linalg.norm(b)
+
+
+class TestGramInstance:
+    """A gaussian trial with n >= p is held by ``A^T A / n`` and its shift; its
+    oracles agree with the design instance of the same draw."""
+
+    @pytest.fixture(autouse=True)
+    def small_budget(self, monkeypatch):
+        monkeypatch.setattr(geometry, "BLOCK_ELEMENTS", GRAM_P * GRAM_ROWS)
+
+    @pytest.mark.parametrize("ensemble", glm.ENSEMBLES)
+    @pytest.mark.parametrize("n", (GRAM_P, 2 * GRAM_P + 5, 7 * GRAM_ROWS + 9))
+    def test_oracles_match_the_design(self, ensemble, n):
+        gram, design = gram_twin(n, ensemble)
+        assert isinstance(gram, glm.GramInstance) and (gram.n, gram.p) == (n, GRAM_P)
+        rng = np.random.default_rng(n)
+        E = rng.normal(size=(GRAM_P, 3 * GRAM_ROWS + 5))
+        for _ in range(5):
+            theta = rng.normal(size=GRAM_P)
+            assert_close(glm.loss(gram, theta), glm.loss(design, theta))
+            assert_close(glm.gradient(gram, theta), glm.gradient(design, theta))
+            assert_close(glm.secant_form_batch(gram, theta, E), glm.secant_form_batch(design, theta, E))
+            v = rng.normal(size=GRAM_P)
+            assert_close(glm.hessian_quadratic_form(gram, theta, v), glm.hessian_quadratic_form(design, theta, v))
+
+    @pytest.mark.parametrize("ensemble", glm.ENSEMBLES)
+    def test_gradient_at_truth_is_zero_without_noise(self, ensemble):
+        gram, _ = gram_twin(7 * GRAM_ROWS + 9, ensemble, noise_scale=0.0)
+        assert np.all(glm.gradient(gram, gram.theta_true) == 0.0)
+
+    @pytest.mark.parametrize("ensemble", glm.ENSEMBLES)
+    @pytest.mark.parametrize("n", (1, 31, 33, 64, 65, 7 * GRAM_ROWS + 9))
+    def test_blocked_draws_equal_one_draw(self, ensemble, n):
+        theta = np.linspace(-1.0, 1.0, GRAM_P)
+        d_rng, r_rng = stream(22, "d"), stream(22, "r")
+        rows = [glm.sample_design(b.stop - b.start, GRAM_P, ensemble, d_rng) for b in geometry.blocks(n, GRAM_P)]
+        noise = [glm.sample_responses(A, theta, GAUSSIAN, r_rng) - A @ theta for A in rows]
+        design = glm.sample_design(n, GRAM_P, ensemble, stream(22, "d"))
+        responses = glm.sample_responses(design, theta, GAUSSIAN, stream(22, "r"))
+        assert np.array_equal(np.vstack(rows), design)
+        assert np.array_equal(np.concatenate(noise), responses - design @ theta)
+
+    def test_other_trials_keep_their_design(self):
+        theta = np.zeros(GRAM_P)
+        theta[0] = 0.5
+        for n, family in ((GRAM_P - 1, GAUSSIAN), (4 * GRAM_P, LOGISTIC), (4 * GRAM_P, POISSON)):
+            inst = glm.sample_instance(n, "rademacher", theta, family, stream(23, "d"), stream(23, "r"))
+            design = glm.sample_design(n, GRAM_P, "rademacher", stream(23, "d"))
+            assert isinstance(inst, glm.ProblemInstance) and np.array_equal(inst.design, design)
+            assert np.array_equal(inst.responses, glm.sample_responses(design, theta, family, stream(23, "r")))

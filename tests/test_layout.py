@@ -9,6 +9,9 @@ an attribute, an import, or a string equal to the name (``TrialRecord``'s
 bound properties are read by ``getattr`` over the CSV column names).
 ``__init__.py`` holds only the package docstring and version; a re-export
 there must not count, or every exported helper would pass.
+
+A second check keeps the form of a trial's data inside ``glm.py``: no other
+module reads an instance's ``.design``.
 """
 
 import ast
@@ -64,3 +67,16 @@ def test_every_definition_in_src_is_used_in_src():
     assert unused - ALLOWED_UNUSED == set(), "used only outside src/ (move to tests/ or delete)"
     # an entry goes once src/ uses the name, so the allowlist cannot go stale
     assert ALLOWED_UNUSED <= unused, "allowlisted but now used in src/"
+
+
+def test_only_glm_reads_a_design():
+    # the solvers and the probe take every oracle from glm, so they run
+    # unchanged on a design instance and on a Gram instance
+    readers = {
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "glm.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "design"
+    }
+    assert readers == set()
