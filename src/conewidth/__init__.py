@@ -1,6 +1,6 @@
 """Constrained M-estimation over l1 balls with width-based error bounds.
 
-Subpackages by responsibility: :mod:`conewidth.glm` (families and oracles),
+Modules by responsibility: :mod:`conewidth.glm` (families and oracles),
 :mod:`conewidth.geometry` (cones, projections, width estimators),
 :mod:`conewidth.solver` (Frank-Wolfe and projected gradient),
 :mod:`conewidth.bounds` (restricted-convexity probes and bound formulas),

@@ -66,7 +66,7 @@ def _parse_pair(line: str, source: str) -> tuple[str, str]:
 
 def load_config(path: str, overrides=()) -> ExperimentConfig:
     """Parse a flat key=value config file and apply overrides, then validate."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     values: dict = {}
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -115,7 +115,12 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 
 def _cmd_width(config: ExperimentConfig, out_path: str | None) -> None:
-    rows = [(kind, t, w.mean, w.stderr, w.samples) for kind, t, w in prepare_sweep(config).width_rows]
+    """The sweep's widths: the cone row at t = 0, else a localized row per t, then the global row."""
+    ctx = prepare_sweep(config)
+    estimates = [("cone" if t == 0.0 else "localized", t, w) for t, w in ctx.widths.items()]
+    if ctx.global_width is not None:
+        estimates.append(("global", math.nan, ctx.global_width))
+    rows = [(kind, t, w.mean, w.stderr, w.samples) for kind, t, w in estimates]
     _write_output(render_csv(("kind", "t", "width_mean", "width_stderr", "samples"), rows), out_path)
 
 

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from . import bounds, geometry, glm, solver
-from .geometry import ConeModel, FeasibleSet
+from .geometry import ConeModel, FeasibleSet, WidthEstimate
 from .rng import seed_fingerprint, stream
 
 THREADS_ENV_VAR = "CONEWIDTH_THREADS"
@@ -96,8 +96,8 @@ class ExperimentConfig:
             raise ConfigError("slack", "must be finite and >= 0 (0 = matched, > 0 = mismatched)")
         if self.slack == 0.0 and self.s < 1:
             raise ConfigError("s", "a matched constraint (slack = 0) needs a nonzero ground truth (s >= 1)")
-        if self.slack > 0.0 and not self.t_grid:
-            raise ConfigError("t_grid", "required by a mismatched constraint (slack > 0)")
+        if bool(self.t_grid) != (self.slack > 0.0):
+            raise ConfigError("t_grid", "required by a mismatched constraint (slack > 0), unused by a matched one")
         if not 0.0 <= self.noise_scale < math.inf:
             raise ConfigError("noise_scale", "must be finite and >= 0")
         if not self.n_grid:
@@ -164,11 +164,10 @@ def make_instance(config: ExperimentConfig, theta: np.ndarray, n: int, trial_ind
 class SweepContext:
     """Per-sweep quantities shared by all trials (derived from config only).
 
-    Each grid n carries its localization radius ``tuned_by_n[n].t_star``.
-    A matched sweep is the ``t = 0`` case of a mismatched one: its bound's
-    set is the descent cone, and every t* is 0.  ``width_rows`` lists the
-    ``(kind, t, estimate)`` rows of the ``width`` subcommand.
-    ``directions[t]`` is the RSC probe's (p, m) direction set at each
+    ``widths`` maps each radius t to its width: ``{0: cone width}`` when
+    matched, else the localized width at every ``t_grid`` value, and then
+    ``global_width`` is set too.  Grid n has radius ``tuned_by_n[n].t_star``,
+    and ``directions[t]`` is the RSC probe's (p, m) direction set at each
     distinct t*, shared by every trial at that radius.
     """
 
@@ -178,8 +177,9 @@ class SweepContext:
     cone: ConeModel | None
     mu_theoretical: float
     tuned_by_n: dict
-    width_rows: tuple
-    directions: dict = field(default_factory=dict)
+    widths: dict
+    global_width: WidthEstimate | None
+    directions: dict
 
     def proj_grad_norm(self, g: np.ndarray, t: float) -> float:
         """``sup <g, u>`` over unit directions u of the bound's set at radius t.
@@ -191,12 +191,6 @@ class SweepContext:
             return geometry.project_onto_descent_cone(self.cone, g)[1]
         return float(geometry._sup_localized_dual_rows(g[None, :], self.fset, t)[0] / t)
 
-    def sample_directions(self, t: float, num: int, rng: np.random.Generator) -> np.ndarray:
-        """Unit directions of the bound's set at radius t, as (p, num) columns."""
-        if t == 0.0:
-            return bounds.sample_cone_directions(self.cone, num, rng)
-        return bounds.sample_localized_directions(self.fset, t, num, rng)
-
 
 # The theoretical curvature is (1 - RSC_EPSILON) times the family's Hessian
 # weight bound over the constraint ball.
@@ -207,11 +201,13 @@ def prepare_sweep(config: ExperimentConfig) -> SweepContext:
     """Ground truth, constraint, widths, the radius t*(n) of every grid n,
     and the RSC probe's directions at each distinct t*.
 
-    The constraint is matched exactly when ``slack == 0``: theta* lies on
-    the sphere of the l1 ball, whose tangent cone there is the descent
-    cone.  :func:`bounds.optimize_t` picks every t*(n) among the candidate
-    radii: 0 in a matched sweep, else the grid values below the feasible
-    set's outer radius (for larger t the set ``F \\ tB`` is empty).
+    The constraint chooses only the widths.  A matched one (``slack == 0``)
+    puts theta* on the sphere of the l1 ball, whose tangent cone there is
+    the descent cone: its one radius is t = 0, with the cone width.  A
+    mismatched one has the localized width at every ``t_grid[i]``, on stream
+    ``("width", i)``, and the global width.  The rest is one path:
+    :func:`bounds.optimize_t` picks every t*(n) among the radii below the
+    feasible set's outer radius (for larger t the set ``F \\ tB`` is empty).
 
     The directions are drawn once per radius, independently of every
     design: the cone set from stream ``("rsc", "cone")``, the localized set
@@ -222,45 +218,38 @@ def prepare_sweep(config: ExperimentConfig) -> SweepContext:
     family = config.glm_family()
     fset = FeasibleSet(theta, c)
     mu_theory = (1.0 - RSC_EPSILON) * glm.hessian_weight_lower_bound(family, c)
+    seed, samples = config.master_seed, config.mc_samples
     if config.slack == 0.0:
         cone = geometry.descent_cone(theta)
-        width = geometry.gaussian_width_cone(
-            cone, config.mc_samples, stream(config.master_seed, "width", "cone")
-        )
-        candidates, global_width = {0.0: width}, math.nan
-        width_rows = (("cone", 0.0, width),)
+        widths = {0.0: geometry.gaussian_width_cone(cone, samples, stream(seed, "width", "cone"))}
+        global_width = None
     else:
         cone = None
-        width_global = geometry.global_width_l1(
-            fset, config.mc_samples, stream(config.master_seed, "width", "global")
-        )
-        width_by_t = {
-            float(t): geometry.localized_width(
-                fset, float(t), config.mc_samples, stream(config.master_seed, "width", i)
-            )
+        global_width = geometry.global_width_l1(fset, samples, stream(seed, "width", "global"))
+        widths = {
+            float(t): geometry.localized_width(fset, float(t), samples, stream(seed, "width", i))
             for i, t in enumerate(config.t_grid)
         }
-        candidates = {t: w for t, w in width_by_t.items() if t < fset.outer_radius}
-        if not candidates:
-            raise ConfigError(
-                "t_grid", f"needs an entry below the feasible set's outer radius {fset.outer_radius:.6g}"
-            )
-        global_width = width_global.mean
-        width_rows = (
-            *(("localized", t, w) for t, w in width_by_t.items()),
-            ("global", math.nan, width_global),
+    candidates = {t: w for t, w in widths.items() if t < fset.outer_radius}
+    if not candidates:
+        raise ConfigError(
+            "t_grid", f"needs an entry below the feasible set's outer radius {fset.outer_radius:.6g}"
         )
     sigma_ref = glm.sigma_max_upper_bound(family, c)
+    global_mean = math.nan if global_width is None else global_width.mean
     tuned_by_n = {
-        int(n): bounds.optimize_t(candidates, global_width, sigma_ref, mu_theory, int(n))
+        int(n): bounds.optimize_t(candidates, global_mean, sigma_ref, mu_theory, int(n))
         for n in config.n_grid
     }
-    ctx = SweepContext(theta, c, fset, cone, mu_theory, tuned_by_n, width_rows)
     directions = {}
     for t in {tuned.t_star for tuned in tuned_by_n.values()}:
-        rng = stream(config.master_seed, "rsc", config.t_grid.index(t) if t > 0.0 else "cone")
-        directions[t] = ctx.sample_directions(t, config.rsc_directions, rng)
-    return replace(ctx, directions=directions)
+        if t == 0.0:
+            rng = stream(seed, "rsc", "cone")
+            directions[t] = bounds.sample_cone_directions(cone, config.rsc_directions, rng)
+        else:
+            rng = stream(seed, "rsc", config.t_grid.index(t))
+            directions[t] = bounds.sample_localized_directions(fset, t, config.rsc_directions, rng)
+    return SweepContext(theta, c, fset, cone, mu_theory, tuned_by_n, widths, global_width, directions)
 
 
 def solve(config: ExperimentConfig, instance: glm.Instance, c: float) -> solver.SolveReport:

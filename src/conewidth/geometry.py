@@ -126,7 +126,7 @@ class WidthEstimate:
 
 @dataclass(frozen=True, eq=False)
 class ConeModel:
-    """Descent cone of the l1 norm at a sparse boundary point.
+    """Descent cone of the l1 norm at a nonzero point, as built by :func:`descent_cone`.
 
     Membership: ``v in K  iff  sum_{i in S} sign_i v_i + sum_{i not in S} |v_i| <= 0``.
     """
@@ -134,28 +134,7 @@ class ConeModel:
     support: np.ndarray
     signs: np.ndarray
     ambient_dim: int
-    _off_support: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        support = np.asarray(self.support, dtype=int)
-        signs = np.asarray(self.signs, dtype=float)
-        p = int(self.ambient_dim)
-        if support.ndim != 1 or signs.shape != support.shape:
-            raise ValueError("support and signs must be 1-D arrays of equal length")
-        if support.size == 0:
-            raise ValueError("support must be nonempty")
-        ordered = np.sort(support)  # np.unique would import numpy.ma
-        if np.any(ordered[1:] == ordered[:-1]):
-            raise ValueError("support indices must be distinct")
-        if np.any(support < 0) or np.any(support >= p):
-            raise ValueError("support indices out of range")
-        if not np.all(np.abs(signs) == 1.0):
-            raise ValueError("signs must be +1 or -1")
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "signs", signs)
-        mask = np.ones(p, dtype=bool)
-        mask[support] = False
-        object.__setattr__(self, "_off_support", np.nonzero(mask)[0])
+    _off_support: np.ndarray = field(repr=False)
 
     def project_batch(self, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Project the rows of H onto the cone; returns (projections, norms)."""
@@ -170,12 +149,12 @@ class ConeModel:
 def descent_cone(theta_true: np.ndarray) -> ConeModel:
     """Descent cone of the l1 norm at theta_true (which must be nonzero)."""
     theta_true = np.asarray(theta_true, dtype=float)
-    support = np.nonzero(theta_true)[0]
+    support = np.flatnonzero(theta_true)
     if support.size == 0:
         raise ValueError(
             "descent cone at zero is the whole space; use the mismatched machinery instead"
         )
-    return ConeModel(support, np.sign(theta_true[support]), theta_true.size)
+    return ConeModel(support, np.sign(theta_true[support]), theta_true.size, np.flatnonzero(theta_true == 0))
 
 
 def _polar_tau_batch(cone: ConeModel, H: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ from conewidth.geometry import (
     ConvergenceError,
     WidthEstimate,
     _sup_localized_dual_rows,
+    descent_cone,
     lmo_l1_ball,
     project_onto_descent_cone,
 )
@@ -39,6 +40,13 @@ def cumulant_eval(family, eta):
     if np.ndim(eta) == 0:
         return tuple(float(v) for v in values)
     return values
+
+
+def cone_at_pattern(support, signs, p):
+    """The descent cone at the point of R^p with ``theta[support] = signs`` and zeros elsewhere."""
+    theta = np.zeros(p)
+    theta[np.asarray(support)] = signs
+    return descent_cone(theta)
 
 
 def cone_margin(cone, V):

@@ -14,11 +14,12 @@ import pytest
 
 from conewidth import bounds, cli, geometry, glm, solver
 from conewidth.experiment import RSC_EPSILON, ExperimentConfig, fit_loglog_slope, run_sweep
-from conewidth.geometry import ConeModel, FeasibleSet, descent_cone, gaussian_width_cone, localized_width
+from conewidth.geometry import FeasibleSet, descent_cone, gaussian_width_cone, localized_width
 from conewidth.rng import stream
 
 from oracles import (
     calibrate_c1,
+    cone_at_pattern,
     cumulant_eval,
     fd_gradient,
     grid_min_objective_l1,
@@ -79,7 +80,7 @@ def test_criterion_2_cone_geometry():
         s = int(rng.integers(1, p + 1))
         support = rng.choice(p, size=s, replace=False)
         signs = 2.0 * rng.integers(0, 2, size=s).astype(float) - 1.0
-        cone = ConeModel(support, signs, p)
+        cone = cone_at_pattern(support, signs, p)
         H = rng.normal(size=(100, p)) * rng.uniform(0.1, 5.0)
         proj, _ = cone.project_batch(H)
         polar = H - proj

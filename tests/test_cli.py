@@ -115,6 +115,12 @@ class TestLoadConfig:
         ):
             assert (load_config(str(path)).slack == 0.0) == matched, path
 
+    def test_byte_order_mark_ignored(self, tmp_path):
+        shipped = ROOT / "configs" / "matched.cfg"
+        marked = tmp_path / "marked.cfg"
+        marked.write_bytes(b"\xef\xbb\xbf" + shipped.read_bytes())
+        assert load_config(str(marked)) == load_config(str(shipped))
+
     def test_round_trip(self, matched_path, tmp_path):
         cfg = load_config(matched_path)
         rendered = tmp_path / "rendered.cfg"
@@ -171,6 +177,18 @@ class TestDispatch:
         for command in ("width", "rsc", "sweep"):
             assert main([command, "--config", mismatched_path, "t_grid=4,8"]) == 2
             assert "'t_grid'" in capsys.readouterr().err
+
+    def test_matched_t_grid_exits_two(self, matched_path, capsys):
+        # 5 lies beyond R_F; a matched sweep would ignore the key rather than use it
+        for command in ("width", "rsc", "sweep"):
+            assert main([command, "--config", matched_path, "t_grid=0.3,5"]) == 2
+            assert "config key 't_grid'" in capsys.readouterr().err
+
+    def test_invalid_thread_count_exits_one(self, matched_path, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CONEWIDTH_THREADS", "abc")
+        out = str(tmp_path / "a.csv")
+        assert main(["sweep", "--config", matched_path, "--out", out, "n_grid=20", "trials=1"]) == 1
+        assert "error: CONEWIDTH_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
 
     def test_width_mismatched_rows(self, mismatched_path, capsys):
         assert main(["width", "--config", mismatched_path]) == 0

@@ -15,7 +15,6 @@ from conewidth.experiment import (
     ConfigError,
     ExperimentConfig,
     SlopeFit,
-    SweepContext,
     fit_loglog_slope,
     make_instance,
     make_truth,
@@ -104,6 +103,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="t_grid"):
             cfg.validate()
 
+    def test_matched_rejects_t_grid(self):
+        # a matched sweep's one radius is t = 0, so a t_grid would go unused
+        cfg = ExperimentConfig(p=10, s=2, n_grid=(10,), trials=1, t_grid=(0.5,))
+        with pytest.raises(ConfigError) as err:
+            cfg.validate()
+        assert err.value.key == "t_grid"
+
     def test_n_grid_strictly_increasing(self):
         cfg = ExperimentConfig(p=10, s=2, n_grid=(10, 10), trials=1)
         with pytest.raises(ConfigError, match="n_grid"):
@@ -162,8 +168,8 @@ class TestSlopeFit:
 class TestPrepareSweep:
     def test_matched_is_t_zero(self):
         ctx = prepare_sweep(MATCHED_SMALL)
-        ((kind, t, width),) = ctx.width_rows
-        assert (kind, t) == ("cone", 0.0)
+        ((t, width),) = ctx.widths.items()
+        assert t == 0.0 and ctx.global_width is None
         for n in MATCHED_SMALL.n_grid:
             tuned = ctx.tuned_by_n[n]
             assert tuned.t_star == 0.0 and tuned.width_star == width
@@ -171,10 +177,8 @@ class TestPrepareSweep:
 
     def test_mismatched_width_rows(self):
         ctx = prepare_sweep(MISMATCHED_SMALL)
-        assert [(kind, t) for kind, t, _ in ctx.width_rows[:-1]] == [
-            ("localized", t) for t in MISMATCHED_SMALL.t_grid
-        ]
-        assert ctx.width_rows[-1][0] == "global" and math.isnan(ctx.width_rows[-1][1])
+        assert list(ctx.widths) == list(MISMATCHED_SMALL.t_grid)
+        assert ctx.global_width.samples == MISMATCHED_SMALL.mc_samples
         assert all(ctx.tuned_by_n[n].t_star > 0 for n in MISMATCHED_SMALL.n_grid)
 
     def test_t_star_stays_below_outer_radius(self):
@@ -184,8 +188,7 @@ class TestPrepareSweep:
         assert radius == pytest.approx(math.sqrt(4.25))
         assert not any(r.failed for r in res.records)
         assert all(0.0 < row.t_star < radius for row in res.rows)
-        kinds_and_t = [(kind, t) for kind, t, _ in res.context.width_rows]
-        assert kinds_and_t[:-1] == [("localized", t) for t in SMALL_OUTER_RADIUS.t_grid]
+        assert list(res.context.widths) == list(SMALL_OUTER_RADIUS.t_grid)
 
     def test_no_t_below_outer_radius_is_config_error(self):
         with pytest.raises(ConfigError) as err:
@@ -212,19 +215,6 @@ class TestRadiusDispatch:
             expected = geometry._sup_localized_dual_rows(g[None], ctx.fset, t)[0] / t
             assert ctx.proj_grad_norm(g, t) == expected
 
-    def test_directions_follow_t(self):
-        matched = prepare_sweep(MATCHED_SMALL)
-        assert np.array_equal(
-            matched.sample_directions(0.0, 150, stream(95, "d")),
-            bounds.sample_cone_directions(geometry.descent_cone(matched.theta), 150, stream(95, "d")),
-        )
-        mismatched = prepare_sweep(MISMATCHED_SMALL)
-        for t in (0.25, 2.0):
-            assert np.array_equal(
-                mismatched.sample_directions(t, 150, stream(96, "d")),
-                bounds.sample_localized_directions(mismatched.fset, t, 150, stream(96, "d")),
-            )
-
     def test_matched_bound_bit_for_bit(self):
         ctx = prepare_sweep(MATCHED_SMALL)
         for n in MATCHED_SMALL.n_grid:
@@ -240,13 +230,18 @@ class TestSharedDirections:
     @pytest.mark.parametrize("cfg", [MATCHED_SMALL, MISMATCHED_SMALL], ids=["matched", "mismatched"])
     def test_one_draw_per_distinct_t_star(self, cfg, monkeypatch):
         drawn = []
-        real = SweepContext.sample_directions
+        cone_sampler, localized_sampler = bounds.sample_cone_directions, bounds.sample_localized_directions
 
-        def counting(self, t, num, rng):
+        def counting_cone(cone, num, rng):
+            drawn.append(0.0)
+            return cone_sampler(cone, num, rng)
+
+        def counting_localized(fset, t, num, rng):
             drawn.append(t)
-            return real(self, t, num, rng)
+            return localized_sampler(fset, t, num, rng)
 
-        monkeypatch.setattr(SweepContext, "sample_directions", counting)
+        monkeypatch.setattr(bounds, "sample_cone_directions", counting_cone)
+        monkeypatch.setattr(bounds, "sample_localized_directions", counting_localized)
         res = run_sweep(dataclasses.replace(cfg, trials=2))
         distinct = {tuned.t_star for tuned in res.context.tuned_by_n.values()}
         assert sorted(drawn) == sorted(distinct)

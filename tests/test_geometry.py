@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conewidth import geometry
 from conewidth.cli import load_config
 from conewidth.geometry import (
-    ConeModel,
     ConvergenceError,
     FeasibleSet,
     WidthEstimate,
@@ -27,6 +26,7 @@ from conewidth.experiment import sweep_truth
 from conewidth.rng import stream
 
 from oracles import (
+    cone_at_pattern,
     cone_margin,
     cone_projection_angle_oracle,
     cone_width_rejection_oracle,
@@ -51,7 +51,7 @@ def random_cone(rng, p=None):
     s = int(rng.integers(1, p + 1))
     support = rng.choice(p, size=s, replace=False)
     signs = 2.0 * rng.integers(0, 2, size=s).astype(float) - 1.0
-    return ConeModel(support, signs, p)
+    return cone_at_pattern(support, signs, p)
 
 
 class TestProjectL1Ball:
@@ -146,19 +146,24 @@ class TestDescentCone:
         assert cone.support.tolist() == [0]
         assert cone.signs.tolist() == [-1.0]
 
+    @settings(max_examples=200)
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(-10.0, 10.0)), min_size=1, max_size=20))
+    def test_pattern_of_theta(self, entries):
+        """Sorted support, its signs, and an off-support that holds every other index."""
+        theta = np.array(entries)
+        assume(np.any(theta != 0.0))
+        cone = descent_cone(theta)
+        assert np.array_equal(cone.support, np.flatnonzero(theta))
+        assert np.all(np.diff(cone.support) > 0)
+        assert np.array_equal(cone.signs, np.sign(theta[cone.support]))
+        assert np.all(np.abs(cone.signs) == 1.0)
+        assert np.all(theta[cone._off_support] == 0.0)
+        assert np.array_equal(np.sort(np.concatenate([cone.support, cone._off_support])), np.arange(theta.size))
+        assert cone.ambient_dim == theta.size
+
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="mismatched"):
             descent_cone(np.zeros(4))
-
-    def test_model_validation(self):
-        with pytest.raises(ValueError, match="distinct"):
-            ConeModel(np.array([0, 0]), np.array([1.0, 1.0]), 3)
-        with pytest.raises(ValueError, match="range"):
-            ConeModel(np.array([5]), np.array([1.0]), 3)
-        with pytest.raises(ValueError, match="signs"):
-            ConeModel(np.array([0]), np.array([0.5]), 3)
-        with pytest.raises(ValueError, match="nonempty"):
-            ConeModel(np.array([], dtype=int), np.array([]), 3)
 
 
 class TestConeProjection:
@@ -216,9 +221,13 @@ class TestConeProjection:
         s = data.draw(st.integers(1, p), label="s")
         support = np.array(data.draw(st.permutations(range(p)), label="order")[:s])
         signs = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=s, max_size=s), label="signs"))
-        cone = ConeModel(support, signs, p)
+        cone = cone_at_pattern(support, signs, p)
         h = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=p, max_size=p), label="h"))
         P = cone.project_batch(h[None, :])[0][0]
+        # checked in units of h's largest entry, an exact power-of-two rescaling:
+        # at h ~ 1e-285 the norm and the products below would underflow to 0
+        unit = 2.0 ** -np.frexp(np.max(np.abs(h)))[1]
+        h, P = h * unit, P * unit
         U = h - P
         scale = float(np.linalg.norm(h))
         tol = 1e-12 * scale
@@ -350,7 +359,7 @@ class TestPolarTauCount:
 
     def test_every_window_position(self):
         # one row per segment index: tau lands in segment k of a known sort
-        cone = ConeModel(np.array([0]), np.array([1.0]), 101)
+        cone = cone_at_pattern([0], [1.0], 101)
         a = np.linspace(10.0, 0.1, 100)
         rows = []
         for k in range(101):
@@ -377,7 +386,7 @@ class TestPolarTauCount:
         s = data.draw(st.integers(1, p), label="s")
         support = np.array(data.draw(st.permutations(range(p)), label="order")[:s])
         signs = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=s, max_size=s), label="signs"))
-        cone = ConeModel(support, signs, p)
+        cone = cone_at_pattern(support, signs, p)
         steps = data.draw(st.lists(st.integers(-6, 6), min_size=p, max_size=p), label="h")
         H = np.array(steps, dtype=float)[None, :] / 3.0
         scale = float(np.max(np.abs(H)))
