@@ -121,8 +121,6 @@ def sample_localized_directions(
     rounds end short; raises ``ValueError`` if fewer than
     ``max(2, num // 20)`` were accepted by then.
     """
-    if t <= 0:
-        raise ValueError("t must be > 0")
     p = fset.ambient_dim
     out = np.empty((num, p))
     have = 0
@@ -164,12 +162,6 @@ def mismatched_bound(t: float, sigma_max: float, localized_width1: float, mu: fl
     At t = 0 this is the matched bound ``2 sqrt(2 pi) sigma_max omega_1 / (mu sqrt(n))``
     bit for bit, since ``0.0 + x == x``.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if mu <= 0:
-        raise ValueError("mu must be > 0")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return t + BOUND_CONSTANT * sigma_max * localized_width1 / (mu * math.sqrt(n))
 
 
@@ -194,8 +186,6 @@ def optimize_t(
     is minimized at ``t* = sqrt(C global_width / sqrt(n))`` with value
     ``2 t*``, which decays like ``n^{-1/4}``; nan for a nan ``global_width``.
     """
-    if not widths or min(widths) < 0 or mu < 0 or n < 1:
-        raise ValueError("optimize_t needs candidate radii t >= 0, mu >= 0 and n >= 1")
     if mu > 0:
         t_star = min(widths, key=lambda t: mismatched_bound(t, sigma_max, widths[t].mean, mu, n))
         coef = BOUND_CONSTANT * sigma_max / mu

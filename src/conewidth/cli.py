@@ -178,8 +178,10 @@ def _cmd_slope(csv_path: str, out_path: str | None) -> None:
         header, *data = rows
         n_col, *cols = (header.index(name) for name in ("n", *names))
         ns = [int(parts[n_col]) for parts in data]
+        if any(n < 1 for n in ns):
+            raise ValueError(f"n must be >= 1, got {min(ns)}")
         series = [[float(parts[col]) for parts in data] for col in cols]
-    except (IndexError, ValueError) as exc:  # no header, a short row, or a non-numeric cell
+    except (IndexError, ValueError) as exc:  # no header, a short row, a non-numeric cell or an n < 1
         raise RuntimeError(f"{csv_path} is not an aggregate sweep CSV: {exc}") from exc
     out = []
     for name, values in zip(names, series):

@@ -128,8 +128,6 @@ class ExperimentConfig:
 
 def make_truth(p: int, s: int, magnitude: float, rng: np.random.Generator) -> np.ndarray:
     """s-sparse ground truth: s random coordinates set to +-magnitude."""
-    if not 0 <= s <= p:
-        raise ValueError("need 0 <= s <= p")
     theta = np.zeros(p)
     if s > 0:
         support = rng.choice(p, size=s, replace=False)
@@ -367,12 +365,12 @@ class SlopeFit:
 
 
 def fit_loglog_slope(points) -> SlopeFit:
-    """OLS fit of log(value) against log(n); half-width from residual variance."""
+    """OLS fit of log(value) against log(n); half-width from residual variance.
+
+    The points are at least 3, with positive n and values, as
+    :func:`fit_series` passes them.
+    """
     pts = [(float(n), float(v)) for n, v in points]
-    if len(pts) < 3:
-        raise ValueError("need at least 3 points for a slope fit")
-    if any(v <= 0 or n <= 0 for n, v in pts):
-        raise ValueError("slope fit requires positive n and values")
     x = np.log(np.array([n for n, _ in pts]))
     y = np.log(np.array([v for _, v in pts]))
     xbar = x.mean()
@@ -534,12 +532,13 @@ def _safe_trial(config: ExperimentConfig, n: int, trial_index: int, ctx: SweepCo
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Run all trials of a sweep, aggregate per n, and fit log-log slopes.
 
-    The pool gets at most one worker per trial: under fork,
+    The worker count is read before any work, so a bad ``CONEWIDTH_THREADS``
+    fails at once.  The pool gets at most one worker per trial: under fork,
     ``ProcessPoolExecutor`` starts all of its workers up front.
     """
-    ctx = prepare_sweep(config)
     tasks = [(int(n), j) for n in config.n_grid for j in range(config.trials)]
     workers = min(resolve_workers(), len(tasks))
+    ctx = prepare_sweep(config)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # serial runs skip its import cost
 

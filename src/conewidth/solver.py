@@ -63,8 +63,6 @@ def frank_wolfe(
     quadratic step, the other families start from the curvature-matched step
     and backtrack.  The report counts the steps taken, at most ``max_iter``.
     """
-    if c <= 0:
-        raise ValueError("c must be > 0")
     if gap_tol is None:
         gap_tol = default_gap_tol(instance)
     theta = np.zeros(instance.p)
@@ -133,8 +131,6 @@ def projected_gradient(
     is the gap at the final iterate, from the gradient the loop already
     holds there.
     """
-    if c <= 0:
-        raise ValueError("c must be > 0")
     if gap_tol is None:
         gap_tol = default_gap_tol(instance)
     theta = np.zeros(instance.p)

@@ -272,8 +272,13 @@ class TestDispatch:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "n,mean_error,bound\n40,0.1\n", "n,mean_error,bound\nforty,0.1,0.2\n"],
-        ids=["empty", "short_row", "non_numeric_n"],
+        [
+            "",
+            "n,mean_error,bound\n40,0.1\n",
+            "n,mean_error,bound\nforty,0.1,0.2\n",
+            "n,mean_error,bound\n0,0.4,0.8\n10,0.1,0.2\n20,0.05,0.1\n40,0.02,0.05\n",
+        ],
+        ids=["empty", "short_row", "non_numeric_n", "zero_n"],
     )
     def test_slope_rejects_malformed_csv(self, text, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -313,7 +318,7 @@ class TestDispatch:
         )
 
     def test_config_file_not_mutated(self, matched_path, tmp_path):
-        digest = hashlib.sha256(open(matched_path, "rb").read()).hexdigest()
+        digest = hashlib.sha256(Path(matched_path).read_bytes()).hexdigest()
         main(["width", "--config", matched_path])
         main(["sweep", "--config", matched_path, "--out", str(tmp_path / "x.csv")])
-        assert hashlib.sha256(open(matched_path, "rb").read()).hexdigest() == digest
+        assert hashlib.sha256(Path(matched_path).read_bytes()).hexdigest() == digest
