@@ -96,6 +96,18 @@ class ExperimentConfig:
             raise ConfigError("slack", "must be finite and >= 0 (0 = matched, > 0 = mismatched)")
         if self.slack == 0.0 and self.s < 1:
             raise ConfigError("s", "a matched constraint (slack = 0) needs a nonzero ground truth (s >= 1)")
+        # the truth has s entries of +-theta_magnitude, so its norms and F's
+        # outer radius (FeasibleSet.outer_radius) follow from the keys
+        magnitude = self.theta_magnitude if self.s > 0 else 0.0
+        l1 = self.s * magnitude
+        c = l1 + self.slack
+        outer = math.sqrt(self.s * magnitude * magnitude + c * c + 2.0 * c * magnitude)
+        if not (math.isfinite(c) and 0.0 < outer < math.inf):
+            raise ConfigError(
+                "theta_magnitude" if l1 >= self.slack else "slack",
+                f"gives ||theta*||_1 = {l1:.6g}, c = {c:.6g} and the feasible set's outer radius "
+                f"{outer:.6g}; each must be finite and the radius > 0",
+            )
         if bool(self.t_grid) != (self.slack > 0.0):
             raise ConfigError("t_grid", "required by a mismatched constraint (slack > 0), unused by a matched one")
         if not 0.0 <= self.noise_scale < math.inf:
@@ -187,7 +199,7 @@ class SweepContext:
         """
         if t == 0.0:
             return geometry.project_onto_descent_cone(self.cone, g)[1]
-        return float(geometry._sup_localized_dual_rows(g[None, :], self.fset, t)[0] / t)
+        return float(geometry._sup_localized_dual_rows(g[None, :], self.fset, (t,))[0, 0] / t)
 
 
 # The theoretical curvature is (1 - RSC_EPSILON) times the family's Hessian
@@ -202,8 +214,9 @@ def prepare_sweep(config: ExperimentConfig) -> SweepContext:
     The constraint chooses only the widths.  A matched one (``slack == 0``)
     puts theta* on the sphere of the l1 ball, whose tangent cone there is
     the descent cone: its one radius is t = 0, with the cone width.  A
-    mismatched one has the localized width at every ``t_grid[i]``, on stream
-    ``("width", i)``, and the global width.  The rest is one path:
+    mismatched one has the localized width at every ``t_grid`` radius, all
+    from one draw on stream ``("width", "localized")``, and the global
+    width.  The rest is one path:
     :func:`bounds.optimize_t` picks every t*(n) among the radii below the
     feasible set's outer radius (for larger t the set ``F \\ tB`` is empty).
 
@@ -224,10 +237,9 @@ def prepare_sweep(config: ExperimentConfig) -> SweepContext:
     else:
         cone = None
         global_width = geometry.global_width_l1(fset, samples, stream(seed, "width", "global"))
-        widths = {
-            float(t): geometry.localized_width(fset, float(t), samples, stream(seed, "width", i))
-            for i, t in enumerate(config.t_grid)
-        }
+        radii = [float(t) for t in config.t_grid]
+        localized = geometry.localized_width(fset, radii, samples, stream(seed, "width", "localized"))
+        widths = dict(zip(radii, localized))
     candidates = {t: w for t, w in widths.items() if t < fset.outer_radius}
     if not candidates:
         raise ConfigError(

@@ -63,15 +63,19 @@ def blocks(total: int, width: int) -> Iterator[slice]:
         start = stop
 
 
-def _gaussian_row_values(rows: int, p: int, rng: np.random.Generator, row_values) -> np.ndarray:
+def _gaussian_row_values(
+    rows: int, p: int, rng: np.random.Generator, row_values, shape: tuple = (), width: int = 0
+) -> np.ndarray:
     """``row_values(H)`` of ``rows`` standard gaussian rows of length p, drawn and evaluated block by block.
 
     ``Generator.standard_normal`` fills in C order, so the blocks hold the
     rows that one draw of the whole (rows, p) array would; ``row_values``
-    must compute each row's value from that row alone.
+    must compute each row's value, of the given shape, from that row alone.
+    Blocks are sized by ``max(p, width)`` values per row, so ``width``
+    budgets a kernel whose temporaries outgrow its rows.
     """
-    out = np.empty(rows)
-    for block in blocks(rows, p):
+    out = np.empty((rows,) + shape)
+    for block in blocks(rows, max(p, width)):
         out[block] = row_values(rng.standard_normal((block.stop - block.start, p)))
     return out
 
@@ -248,9 +252,9 @@ def gaussian_width_cone(cone, samples: int, rng: np.random.Generator) -> WidthEs
 
 
 def _sup_localized_dual_rows(
-    H: np.ndarray, fset: FeasibleSet, t: float, max_iter: int = 100
+    H: np.ndarray, fset: FeasibleSet, radii, max_iter: int = 100
 ) -> np.ndarray:
-    """Per row h of the 2-D H, ``sup {<h, v> : v in F, ||v|| <= t}`` by a root-find on the projection path.
+    """``sup {<h, v> : v in F, ||v|| <= t}`` for each row h of the 2-D H and each t in radii, as a (rows, radii) array.
 
     With multiplier ``1 / (2 s)`` on the squared-norm constraint, the inner
     maximizer over F is ``v(s) = P_F(s h)``: a soft threshold of
@@ -260,40 +264,46 @@ def _sup_localized_dual_rows(
     ``c sign(h_i) e_i - theta`` at ``i = argmax |h_i|``, which maximizes
     ``<h, v>`` over all of F, the supremum is ``c ||h||_inf - <h, theta>``.
 
-    Each step evaluates the sums it needs of v and of its slope on the
-    current linear piece without forming either (:class:`_OffSupportPath`),
-    and moves s to that piece's root of ``||v + delta dv/ds||^2 = t^2``.  A
-    step that leaves the bracket ``[lo, hi]`` (``lo = t / ||h||`` since P_F
-    is nonexpansive) is replaced by geometric bisection, or by doubling
-    while hi is unknown.  Every evaluation yields a dual value
+    Every other (row, radius) pair is one root-find, and all of them run
+    together: each row's path is sorted once (:class:`_OffSupportPath`) and
+    shared by its pairs.  Each step evaluates the sums it needs of v and of
+    its slope on the current linear piece without forming either, and moves
+    s to that piece's root of ``||v + delta dv/ds||^2 = t^2``.  A step that
+    leaves the bracket ``[lo, hi]`` (``lo = t / ||h||`` since P_F is
+    nonexpansive) is replaced by geometric bisection, or by doubling while
+    hi is unknown.  Every evaluation yields a dual value
     ``<h, v> - (||v||^2 - t^2) / (2 s)``, an upper bound, and a feasible
-    primal ``<h, v> min(1, t / ||v||)``.  A row stops when the two agree to
+    primal ``<h, v> min(1, t / ||v||)``.  A pair stops when the two agree to
     a relative 1e-12, or when its bracket is a few ulps wide (there rounding
     in v, not the choice of s, sets the residual); it returns its best dual
-    value.  Rows still open after ``max_iter`` steps raise
+    value.  Pairs still open after ``max_iter`` steps raise
     :class:`ConvergenceError`.
     """
     theta, c = fset.theta_true, fset.radius_c
+    radii = np.asarray(radii, dtype=float)
     rows = np.arange(H.shape[0])
     absH = np.abs(H)
     i_star = np.argmax(absH, axis=1)
     g0 = c * absH[rows, i_star] - H @ theta
     vertex_sq = theta @ theta - theta[i_star] ** 2 + (c - np.sign(H[rows, i_star]) * theta[i_star]) ** 2
-    out = np.where(vertex_sq <= t * t, g0, 0.0)
+    inside = vertex_sq[:, None] > radii * radii
+    out = np.where(inside, 0.0, g0[:, None])
     hnorm = np.linalg.norm(H, axis=1)
-    idx = np.flatnonzero((vertex_sq > t * t) & (hnorm > 0))
-    path = _OffSupportPath(H[idx], theta)
-    lo = t / hnorm[idx]
-    hi = np.full(idx.size, np.inf)
+    row, col = np.nonzero(inside & (hnorm[:, None] > 0))
+    path = _OffSupportPath(H, theta)
+    path.take(row)
+    t = radii[col]
+    lo = t / hnorm[row]
+    hi = np.full(row.size, np.inf)
     s = lo.copy()
-    dual = g0[idx]  # the multiplier-0 dual value
-    primal = np.zeros(idx.size)
+    dual = g0[row]  # the multiplier-0 dual value
+    primal = np.zeros(row.size)
     iterations = 0
-    while idx.size:
+    while row.size:
         if iterations == max_iter:
             raise ConvergenceError(
-                f"localized supremum not certified for {idx.size} rows within {max_iter} "
-                f"iterations at t = {t:.6g}"
+                f"localized supremum not certified for {row.size} (row, radius) pairs within {max_iter} "
+                f"iterations at t = {', '.join(f'{x:.6g}' for x in np.unique(t))}"
             )
         iterations += 1
         hv, r_sq, a, b = path.sums(s, c)
@@ -304,7 +314,7 @@ def _sup_localized_dual_rows(
         lo = np.where(below, s, lo)
         hi = np.where(below, hi, s)
         done = (dual - primal <= 1e-12 * primal) | (hi <= lo * (1.0 + 4.0 * np.finfo(float).eps))
-        out[idx[done]] = dual[done]
+        out[row[done], col[done]] = dual[done]
 
         with np.errstate(divide="ignore", invalid="ignore"):
             # root of a d^2 + 2 b d + resid nearest 0, in the stable form
@@ -312,8 +322,8 @@ def _sup_localized_dual_rows(
         fallback = np.where(np.isfinite(hi), np.sqrt(lo * hi), 2.0 * lo)
         s = np.where((s_next > lo) & (s_next < hi), s_next, fallback)
         keep = ~done
-        path.keep(keep)
-        idx, s, lo, hi, dual, primal = (x[keep] for x in (idx, s, lo, hi, dual, primal))
+        path.take(keep)
+        row, col, t, s, lo, hi, dual, primal = (x[keep] for x in (row, col, t, s, lo, hi, dual, primal))
     return out
 
 
@@ -326,8 +336,12 @@ class _OffSupportPath:
     sums ``E_j = sum_{i<j} (a_i - a_j)`` and ``D_j = sum_{i<j} (a_i - a_j)^2``
     (sums of nonnegative terms, so free of cancellation) give every
     off-support quantity a step needs in closed form; the support columns
-    are evaluated explicitly.  A step costs O(|S| sqrt(p)) per row instead
+    are evaluated explicitly.  A step costs O(|S| sqrt(p)) per point instead
     of a sort of all p coordinates.
+
+    :meth:`sums` evaluates one point s per entry of ``base`` and ``h_s``,
+    which start as one entry per row; :meth:`take` selects or repeats
+    entries, so that the radii of one row share its sorted path.
     """
 
     def __init__(self, H: np.ndarray, theta: np.ndarray) -> None:
@@ -353,23 +367,28 @@ class _OffSupportPath:
         self.a, self.E, self.D = a.ravel(), E.ravel(), D.ravel()
         self.base = np.arange(rows) * width
         self.m, self.block = m, block
-        self.ends = np.arange(block - 1, width, block)[None, :]
-        self.in_block = np.arange(block)
+        self.ends = np.arange(block - 1, width, block)[:, None]
+        self.in_block = np.arange(block)[:, None]
 
-    def keep(self, mask: np.ndarray) -> None:
-        self.h_s, self.base = self.h_s[mask], self.base[mask]
+    def take(self, index: np.ndarray) -> None:
+        self.h_s, self.base = self.h_s[index], self.base[index]
 
     def _count_below(self, cols: np.ndarray, b_over_s: np.ndarray, c_over_s: np.ndarray) -> np.ndarray:
-        """Per row, how many of the columns ``j < m`` in cols have ``g(s a_j) < c``."""
-        at = self.base[:, None] + cols
-        excess = b_over_s[:, :, None] - self.a[at]  # support x rows x columns
+        """Per entry, how many of the columns ``j < m`` in cols have ``g(s a_j) < c``.
+
+        cols is (columns, entries), or (columns, 1) when every entry searches
+        the same columns: the entries run along the innermost axis, which
+        keeps numpy's inner loops long.
+        """
+        at = cols + self.base
+        excess = b_over_s[:, None, :] - self.a[at]  # support x columns x entries
         np.maximum(excess, 0.0, out=excess)
         g = excess.sum(axis=0)
         g += self.E[at]
-        return ((g < c_over_s[:, None]) & (cols < self.m)).sum(axis=1)
+        return ((g < c_over_s) & (cols < self.m)).sum(axis=0)
 
     def sums(self, s: np.ndarray, c: float) -> tuple[np.ndarray, ...]:
-        """``<h, v>``, ``||v||^2``, ``||dv/ds||^2`` and ``<v, dv/ds>`` at each row's s."""
+        """``<h, v>``, ``||v||^2``, ``||dv/ds||^2`` and ``<v, dv/ds>`` at each entry's s."""
         h_s, base = self.h_s, self.base
         y_s = self.theta_s + s[:, None] * h_s
         b = np.abs(y_s)
@@ -379,7 +398,7 @@ class _OffSupportPath:
         # j: count whole blocks by their last column, then within the block.
         b_over_s, c_over_s = np.ascontiguousarray(b.T / s), c / s
         first = self.block * self._count_below(self.ends, b_over_s, c_over_s)
-        k = first + self._count_below(first[:, None] + self.in_block, b_over_s, c_over_s)
+        k = first + self._count_below(first + self.in_block, b_over_s, c_over_s)
         # On that piece the off-support part of g is s A1 - k lam, A1 the sum
         # of the k largest a, so lam is the support magnitudes' water level
         # with offset k and target s A1 - c (A1 = 0 when k = 0, so the
@@ -411,18 +430,34 @@ class _OffSupportPath:
         return hv, r_sq, dd, vd
 
 
-def localized_width(fset: FeasibleSet, t: float, samples: int, rng: np.random.Generator) -> WidthEstimate:
-    """Monte-Carlo estimate of ``E sup {<h, v> : v in F ∩ tB} / t``.
+def localized_width(fset: FeasibleSet, radii, samples: int, rng: np.random.Generator) -> list[WidthEstimate]:
+    """Monte-Carlo estimates of ``E sup {<h, v> : v in F ∩ tB} / t``, one per t in radii, from one draw.
+
+    Every radius sees the same gaussian rows, through one root-find per
+    block (:func:`_sup_localized_dual_rows`), so per sample
+    ``t -> sup {<h, v> : v in F ∩ tB}`` is nondecreasing and concave across
+    the radii, and differences between radii carry no sampling noise of
+    their own.  Blocks are sized by the root-find's largest temporary,
+    ``|S| x pairs x (isqrt(|Z|) + 1)`` values for S the support of
+    theta_true, Z its zeros and ``len(radii)`` pairs per row.
 
     For matched constraints and t no larger than the smallest nonzero entry
     of theta_true, the localized set coincides with the descent cone's
     t-ball section, so the estimate agrees with :func:`gaussian_width_cone`
     and is independent of t.
     """
+    radii = np.asarray(radii, dtype=float)
+    support = int(np.count_nonzero(fset.theta_true))
+    pair_values = radii.size * max(support, 1) * (math.isqrt(fset.ambient_dim - support) + 1)
     values = _gaussian_row_values(
-        samples, fset.ambient_dim, rng, lambda H: _sup_localized_dual_rows(H, fset, t) / t
+        samples,
+        fset.ambient_dim,
+        rng,
+        lambda H: _sup_localized_dual_rows(H, fset, radii) / radii,
+        radii.shape,
+        pair_values,
     )
-    return WidthEstimate.from_samples(values)
+    return [WidthEstimate.from_samples(column) for column in values.T]
 
 
 def global_width_l1(fset: FeasibleSet, samples: int, rng: np.random.Generator) -> WidthEstimate:

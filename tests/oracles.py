@@ -462,9 +462,10 @@ def single_draw_width_global(fset, samples, rng):
     return WidthEstimate.from_samples(fset.radius_c * np.max(np.abs(H), axis=1) - H @ fset.theta_true)
 
 
-def single_draw_width_localized(fset, t, samples, rng):
+def single_draw_width_localized(fset, radii, samples, rng):
     H = rng.standard_normal((samples, fset.ambient_dim))
-    return WidthEstimate.from_samples(_sup_localized_dual_rows(H, fset, t) / t)
+    values = _sup_localized_dual_rows(H, fset, radii) / np.asarray(radii)
+    return [WidthEstimate.from_samples(column) for column in values.T]
 
 
 def single_draw_cone_directions(cone, num, rng, max_rounds=bounds.CONE_SAMPLE_MAX_ROUNDS):

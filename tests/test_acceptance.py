@@ -145,8 +145,8 @@ def test_criterion_3_width_estimators():
     theta = np.zeros(20)
     theta[:3] = 4.0
     fset = FeasibleSet(theta, float(np.sum(np.abs(theta))))
-    w_half = localized_width(fset, 0.5, samples, stream(103, "t", 1))
-    w_two = localized_width(fset, 2.0, samples, stream(103, "t", 2))
+    w_half = localized_width(fset, [0.5], samples, stream(103, "t", 1))[0]
+    w_two = localized_width(fset, [2.0], samples, stream(103, "t", 2))[0]
     homog_ok = abs(w_half.mean - w_two.mean) <= 3 * math.hypot(w_half.stderr, w_two.stderr)
 
     ok = line_ok and full_ok and sparse_ok and homog_ok

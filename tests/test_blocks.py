@@ -27,6 +27,11 @@ THETA = np.zeros(P)
 THETA[[3, 11]] = (0.5, -0.5)
 CONE = geometry.descent_cone(THETA)
 FSET = geometry.FeasibleSet(THETA, 1.5)
+# Localized radii, the last two at and past FSET's outer radius 2.06.  The
+# root-find's largest temporary holds 4 radii x |S| 2 x (isqrt(18) + 1) = 40
+# values per row, which sizes its blocks.
+RADII = (T, 0.9, FSET.outer_radius, 2.5)
+PAIR_VALUES = 40
 
 
 @pytest.fixture
@@ -76,9 +81,20 @@ class TestSingleDrawIdentity:
         assert blocked == oracles.single_draw_width_global(FSET, samples, np.random.default_rng(samples))
 
     @pytest.mark.parametrize("samples", counts(ROWS))
-    def test_localized_width(self, small_budget, samples):
-        blocked = geometry.localized_width(FSET, T, samples, np.random.default_rng(samples))
-        assert blocked == oracles.single_draw_width_localized(FSET, T, samples, np.random.default_rng(samples))
+    def test_localized_width(self, small_budget, monkeypatch, samples):
+        # ROWS rows per block at the root-find's count; sized by P, blocks would be twice as long
+        monkeypatch.setattr(geometry, "BLOCK_ELEMENTS", PAIR_VALUES * ROWS)
+        block_rows = []
+        kernel = geometry._sup_localized_dual_rows
+
+        def recording_kernel(H, *args):
+            block_rows.append(H.shape[0])
+            return kernel(H, *args)
+
+        monkeypatch.setattr(geometry, "_sup_localized_dual_rows", recording_kernel)
+        blocked = geometry.localized_width(FSET, RADII, samples, np.random.default_rng(samples))
+        assert max(block_rows) < ROWS + geometry.BLOCK_ALIGN
+        assert blocked == oracles.single_draw_width_localized(FSET, RADII, samples, np.random.default_rng(samples))
 
     @pytest.mark.parametrize("samples", counts(ROWS))
     def test_row_values_per_row(self, small_budget, samples):
@@ -169,7 +185,13 @@ class TestBoundedMemory:
 
     def test_localized_width(self):
         fset = geometry.FeasibleSet(self.theta, 7.5)
-        assert traced_peak(lambda: geometry.localized_width(fset, 0.64, 1_500, np.random.default_rng(0))) < CAP_BYTES
+        assert traced_peak(lambda: geometry.localized_width(fset, [0.64], 1_500, np.random.default_rng(0))) < CAP_BYTES
+
+    def test_localized_width_shipped_radii(self):
+        # the shipped mismatched geometry's size: 1,500 samples at 12 radii
+        fset = geometry.FeasibleSet(self.theta, 7.5)
+        t_grid = (0.25, 0.34, 0.47, 0.64, 0.88, 1.21, 1.66, 2.27, 3.11, 4.26, 5.84, 8.0)
+        assert traced_peak(lambda: geometry.localized_width(fset, t_grid, 1_500, np.random.default_rng(0))) < CAP_BYTES
 
     def test_secant_form(self):
         rng = np.random.default_rng(0)

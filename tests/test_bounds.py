@@ -235,7 +235,7 @@ class TestOptimizeT:
         coef = BOUND_CONSTANT * sigma / mu
         t_cf = math.sqrt(coef * wg.mean / math.sqrt(n))
         widths = {
-            t: geometry.localized_width(fset, t, 3000, stream(78, t)) for t in (0.25 * t_cf, t_cf, 4 * t_cf)
+            t: geometry.localized_width(fset, [t], 3000, stream(78, t))[0] for t in (0.25 * t_cf, t_cf, 4 * t_cf)
         }
         tuned = bounds.optimize_t(widths, wg.mean, sigma, mu, n)
         mc_allowance = 3 * (BOUND_CONSTANT * sigma / (mu * math.sqrt(n))) * (

@@ -160,6 +160,13 @@ class TestDispatch:
             assert main(["sweep", "--config", mismatched_path, override]) == 2
             assert f"config key '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("magnitude", ("1e308", "1e-320"))
+    def test_theta_magnitude_out_of_float_range_exits_two(self, magnitude, capsys):
+        # with s = 5, ||theta*||_1 overflows at 1e308; at 1e-320 the outer radius underflows to 0
+        shipped = str(ROOT / "configs" / "matched.cfg")
+        assert main(["sweep", "--config", shipped, "trials=1", f"theta_magnitude={magnitude}"]) == 2
+        assert "config key 'theta_magnitude'" in capsys.readouterr().err
+
     def test_missing_config_file_exits_one(self, tmp_path):
         assert main(["width", "--config", str(tmp_path / "absent.cfg")]) == 1
 

@@ -1,6 +1,7 @@
 """Sweep orchestration: truth generation, trials, aggregation, CSV, slopes."""
 
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -218,7 +219,7 @@ class TestRadiusDispatch:
         rng = stream(94, "g")
         for t in MISMATCHED_SMALL.t_grid:
             g = rng.standard_normal(MISMATCHED_SMALL.p)
-            expected = geometry._sup_localized_dual_rows(g[None], ctx.fset, t)[0] / t
+            expected = geometry._sup_localized_dual_rows(g[None], ctx.fset, (t,))[0, 0] / t
             assert ctx.proj_grad_norm(g, t) == expected
 
     def test_matched_bound_bit_for_bit(self):
@@ -269,9 +270,14 @@ class TestSharedDirections:
 
     def test_trials_at_one_radius_probe_one_set(self):
         ctx = prepare_sweep(MISMATCHED_SMALL)
-        t = ctx.tuned_by_n[40].t_star
-        assert ctx.tuned_by_n[80].t_star == t
-        for n in (40, 80):
+        # two grid n that share a t*
+        pair = next(
+            (a, b) for a, b in itertools.combinations(ctx.tuned_by_n, 2)
+            if ctx.tuned_by_n[a].t_star == ctx.tuned_by_n[b].t_star
+        )
+        t = ctx.tuned_by_n[pair[0]].t_star
+        assert ctx.tuned_by_n[pair[1]].t_star == t
+        for n in pair:
             record = run_trial(MISMATCHED_SMALL, n, 0, ctx)
             instance = make_instance(MISMATCHED_SMALL, ctx.theta, n, 0)
             assert record.mu_hat == bounds.rsc_estimate(instance, ctx.directions[t]).mu_hat

@@ -46,6 +46,11 @@ SHIPPED_MATCHED = Path(__file__).resolve().parents[1] / "configs" / "matched.cfg
 SHIPPED_MISMATCHED = Path(__file__).resolve().parents[1] / "configs" / "mismatched.cfg"
 
 
+def sup_rows(H, fset, t, **kwargs):
+    """The localized root-find at the one radius t, per row of H."""
+    return geometry._sup_localized_dual_rows(H, fset, (t,), **kwargs)[:, 0]
+
+
 def random_cone(rng, p=None):
     p = p or int(rng.integers(2, 30))
     s = int(rng.integers(1, p + 1))
@@ -527,7 +532,7 @@ class TestSupLinearLocalized:
         fset = FeasibleSet(np.array([0.5, 0.0, -0.25, 0.0, 0.0]), 1.0)
         H = rng.normal(size=(10, 5))
         for t in (0.3, 1.1):
-            dual = geometry._sup_localized_dual_rows(H, fset, t)
+            dual = sup_rows(H, fset, t)
             pga = np.array([sup_linear_over_localized_set(h, fset, t) for h in H])
             assert np.max(np.abs(dual - pga)) < 1e-6
 
@@ -558,11 +563,11 @@ def shipped_mismatched():
 class TestLocalizedSupRootFind:
     def test_matches_golden_section_at_shipped_geometry(self, shipped_mismatched):
         config, fset = shipped_mismatched
-        for i, t in enumerate(config.t_grid):
-            # the first rows of the shipped width draws at this t
-            H = stream(config.master_seed, "width", i).standard_normal((100, config.p))
-            sups = geometry._sup_localized_dual_rows(H, fset, t)
-            np.testing.assert_allclose(sups, golden_section_sup_rows(H, fset, t), rtol=1e-10, atol=0)
+        # the first rows of the shipped width draw, at every radius
+        H = stream(config.master_seed, "width", "localized").standard_normal((100, config.p))
+        sups = geometry._sup_localized_dual_rows(H, fset, config.t_grid)
+        for j, t in enumerate(config.t_grid):
+            np.testing.assert_allclose(sups[:, j], golden_section_sup_rows(H, fset, t), rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize(
         "case",
@@ -587,7 +592,7 @@ class TestLocalizedSupRootFind:
             H = np.round(H)  # magnitudes 0, 1, 2, 3: ties on and off the support
         for frac in (0.02, 0.2, 0.5, 0.8, 0.97):
             t = frac * fset.outer_radius
-            sups = geometry._sup_localized_dual_rows(H, fset, t)
+            sups = sup_rows(H, fset, t)
             np.testing.assert_allclose(sups, golden_section_sup_rows(H, fset, t), rtol=1e-10, atol=0)
 
     def test_rows_at_their_vertex_radius_match_golden_section(self):
@@ -601,7 +606,7 @@ class TestLocalizedSupRootFind:
             radius = float(np.linalg.norm(vertex))
             for t in (radius, np.nextafter(radius, 0.0)):
                 np.testing.assert_allclose(
-                    geometry._sup_localized_dual_rows(h[None, :], fset, t), golden_section_sup_rows(h, fset, t), rtol=1e-10, atol=0
+                    sup_rows(h[None, :], fset, t), golden_section_sup_rows(h, fset, t), rtol=1e-10, atol=0
                 )
 
     def test_matched_equals_cone_section(self):
@@ -614,7 +619,7 @@ class TestLocalizedSupRootFind:
         H = rng.normal(size=(300, 30))
         _, cone_norms = descent_cone(theta).project_batch(H)
         for t in (0.05, 0.4, float(np.min(np.abs(theta[support])))):
-            sups = geometry._sup_localized_dual_rows(H, fset, t)
+            sups = sup_rows(H, fset, t)
             np.testing.assert_allclose(sups / t, cone_norms, rtol=1e-10, atol=1e-10)
 
     def test_vertex_radius_and_zero_rows(self):
@@ -628,27 +633,28 @@ class TestLocalizedSupRootFind:
             vertex = -fset.theta_true.copy()
             vertex[i] += 1.5 * np.sign(h[i])
             radius = float(np.linalg.norm(vertex))
-            assert geometry._sup_localized_dual_rows(h[None, :], fset, 2.0 * radius)[0] == g0[k]
-            at_radius = geometry._sup_localized_dual_rows(h[None, :], fset, radius)[0]
+            assert sup_rows(h[None, :], fset, 2.0 * radius)[0] == g0[k]
+            at_radius = sup_rows(h[None, :], fset, radius)[0]
             assert at_radius == pytest.approx(g0[k], rel=1e-12, abs=0)
-        assert np.array_equal(geometry._sup_localized_dual_rows(np.zeros((2, 5)), fset, 0.3), np.zeros(2))
-        assert geometry._sup_localized_dual_rows(H, fset, 0.3)[3] == 0.0
+        assert np.array_equal(sup_rows(np.zeros((2, 5)), fset, 0.3), np.zeros(2))
+        assert sup_rows(H, fset, 0.3)[3] == 0.0
 
     def test_collapsed_brackets_terminate_below_cap(self, shipped_mismatched):
-        """Some shipped rows at t = 5.84 have their root near s = 1.8e4, where
-        ||v(s)||^2 - t^2 stays near 1e-11 at neighbouring floats: a residual
-        stop never fires there, the certificate or the collapsed bracket must."""
+        """Some rows of this draw at t = 5.84 have their root near s = 1.8e4,
+        where ||v(s)||^2 - t^2 stays near 1e-11 at neighbouring floats: a
+        residual stop never fires there, the certificate or the collapsed
+        bracket must."""
         config, fset = shipped_mismatched
         i = config.t_grid.index(5.84)
         H = stream(config.master_seed, "width", i).standard_normal((config.mc_samples, config.p))
-        sups = geometry._sup_localized_dual_rows(H, fset, 5.84, max_iter=20)
+        sups = sup_rows(H, fset, 5.84, max_iter=20)
         np.testing.assert_allclose(sups, golden_section_sup_rows(H, fset, 5.84), rtol=1e-10, atol=0)
 
     def test_iteration_cap_raises(self, shipped_mismatched):
         config, fset = shipped_mismatched
         H = stream(config.master_seed, "width", 0).standard_normal((20, config.p))
         with pytest.raises(ConvergenceError, match="not certified"):
-            geometry._sup_localized_dual_rows(H, fset, config.t_grid[0], max_iter=1)
+            sup_rows(H, fset, config.t_grid[0], max_iter=1)
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(data=st.data())
@@ -661,7 +667,7 @@ class TestLocalizedSupRootFind:
         t = data.draw(st.floats(1e-3, 6.0), label="t")
         lam = data.draw(st.floats(1e-3, 1e3), label="lam")
         fset = FeasibleSet(theta, c)
-        value = geometry._sup_localized_dual_rows(h[None, :], fset, t)[0]
+        value = sup_rows(h[None, :], fset, t)[0]
         tol = 1e-10 * max(1.0, float(np.linalg.norm(h)) * t)
         # weak duality: every multiplier gives an upper bound
         v = project_feasible(fset, h / (2.0 * lam))
@@ -674,10 +680,55 @@ class TestLocalizedSupRootFind:
         assert value >= h @ w - tol
 
 
+class TestLocalizedSupAllRadii:
+    """One root-find over every (row, radius) pair, each row's sorted path shared by its radii."""
+
+    def test_pairs_match_one_radius_calls(self):
+        rng = np.random.default_rng(50)
+        theta = np.zeros(40)
+        theta[[2, 9, 17, 30]] = (0.8, -0.5, 0.3, -1.1)
+        fset = FeasibleSet(theta, 4.0)
+        H = rng.normal(size=(40, 40))
+        H[5] = 0.0
+        i_star = np.argmax(np.abs(H), axis=1)
+        vertices = np.tile(-theta, (H.shape[0], 1))
+        vertices[np.arange(H.shape[0]), i_star] += 4.0 * np.sign(H[np.arange(H.shape[0]), i_star])
+        vertex_radius = np.linalg.norm(vertices, axis=1)
+        # two rows exactly at their vertex radius, and radii at and past the outer radius
+        outer = fset.outer_radius
+        radii = sorted({0.05, 0.4, 1.5, 3.0, float(vertex_radius[0]), float(vertex_radius[1]), outer, 1.5 * outer})
+        assert np.any(vertex_radius[:, None] <= radii) and np.any(vertex_radius[:, None] > radii)
+        joint = geometry._sup_localized_dual_rows(H, fset, radii)
+        assert joint.shape == (H.shape[0], len(radii))
+        for j, t in enumerate(radii):
+            single = np.array([sup_rows(h[None, :], fset, t)[0] for h in H])
+            np.testing.assert_allclose(joint[:, j], single, rtol=1e-12, atol=0)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_nondecreasing_and_concave_in_radius(self, data):
+        """Per row, ``phi(r) = r omega_h(r)`` is a sup over the growing convex sets F ∩ rB."""
+        p = data.draw(st.integers(1, 8), label="p")
+        vec = st.lists(st.floats(-3.0, 3.0), min_size=p, max_size=p).map(np.array)
+        theta = data.draw(vec, label="theta")
+        H = np.array(data.draw(st.lists(vec, min_size=1, max_size=4), label="H"))
+        c = float(np.sum(np.abs(theta))) + data.draw(st.floats(0.0, 2.0), label="slack")
+        assume(c >= 1e-3)
+        radii = sorted(set(data.draw(st.lists(st.floats(1e-3, 8.0), min_size=3, max_size=8), label="radii")))
+        assume(len(radii) >= 3)
+        phi = geometry._sup_localized_dual_rows(H, FeasibleSet(theta, c), radii)
+        tol = 1e-10 * max(1.0, float(np.max(np.linalg.norm(H, axis=1))) * radii[-1])
+        assert np.all(np.diff(phi, axis=1) >= -tol)
+        r = np.array(radii)
+        # each middle value lies on or above the chord through its neighbours
+        chord = ((r[2:] - r[1:-1]) * phi[:, :-2] + (r[1:-1] - r[:-2]) * phi[:, 2:]) / (r[2:] - r[:-2])
+        assert np.all(phi[:, 1:-1] >= chord - tol)
+
+
 class TestLocalizedWidth:
     def test_interval_case(self):
         fset = FeasibleSet(np.array([0.0]), 1.0)
-        w = localized_width(fset, 0.5, 20_000, stream(36, "w"))
+        w = localized_width(fset, [0.5], 20_000, stream(36, "w"))[0]
         assert abs(w.mean - math.sqrt(2.0 / math.pi)) <= 3 * w.stderr
 
     def test_matched_cone_homogeneity(self):
@@ -685,8 +736,8 @@ class TestLocalizedWidth:
         theta = np.zeros(10)
         theta[:3] = 4.0
         fset = FeasibleSet(theta, float(np.sum(np.abs(theta))))
-        w_half = localized_width(fset, 0.5, 6000, stream(37, "a"))
-        w_two = localized_width(fset, 2.0, 6000, stream(37, "b"))
+        w_half = localized_width(fset, [0.5], 6000, stream(37, "a"))[0]
+        w_two = localized_width(fset, [2.0], 6000, stream(37, "b"))[0]
         assert abs(w_half.mean - w_two.mean) <= 3 * math.hypot(w_half.stderr, w_two.stderr)
         cone_w = gaussian_width_cone(descent_cone(theta), 6000, stream(37, "c"))
         assert abs(w_half.mean - cone_w.mean) <= 3 * math.hypot(w_half.stderr, cone_w.stderr)
@@ -694,7 +745,7 @@ class TestLocalizedWidth:
     def test_mismatched_p2_against_oracle_mc(self):
         fset = FeasibleSet(np.array([0.4, -0.3]), 1.2)
         t = 0.6
-        w = localized_width(fset, t, 4000, stream(38, "w"))
+        w = localized_width(fset, [t], 4000, stream(38, "w"))[0]
         rng = np.random.default_rng(39)
         values = np.array([sup_localized_p2_oracle(h, fset, t, angles=8_000) for h in rng.normal(size=(150, 2))]) / t
         om = float(np.mean(values))
@@ -703,7 +754,7 @@ class TestLocalizedWidth:
 
     def test_pga_method_agrees(self):
         fset = FeasibleSet(np.array([0.4, -0.3, 0.0]), 1.2)
-        w_dual = localized_width(fset, 0.7, 40, stream(40, "w"))
+        w_dual = localized_width(fset, [0.7], 40, stream(40, "w"))[0]
         H = stream(40, "w").standard_normal((40, 3))
         pga_mean = float(np.mean([sup_linear_over_localized_set(h, fset, 0.7) for h in H])) / 0.7
         assert w_dual.mean == pytest.approx(pga_mean, abs=1e-6)
@@ -729,5 +780,5 @@ class TestGlobalWidth:
         fset = FeasibleSet(np.array([0.4, -0.3, 0.1, 0.0]), 1.5)
         wg = global_width_l1(fset, 4000, stream(43, "w"))
         for t in (0.3, 0.8, 1.6):
-            wl = localized_width(fset, t, 4000, stream(43, t))
+            wl = localized_width(fset, [t], 4000, stream(43, t))[0]
             assert wg.mean >= wl.mean * t - 3 * math.hypot(wg.stderr, t * wl.stderr)
