@@ -157,11 +157,14 @@ def rsc_estimate(instance: glm.Instance, E: np.ndarray) -> RscEstimate:
 
 
 def mismatched_bound(t: float, sigma_max: float, localized_width1: float, mu: float, n: int) -> float:
-    """``t + 2 sqrt(2 pi) sigma_max omega_1(t) / (mu sqrt(n))``.
+    """``t + 2 sqrt(2 pi) sigma_max omega_1(t) / (mu sqrt(n))``, and inf unless mu > 0.
 
     At t = 0 this is the matched bound ``2 sqrt(2 pi) sigma_max omega_1 / (mu sqrt(n))``
-    bit for bit, since ``0.0 + x == x``.
+    bit for bit, since ``0.0 + x == x``.  The RSC chain bounds nothing
+    without positive curvature, so a mu that is 0, negative or nan gives inf.
     """
+    if not mu > 0:
+        return math.inf
     return t + BOUND_CONSTANT * sigma_max * localized_width1 / (mu * math.sqrt(n))
 
 
@@ -178,7 +181,7 @@ def optimize_t(
 
     ``widths`` maps each candidate t to its width estimate, ``{0: cone
     width}`` for a matched constraint.  The first of tied candidates wins,
-    so at ``mu = 0``, where every bound is infinite, the first one does.
+    so at ``mu <= 0``, where every bound is infinite, the first one does.
 
     Also reports the closed-form relaxation obtained by replacing the
     localized width with ``global_width / t``: the bound
@@ -186,10 +189,7 @@ def optimize_t(
     is minimized at ``t* = sqrt(C global_width / sqrt(n))`` with value
     ``2 t*``, which decays like ``n^{-1/4}``; nan for a nan ``global_width``.
     """
-    if mu > 0:
-        t_star = min(widths, key=lambda t: mismatched_bound(t, sigma_max, widths[t].mean, mu, n))
-        coef = BOUND_CONSTANT * sigma_max / mu
-    else:
-        t_star, coef = next(iter(widths)), math.inf
+    t_star = min(widths, key=lambda t: mismatched_bound(t, sigma_max, widths[t].mean, mu, n))
+    coef = BOUND_CONSTANT * sigma_max / mu if mu > 0 else math.inf
     t_cf = math.sqrt(coef * global_width / math.sqrt(n))
     return TunedBound(t_star, widths[t_star], 2.0 * t_cf)

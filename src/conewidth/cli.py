@@ -125,7 +125,7 @@ def _cmd_width(config: ExperimentConfig, out_path: str | None) -> None:
 
 
 def _cmd_solve(config: ExperimentConfig, out_path: str | None) -> None:
-    n = int(config.n_grid[0])
+    n = config.n_grid[0]
     theta, c = sweep_truth(config)
     instance = make_instance(config, theta, n, 0)
     report = solve(config, instance, c)
@@ -153,7 +153,7 @@ def _cmd_rsc(config: ExperimentConfig, out_path: str | None) -> None:
     ctx = prepare_sweep(config)
     rows = []
     for n in config.n_grid:
-        est = probe_rsc(ctx, make_instance(config, ctx.theta, n, 0), n)
+        est = probe_rsc(ctx, make_instance(config, ctx.fset.theta_true, n, 0), n)
         rows.append(
             (n, est.mu_hat, est.quantile_mu, ctx.mu_theoretical, est.directions_tested, RSC_EPSILON, 1)
         )

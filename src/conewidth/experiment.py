@@ -174,15 +174,14 @@ def make_instance(config: ExperimentConfig, theta: np.ndarray, n: int, trial_ind
 class SweepContext:
     """Per-sweep quantities shared by all trials (derived from config only).
 
-    ``widths`` maps each radius t to its width: ``{0: cone width}`` when
-    matched, else the localized width at every ``t_grid`` value, and then
-    ``global_width`` is set too.  Grid n has radius ``tuned_by_n[n].t_star``,
-    and ``directions[t]`` is the RSC probe's (p, m) direction set at each
-    distinct t*, shared by every trial at that radius.
+    ``fset`` holds theta* and the l1 radius c.  ``widths`` maps each radius
+    t to its width: ``{0: cone width}`` when matched, else the localized
+    width at every ``t_grid`` value, and then ``global_width`` is set too.
+    Grid n has radius ``tuned_by_n[n].t_star``, and ``directions[t]`` is
+    the RSC probe's (p, m) direction set at each distinct t*, shared by
+    every trial at that radius.
     """
 
-    theta: np.ndarray
-    c: float
     fset: FeasibleSet
     cone: ConeModel | None
     mu_theoretical: float
@@ -211,55 +210,49 @@ def prepare_sweep(config: ExperimentConfig) -> SweepContext:
     """Ground truth, constraint, widths, the radius t*(n) of every grid n,
     and the RSC probe's directions at each distinct t*.
 
-    The constraint chooses only the widths.  A matched one (``slack == 0``)
-    puts theta* on the sphere of the l1 ball, whose tangent cone there is
-    the descent cone: its one radius is t = 0, with the cone width.  A
-    mismatched one has the localized width at every ``t_grid`` radius, all
-    from one draw on stream ``("width", "localized")``, and the global
-    width.  The rest is one path:
+    A ``t_grid`` with no entry below the feasible set's outer radius is a
+    :class:`ConfigError`, raised before any Monte-Carlo draw.  Then the
+    constraint is branched on once.  A matched one (``slack == 0``) puts
+    theta* on the sphere of the l1 ball, whose tangent cone there is the
+    descent cone: its one radius is t = 0, with the cone width and the cone
+    directions from stream ``("rsc", "cone")``.  A mismatched one has the
+    localized width at every ``t_grid`` radius, all from one draw on stream
+    ``("width", "localized")``, and the global width.  The rest is one path:
     :func:`bounds.optimize_t` picks every t*(n) among the radii below the
-    feasible set's outer radius (for larger t the set ``F \\ tB`` is empty).
-
-    The directions are drawn once per radius, independently of every
-    design: the cone set from stream ``("rsc", "cone")``, the localized set
-    at ``t_grid[i]`` from ``("rsc", i)``.
+    outer radius (for larger t the set ``F \\ tB`` is empty), and a
+    localized set is drawn for each distinct t* > 0, at ``t_grid[i]`` from
+    stream ``("rsc", i)``.  No direction set depends on a design.
     """
     config.validate()
     theta, c = sweep_truth(config)
-    family = config.glm_family()
     fset = FeasibleSet(theta, c)
+    if min(config.t_grid, default=0.0) >= fset.outer_radius:
+        raise ConfigError(
+            "t_grid", f"needs an entry below the feasible set's outer radius {fset.outer_radius:.6g}"
+        )
+    family = config.glm_family()
     mu_theory = (1.0 - RSC_EPSILON) * glm.hessian_weight_lower_bound(family, c)
     seed, samples = config.master_seed, config.mc_samples
     if config.slack == 0.0:
         cone = geometry.descent_cone(theta)
         widths = {0.0: geometry.gaussian_width_cone(cone, samples, stream(seed, "width", "cone"))}
         global_width = None
+        rng = stream(seed, "rsc", "cone")
+        directions = {0.0: bounds.sample_cone_directions(cone, config.rsc_directions, rng)}
     else:
         cone = None
         global_width = geometry.global_width_l1(fset, samples, stream(seed, "width", "global"))
-        radii = [float(t) for t in config.t_grid]
-        localized = geometry.localized_width(fset, radii, samples, stream(seed, "width", "localized"))
-        widths = dict(zip(radii, localized))
+        localized = geometry.localized_width(fset, config.t_grid, samples, stream(seed, "width", "localized"))
+        widths = dict(zip(config.t_grid, localized))
+        directions = {}
     candidates = {t: w for t, w in widths.items() if t < fset.outer_radius}
-    if not candidates:
-        raise ConfigError(
-            "t_grid", f"needs an entry below the feasible set's outer radius {fset.outer_radius:.6g}"
-        )
     sigma_ref = glm.sigma_max_upper_bound(family, c)
     global_mean = math.nan if global_width is None else global_width.mean
-    tuned_by_n = {
-        int(n): bounds.optimize_t(candidates, global_mean, sigma_ref, mu_theory, int(n))
-        for n in config.n_grid
-    }
-    directions = {}
-    for t in {tuned.t_star for tuned in tuned_by_n.values()}:
-        if t == 0.0:
-            rng = stream(seed, "rsc", "cone")
-            directions[t] = bounds.sample_cone_directions(cone, config.rsc_directions, rng)
-        else:
-            rng = stream(seed, "rsc", config.t_grid.index(t))
-            directions[t] = bounds.sample_localized_directions(fset, t, config.rsc_directions, rng)
-    return SweepContext(theta, c, fset, cone, mu_theory, tuned_by_n, widths, global_width, directions)
+    tuned_by_n = {n: bounds.optimize_t(candidates, global_mean, sigma_ref, mu_theory, n) for n in config.n_grid}
+    for t in {tuned.t_star for tuned in tuned_by_n.values()} - directions.keys():
+        rng = stream(seed, "rsc", config.t_grid.index(t))
+        directions[t] = bounds.sample_localized_directions(fset, t, config.rsc_directions, rng)
+    return SweepContext(fset, cone, mu_theory, tuned_by_n, widths, global_width, directions)
 
 
 def solve(config: ExperimentConfig, instance: glm.Instance, c: float) -> solver.SolveReport:
@@ -311,17 +304,18 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int, ctx: SweepCont
     :func:`prepare_sweep` output of ``config``.
     """
     seed = seed_fingerprint(config.master_seed, "trial", n, trial_index)
-    instance = make_instance(config, ctx.theta, n, trial_index)
+    theta = ctx.fset.theta_true
+    instance = make_instance(config, theta, n, trial_index)
 
-    report = solve(config, instance, ctx.c)
+    report = solve(config, instance, ctx.fset.radius_c)
 
-    err = report.theta_hat - ctx.theta
+    err = report.theta_hat - theta
     error_l2 = float(np.linalg.norm(err))
     error_l1 = float(np.sum(np.abs(err)))
 
-    grad0 = glm.gradient(instance, ctx.theta)
+    grad0 = glm.gradient(instance, theta)
     grad_norm = float(np.linalg.norm(grad0))
-    tuned = ctx.tuned_by_n[int(n)]
+    tuned = ctx.tuned_by_n[n]
     t_star, width = tuned.t_star, tuned.width_star
     proj_norm = ctx.proj_grad_norm(-grad0, t_star)
     rsc = probe_rsc(ctx, instance, n)
@@ -329,11 +323,6 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int, ctx: SweepCont
     sigma_trial = glm.sigma_max(instance)
     mu_used = rsc.mu_hat if config.mu_mode == "empirical" else ctx.mu_theoretical
     discarded = rsc.mu_hat < 0.5 * ctx.mu_theoretical
-    if mu_used > 0:
-        # t* = 0 adds exactly nothing, so this is the matched bound bit for bit
-        bound = bounds.bound_report(t_star, width, mu_used, sigma_trial, n)
-    else:
-        bound = math.inf
 
     return TrialRecord(
         n=n,
@@ -341,7 +330,7 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int, ctx: SweepCont
         seed=seed,
         error_l2=error_l2,
         error_l1=error_l1,
-        bound=bound,
+        bound=bounds.bound_report(t_star, width, mu_used, sigma_trial, n),
         t_star=t_star,
         width_mean=width.mean,
         width_stderr=width.stderr,
@@ -366,7 +355,7 @@ def probe_rsc(ctx: SweepContext, instance: glm.Instance, n: int) -> bounds.RscEs
     sweeps, the localized set otherwise.  The CLI's ``rsc`` subcommand runs
     the same probe.
     """
-    return bounds.rsc_estimate(instance, ctx.directions[ctx.tuned_by_n[int(n)].t_star])
+    return bounds.rsc_estimate(instance, ctx.directions[ctx.tuned_by_n[n].t_star])
 
 
 @dataclass(frozen=True)
@@ -435,7 +424,6 @@ AGGREGATE_CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 @dataclass(frozen=True)
 class SweepResult:
-    config: ExperimentConfig
     context: SweepContext
     records: tuple[TrialRecord, ...]
     rows: tuple[SweepRow, ...]
@@ -548,7 +536,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     fails at once.  The pool gets at most one worker per trial: under fork,
     ``ProcessPoolExecutor`` starts all of its workers up front.
     """
-    tasks = [(int(n), j) for n in config.n_grid for j in range(config.trials)]
+    tasks = [(n, j) for n in config.n_grid for j in range(config.trials)]
     workers = min(resolve_workers(), len(tasks))
     ctx = prepare_sweep(config)
     if workers > 1:
@@ -563,7 +551,6 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 
     rows = []
     for n in config.n_grid:
-        n = int(n)
         group = [r for r in records if r.n == n]
         failed = [r for r in group if r.failed]
         if len(failed) > 0.2 * len(group):
@@ -578,7 +565,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     slope_error = fit_series(ns, [row.mean_error for row in rows])
     slope_bound = fit_series(ns, [row.bound for row in rows])
     slope_cf = fit_series(ns, [row.bound_closed_form for row in rows])
-    return SweepResult(config, ctx, tuple(records), tuple(rows), slope_error, slope_bound, slope_cf)
+    return SweepResult(ctx, tuple(records), tuple(rows), slope_error, slope_bound, slope_cf)
 
 
 def _aggregate_row(

@@ -213,6 +213,11 @@ class TestBoundFormulas:
         values = [bounds.mismatched_bound(0.2, 1.0, 2.0, 0.5, n) for n in (50, 100, 200, 400)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("t", (0.0, 0.5))
+    @pytest.mark.parametrize("mu", (0.0, -1e-300))
+    def test_no_positive_curvature_is_infinite(self, t, mu):
+        assert bounds.mismatched_bound(t, 1.0, 3.0, mu, 100) == math.inf
+
 
 class TestOptimizeT:
     def test_closed_form_example(self):

@@ -202,13 +202,29 @@ class TestPrepareSweep:
             prepare_sweep(dataclasses.replace(SMALL_OUTER_RADIUS, t_grid=(4.0, 8.0)))
         assert err.value.key == "t_grid"
 
+    def test_radius_check_comes_before_any_draw(self, monkeypatch):
+        def draw(*args):
+            raise AssertionError("a width or direction set was drawn before the t_grid check")
+
+        for module, name in (
+            (geometry, "gaussian_width_cone"),
+            (geometry, "global_width_l1"),
+            (geometry, "localized_width"),
+            (bounds, "sample_cone_directions"),
+            (bounds, "sample_localized_directions"),
+        ):
+            monkeypatch.setattr(module, name, draw)
+        with pytest.raises(ConfigError) as err:
+            prepare_sweep(dataclasses.replace(SMALL_OUTER_RADIUS, t_grid=(4.0, 8.0)))
+        assert err.value.key == "t_grid"
+
 
 class TestRadiusDispatch:
     """The t = 0 test of SweepContext: descent cone at t = 0, localized set at t > 0."""
 
     def test_proj_grad_norm_at_zero_is_cone_projection(self):
         ctx = prepare_sweep(MATCHED_SMALL)
-        cone = geometry.descent_cone(ctx.theta)
+        cone = geometry.descent_cone(ctx.fset.theta_true)
         rng = stream(93, "g")
         for _ in range(20):
             g = rng.standard_normal(MATCHED_SMALL.p)
@@ -258,7 +274,7 @@ class TestSharedDirections:
     def test_sets_come_from_their_streams(self):
         ctx = prepare_sweep(MATCHED_SMALL)
         num = MATCHED_SMALL.rsc_directions
-        cone = geometry.descent_cone(ctx.theta)
+        cone = geometry.descent_cone(ctx.fset.theta_true)
         expected = bounds.sample_cone_directions(cone, num, stream(MATCHED_SMALL.master_seed, "rsc", "cone"))
         assert np.array_equal(ctx.directions[0.0], expected)
         ctx = prepare_sweep(MISMATCHED_SMALL)
@@ -279,7 +295,7 @@ class TestSharedDirections:
         assert ctx.tuned_by_n[pair[1]].t_star == t
         for n in pair:
             record = run_trial(MISMATCHED_SMALL, n, 0, ctx)
-            instance = make_instance(MISMATCHED_SMALL, ctx.theta, n, 0)
+            instance = make_instance(MISMATCHED_SMALL, ctx.fset.theta_true, n, 0)
             assert record.mu_hat == bounds.rsc_estimate(instance, ctx.directions[t]).mu_hat
 
     def test_localized_sets_lie_in_the_bound_set(self):
@@ -287,8 +303,8 @@ class TestSharedDirections:
         for t, E in ctx.directions.items():
             assert E.shape == (MISMATCHED_SMALL.p, MISMATCHED_SMALL.rsc_directions)
             assert np.all(np.abs(np.linalg.norm(E, axis=0) - 1.0) <= 1e-12)
-            l1 = np.sum(np.abs(ctx.theta[:, None] + t * E), axis=0)
-            assert np.all(l1 <= ctx.c + 1e-12)
+            l1 = np.sum(np.abs(ctx.fset.theta_true[:, None] + t * E), axis=0)
+            assert np.all(l1 <= ctx.fset.radius_c + 1e-12)
 
 
 NUMPY_MA_PROBE = """\
