@@ -159,6 +159,10 @@ def make_instance(config: ExperimentConfig, theta: np.ndarray, n: int, trial_ind
 
     :func:`glm.sample_instance` chooses its form: a gaussian trial with
     n >= p is held by its sufficient statistics, every other by its design.
+    With a gaussian design and n > p the statistics are drawn from their
+    Wishart law on the design stream alone, and the responses stream goes
+    unused; a Rademacher design, or n = p, sums them over row blocks of the
+    two streams.
     """
     return glm.sample_instance(
         n,

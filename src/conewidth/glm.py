@@ -17,7 +17,9 @@ A trial's instance comes in one of two forms, and only this module tells
 them apart.  :class:`ProblemInstance` holds the design and the responses.
 :class:`GramInstance` holds the sufficient statistics of a gaussian trial
 with n >= p, whose loss depends on the data only through ``A^T A / n`` and
-``A^T y / n``; :func:`sample_instance` picks the form.  The solvers work on
+``A^T y / n``; :func:`sample_instance` picks the form, and for a gaussian
+design with n > p draws the statistics from their Wishart law without any
+design (:func:`sample_wishart_instance`).  The solvers work on
 an affine *predictor* of theta (:func:`predictor`): ``A theta`` for a
 design, ``G (theta - theta*)`` for a Gram instance.
 """
@@ -152,7 +154,10 @@ def sample_responses(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw responses from the family's conditional law at ``eta = A theta``."""
-    eta = design @ theta_true
+    return _responses_at(design @ theta_true, family, rng)
+
+
+def _responses_at(eta: np.ndarray, family: GlmFamily, rng: np.random.Generator) -> np.ndarray:
     if family.tag == "gaussian":
         return eta + family.noise_scale * rng.standard_normal(eta.shape[0])
     if family.tag == "logistic":
@@ -166,6 +171,31 @@ def sample_responses(
     return rng.poisson(np.exp(eta)).astype(float)
 
 
+def sample_wishart_instance(n: int, theta_true: np.ndarray, family: GlmFamily, rng: np.random.Generator) -> GramInstance:
+    """A gaussian trial on an n x p gaussian design, n > p, drawn by its sufficient statistics.
+
+    With the noise ``z = (y - A theta*) / sigma``, ``W = [A | z]^T [A | z]``
+    is ``Wishart_{p+1}(n, I)``.  Bartlett's decomposition draws it as
+    ``W = L L^T``: L is lower triangular with ``L_ii = sqrt(chi2_{n-i})`` for
+    i = 0..p and standard normals below the diagonal.  The draw order is
+    fixed: the p + 1 chi-squares first, then the normals of the strict lower
+    triangle row by row.  ``L @ L.T`` is one symmetric rank-k update, so W
+    is exactly symmetric.  Then ``gram = W[:p, :p] / n``, ``shift = sigma
+    W[:p, p] / n`` and ``f_n(theta*) = -theta*^T gram theta* / 2 - <theta*,
+    shift>``, all in O(p^2) draws whatever n.
+    """
+    p = theta_true.shape[0]
+    factor = np.zeros((p + 1, p + 1))
+    np.fill_diagonal(factor, np.sqrt(rng.chisquare(n - np.arange(p + 1))))
+    # a boolean mask fills in C order: the strict lower triangle row by row
+    factor[np.tri(p + 1, k=-1, dtype=bool)] = rng.standard_normal(p * (p + 1) // 2)
+    wishart = factor @ factor.T
+    gram = wishart[:p, :p] / n
+    shift = family.noise_scale * wishart[:p, p] / n
+    loss_at_truth = float(-0.5 * (theta_true @ gram @ theta_true) - theta_true @ shift)
+    return GramInstance(gram, shift, loss_at_truth, theta_true, family, n)
+
+
 def sample_instance(
     n: int,
     ensemble: str,
@@ -176,24 +206,29 @@ def sample_instance(
 ) -> Instance:
     """One trial's instance: its design from ``design_rng``, its responses from ``responses_rng``.
 
-    A gaussian family at n >= p gets a :class:`GramInstance`.  Its statistics
-    are summed over the row blocks of :func:`geometry.blocks`, each drawn by
-    :func:`sample_design` and :func:`sample_responses` on the two generators,
-    so the whole design never exists.  Both generators fill in order, so the
-    blocks hold the rows and the noise of one draw.  Every other trial gets
-    its :class:`ProblemInstance`.
+    A gaussian family at n >= p gets a :class:`GramInstance`.  With a
+    gaussian design and n > p it is drawn by :func:`sample_wishart_instance`
+    from ``design_rng`` alone, and ``responses_rng`` goes unused.  With a
+    Rademacher design, or at n = p (Bartlett's draw needs n >= p + 1), its
+    statistics are summed over the row blocks of :func:`geometry.blocks`,
+    each drawn as :func:`sample_design` and :func:`sample_responses` draw
+    them on the two generators, so the whole design never exists.  Both
+    generators fill in order, so the blocks hold the rows and the noise of
+    one draw.  Every other trial gets its :class:`ProblemInstance`.
     """
     p = theta_true.shape[0]
     if family.tag != "gaussian" or n < p:
         design = sample_design(n, p, ensemble, design_rng)
         return ProblemInstance(design, sample_responses(design, theta_true, family, responses_rng), theta_true, family)
+    if ensemble == "gaussian" and n > p:
+        return sample_wishart_instance(n, theta_true, family, design_rng)
     gram = np.zeros((p, p))
     shift = np.zeros(p)
     loss_sum = 0.0
     for rows in blocks(n, p):
         design = sample_design(rows.stop - rows.start, p, ensemble, design_rng)
-        responses = sample_responses(design, theta_true, family, responses_rng)
         eta = design @ theta_true
+        responses = _responses_at(eta, family, responses_rng)
         gram += design.T @ design
         shift += (responses - eta) @ design
         loss_sum += float(np.sum(_cumulant(family, eta) - responses * eta))

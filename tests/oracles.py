@@ -6,8 +6,10 @@ enumeration, projected ascent, golden-section search) so that agreement is
 meaningful.  It also holds the helpers that only tests use (membership
 margins, the cumulant triple, the duality gap at an arbitrary point, the c1
 calibration of acceptance criterion 9), which the package does not carry,
-and the single-draw forms of the library's blocked Monte-Carlo kernels,
-which draw and evaluate every row or column in one array.
+the single-draw forms of the library's blocked Monte-Carlo kernels,
+which draw and evaluate every row or column in one array, and the row-block
+Gram instance of a gaussian design, whose law the library's Wishart draw
+reproduces.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from conewidth.geometry import (
     ConvergenceError,
     WidthEstimate,
     _sup_localized_dual_rows,
+    blocks,
     descent_cone,
     lmo_l1_ball,
     project_onto_descent_cone,
@@ -508,6 +511,29 @@ def single_call_secant_form(instance, base, directions):
     sq = np.sum(directions**2, axis=0)
     sq = np.where(sq > 0, sq, 1.0)
     return np.mean((b1_shift - b1_base[:, None]) * ae, axis=0) / sq
+
+
+def row_block_gram_instance(n, ensemble, theta_true, family, design_rng, responses_rng):
+    """A gaussian trial's Gram instance summed over the row blocks of its design.
+
+    The rows and the noise come from the two generators in order, so the sums
+    are those of the design and responses that ``glm.sample_design`` and
+    ``glm.sample_responses`` would draw at once on the same streams.  For a
+    gaussian design with n > p, the library draws the same statistics from
+    their Wishart law instead; this construction is the oracle for that law.
+    """
+    p = theta_true.shape[0]
+    gram = np.zeros((p, p))
+    shift = np.zeros(p)
+    loss_sum = 0.0
+    for rows in blocks(n, p):
+        design = glm.sample_design(rows.stop - rows.start, p, ensemble, design_rng)
+        responses = glm.sample_responses(design, theta_true, family, responses_rng)
+        eta = design @ theta_true
+        gram += design.T @ design
+        shift += (responses - eta) @ design
+        loss_sum += float(np.sum(0.5 * eta**2 - responses * eta))
+    return glm.GramInstance(gram / n, shift / n, loss_sum / n, theta_true, family, n)
 
 
 def sample_size_threshold(width1, epsilon, alpha, c1):

@@ -8,7 +8,13 @@ import pytest
 from conewidth import geometry, glm
 from conewidth.rng import stream
 
-from oracles import cumulant_eval, fd_gradient, fd_hessian_quadratic_form, hessian_quadratic_form_batch
+from oracles import (
+    cumulant_eval,
+    fd_gradient,
+    fd_hessian_quadratic_form,
+    hessian_quadratic_form_batch,
+    row_block_gram_instance,
+)
 
 GAUSSIAN = glm.GlmFamily("gaussian", 0.5)
 LOGISTIC = glm.GlmFamily("logistic")
@@ -296,12 +302,12 @@ GRAM_P = 20
 GRAM_ROWS = 32  # rows of length GRAM_P per block under the small budget
 
 
-def gram_twin(n, ensemble, noise_scale=0.5, seed=21):
+def gram_twin(n, ensemble, noise_scale=0.5, seed=21, sample=glm.sample_instance):
     """One draw, twice: the sampled instance, and the design instance of the same streams drawn at once."""
     theta = np.zeros(GRAM_P)
     theta[[2, 9, 15]] = (1.0, -0.5, 0.25)
     family = glm.GlmFamily("gaussian", noise_scale)
-    sampled = glm.sample_instance(n, ensemble, theta, family, stream(seed, "d", n), stream(seed, "r", n))
+    sampled = sample(n, ensemble, theta, family, stream(seed, "d", n), stream(seed, "r", n))
     design = glm.sample_design(n, GRAM_P, ensemble, stream(seed, "d", n))
     responses = glm.sample_responses(design, theta, family, stream(seed, "r", n))
     return sampled, glm.ProblemInstance(design, responses, theta, family)
@@ -311,28 +317,52 @@ def assert_close(a, b, rtol=1e-12):
     assert np.linalg.norm(np.subtract(a, b)) <= rtol * np.linalg.norm(b)
 
 
+def assert_oracles_match(gram, design, seed):
+    rng = np.random.default_rng(seed)
+    E = rng.normal(size=(GRAM_P, 3 * GRAM_ROWS + 5))
+    for _ in range(5):
+        theta = rng.normal(size=GRAM_P)
+        assert_close(glm.loss(gram, theta), glm.loss(design, theta))
+        assert_close(glm.gradient(gram, theta), glm.gradient(design, theta))
+        assert_close(glm.secant_form_batch(gram, theta, E), glm.secant_form_batch(design, theta, E))
+        v = rng.normal(size=GRAM_P)
+        assert_close(glm.hessian_quadratic_form(gram, theta, v), glm.hessian_quadratic_form(design, theta, v))
+
+
+# the trials whose Gram instance still sums the rows of their design streams
+ROW_BLOCK_CASES = ((GRAM_P, "gaussian"), (GRAM_P, "rademacher"), (2 * GRAM_P + 5, "rademacher"),
+                   (7 * GRAM_ROWS + 9, "rademacher"))
+WISHART_NS = (GRAM_P + 1, 2 * GRAM_P + 5, 7 * GRAM_ROWS + 9)
+
+
 class TestGramInstance:
-    """A gaussian trial with n >= p is held by ``A^T A / n`` and its shift; its
-    oracles agree with the design instance of the same draw."""
+    """A gaussian trial with n >= p is held by ``A^T A / n`` and its shift.
+    Summed over row blocks, its oracles agree with the design instance of the
+    same draw; drawn from its Wishart law (gaussian design, n > p), it shares
+    no draw with a design, and the row-block oracle stands in for it."""
 
     @pytest.fixture(autouse=True)
     def small_budget(self, monkeypatch):
         monkeypatch.setattr(geometry, "BLOCK_ELEMENTS", GRAM_P * GRAM_ROWS)
 
-    @pytest.mark.parametrize("ensemble", glm.ENSEMBLES)
-    @pytest.mark.parametrize("n", (GRAM_P, 2 * GRAM_P + 5, 7 * GRAM_ROWS + 9))
-    def test_oracles_match_the_design(self, ensemble, n):
+    @pytest.mark.parametrize("n, ensemble", ROW_BLOCK_CASES)
+    def test_oracles_match_the_design(self, n, ensemble):
         gram, design = gram_twin(n, ensemble)
         assert isinstance(gram, glm.GramInstance) and (gram.n, gram.p) == (n, GRAM_P)
-        rng = np.random.default_rng(n)
-        E = rng.normal(size=(GRAM_P, 3 * GRAM_ROWS + 5))
-        for _ in range(5):
-            theta = rng.normal(size=GRAM_P)
-            assert_close(glm.loss(gram, theta), glm.loss(design, theta))
-            assert_close(glm.gradient(gram, theta), glm.gradient(design, theta))
-            assert_close(glm.secant_form_batch(gram, theta, E), glm.secant_form_batch(design, theta, E))
-            v = rng.normal(size=GRAM_P)
-            assert_close(glm.hessian_quadratic_form(gram, theta, v), glm.hessian_quadratic_form(design, theta, v))
+        assert_oracles_match(gram, design, n)
+
+    @pytest.mark.parametrize("n", WISHART_NS[1:])
+    def test_row_block_oracle_matches_the_design(self, n):
+        # a Wishart draw has no design; the Gram instance of one stands in for it
+        gram, design = gram_twin(n, "gaussian", sample=row_block_gram_instance)
+        assert_oracles_match(gram, design, n)
+
+    @pytest.mark.parametrize("n, ensemble", ROW_BLOCK_CASES)
+    def test_row_block_trials_keep_their_draw(self, n, ensemble):
+        sampled, _ = gram_twin(n, ensemble)
+        oracle, _ = gram_twin(n, ensemble, sample=row_block_gram_instance)
+        assert np.array_equal(sampled.gram, oracle.gram) and np.array_equal(sampled.shift, oracle.shift)
+        assert sampled.loss_at_truth == oracle.loss_at_truth
 
     @pytest.mark.parametrize("ensemble", glm.ENSEMBLES)
     def test_gradient_at_truth_is_zero_without_noise(self, ensemble):
@@ -351,6 +381,18 @@ class TestGramInstance:
         assert np.array_equal(np.vstack(rows), design)
         assert np.array_equal(np.concatenate(noise), responses - design @ theta)
 
+    @pytest.mark.parametrize("n", WISHART_NS)
+    def test_wishart_gram_is_exactly_symmetric(self, n):
+        gram, _ = gram_twin(n, "gaussian")
+        assert np.array_equal(gram.gram, gram.gram.T)
+
+    def test_wishart_draw_reads_the_design_stream_alone(self):
+        theta = np.linspace(-1.0, 1.0, GRAM_P)
+        a = glm.sample_instance(10**6, "gaussian", theta, GAUSSIAN, stream(24, "d"), stream(24, "r"))
+        b = glm.sample_instance(10**6, "gaussian", theta, GAUSSIAN, stream(24, "d"), stream(25, "r"))
+        assert np.array_equal(a.gram, b.gram) and np.array_equal(a.shift, b.shift)
+        assert a.loss_at_truth == b.loss_at_truth
+
     def test_other_trials_keep_their_design(self):
         theta = np.zeros(GRAM_P)
         theta[0] = 0.5
@@ -359,3 +401,31 @@ class TestGramInstance:
             design = glm.sample_design(n, GRAM_P, "rademacher", stream(23, "d"))
             assert isinstance(inst, glm.ProblemInstance) and np.array_equal(inst.design, design)
             assert np.array_equal(inst.responses, glm.sample_responses(design, theta, family, stream(23, "r")))
+
+
+class TestWishartDraw:
+    """The Wishart draw of a gaussian trial has the law of the row-block sums it replaces."""
+
+    DRAWS = 3000
+
+    @staticmethod
+    def statistics(instance):
+        return np.concatenate([instance.gram.ravel(), instance.shift, [instance.loss_at_truth]])
+
+    @pytest.mark.parametrize("n", (4, 50))
+    def test_moments_match_the_row_block_oracle(self, n):
+        theta = np.array([1.0, -0.5, 0.25])
+        draws = [
+            np.array([self.statistics(sample(n, "gaussian", theta, GAUSSIAN, d_rng, r_rng)) for _ in range(self.DRAWS)])
+            for sample, d_rng, r_rng in (
+                (glm.sample_instance, stream(31, "w", n), stream(31, "unused", n)),
+                (row_block_gram_instance, stream(31, "d", n), stream(31, "r", n)),
+            )
+        ]
+        means = [x.mean(axis=0) for x in draws]
+        variances = [x.var(axis=0, ddof=1) for x in draws]
+        # stderr of a sample variance from the fourth central moment
+        var_se2 = [(np.mean((x - m) ** 4, axis=0) - v**2) / self.DRAWS for x, m, v in zip(draws, means, variances)]
+        mean_se = np.sqrt((variances[0] + variances[1]) / self.DRAWS)
+        assert np.all(np.abs(means[0] - means[1]) <= 4 * mean_se)
+        assert np.all(np.abs(variances[0] - variances[1]) <= 4 * np.sqrt(var_se2[0] + var_se2[1]))
