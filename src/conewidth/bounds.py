@@ -184,10 +184,11 @@ def optimize_t(
     so at ``mu <= 0``, where every bound is infinite, the first one does.
 
     Also reports the closed-form relaxation obtained by replacing the
-    localized width with ``global_width / t``: the bound
-    ``t + C global_width / (t sqrt(n))`` with ``C = 2 sqrt(2 pi) sigma_max / mu``
-    is minimized at ``t* = sqrt(C global_width / sqrt(n))`` with value
-    ``2 t*``, which decays like ``n^{-1/4}``; nan for a nan ``global_width``.
+    localized width with ``global_width / t``, for the exact ``global_width
+    = E sup_F <h, v>``: the bound ``t + C global_width / (t sqrt(n))`` with
+    ``C = 2 sqrt(2 pi) sigma_max / mu`` is minimized at ``t* = sqrt(C
+    global_width / sqrt(n))`` with value ``2 t*``, which decays like
+    ``n^{-1/4}``; nan for a matched sweep's nan ``global_width``.
     """
     t_star = min(widths, key=lambda t: mismatched_bound(t, sigma_max, widths[t].mean, mu, n))
     coef = BOUND_CONSTANT * sigma_max / mu if mu > 0 else math.inf

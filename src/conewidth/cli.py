@@ -115,12 +115,11 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 
 def _cmd_width(config: ExperimentConfig, out_path: str | None) -> None:
-    """The sweep's widths: the cone row at t = 0, else a localized row per t, then the global row."""
+    """The sweep's widths: the cone row at t = 0, else a localized row per t, then the exact global row."""
     ctx = prepare_sweep(config)
-    estimates = [("cone" if t == 0.0 else "localized", t, w) for t, w in ctx.widths.items()]
-    if ctx.global_width is not None:
-        estimates.append(("global", math.nan, ctx.global_width))
-    rows = [(kind, t, w.mean, w.stderr, w.samples) for kind, t, w in estimates]
+    rows = [("cone" if t == 0.0 else "localized", t, w.mean, w.stderr, w.samples) for t, w in ctx.widths.items()]
+    if not math.isnan(ctx.global_width):
+        rows.append(("global", math.nan, ctx.global_width, 0.0, 0))
     _write_output(render_csv(("kind", "t", "width_mean", "width_stderr", "samples"), rows), out_path)
 
 

@@ -26,7 +26,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from . import bounds, geometry, glm, solver
-from .geometry import ConeModel, FeasibleSet, WidthEstimate
+from .geometry import ConeModel, FeasibleSet
 from .rng import seed_fingerprint, stream
 
 THREADS_ENV_VAR = "CONEWIDTH_THREADS"
@@ -133,6 +133,9 @@ class ExperimentConfig:
                 raise ConfigError("t_grid", "entries must be finite and > 0")
             if any(b <= a for a, b in zip(self.t_grid, self.t_grid[1:])):
                 raise ConfigError("t_grid", "must be strictly increasing")
+            radius = FeasibleSet(*sweep_truth(self)).outer_radius  # prepare_sweep's; ``outer`` can be an ulp off
+            if self.t_grid[0] >= radius:
+                raise ConfigError("t_grid", f"needs an entry below the feasible set's outer radius {radius:.6g}")
 
     def glm_family(self) -> glm.GlmFamily:
         return glm.GlmFamily(self.family, self.noise_scale)
@@ -180,10 +183,10 @@ class SweepContext:
 
     ``fset`` holds theta* and the l1 radius c.  ``widths`` maps each radius
     t to its width: ``{0: cone width}`` when matched, else the localized
-    width at every ``t_grid`` value, and then ``global_width`` is set too.
-    Grid n has radius ``tuned_by_n[n].t_star``, and ``directions[t]`` is
-    the RSC probe's (p, m) direction set at each distinct t*, shared by
-    every trial at that radius.
+    width at every ``t_grid`` value, and ``global_width`` is the exact
+    ``E sup_F <h, v>`` (nan when matched).  Grid n has radius
+    ``tuned_by_n[n].t_star``, and ``directions[t]`` is the RSC probe's
+    (p, m) direction set at each distinct t*, shared by every trial at it.
     """
 
     fset: FeasibleSet
@@ -191,7 +194,7 @@ class SweepContext:
     mu_theoretical: float
     tuned_by_n: dict
     widths: dict
-    global_width: WidthEstimate | None
+    global_width: float
     directions: dict
 
     def proj_grad_norm(self, g: np.ndarray, t: float) -> float:
@@ -214,45 +217,40 @@ def prepare_sweep(config: ExperimentConfig) -> SweepContext:
     """Ground truth, constraint, widths, the radius t*(n) of every grid n,
     and the RSC probe's directions at each distinct t*.
 
-    A ``t_grid`` with no entry below the feasible set's outer radius is a
-    :class:`ConfigError`, raised before any Monte-Carlo draw.  Then the
-    constraint is branched on once.  A matched one (``slack == 0``) puts
+    The constraint is branched on once.  A matched one (``slack == 0``) puts
     theta* on the sphere of the l1 ball, whose tangent cone there is the
     descent cone: its one radius is t = 0, with the cone width and the cone
     directions from stream ``("rsc", "cone")``.  A mismatched one has the
     localized width at every ``t_grid`` radius, all from one draw on stream
-    ``("width", "localized")``, and the global width.  The rest is one path:
-    :func:`bounds.optimize_t` picks every t*(n) among the radii below the
-    outer radius (for larger t the set ``F \\ tB`` is empty), and a
-    localized set is drawn for each distinct t* > 0, at ``t_grid[i]`` from
-    stream ``("rsc", i)``.  No direction set depends on a design.
+    ``("width", "localized")``, and the exact global width, which draws
+    nothing.  The rest is one path: :func:`bounds.optimize_t` picks every
+    t*(n) among the radii below the outer radius (for larger t the set
+    ``F \\ tB`` is empty, and :meth:`ExperimentConfig.validate` has checked
+    that some ``t_grid`` entry is below it), and a localized set is drawn
+    for each distinct t* > 0, at ``t_grid[i]`` from stream ``("rsc", i)``.
+    No direction set depends on a design.
     """
     config.validate()
     theta, c = sweep_truth(config)
     fset = FeasibleSet(theta, c)
-    if min(config.t_grid, default=0.0) >= fset.outer_radius:
-        raise ConfigError(
-            "t_grid", f"needs an entry below the feasible set's outer radius {fset.outer_radius:.6g}"
-        )
     family = config.glm_family()
     mu_theory = (1.0 - RSC_EPSILON) * glm.hessian_weight_lower_bound(family, c)
     seed, samples = config.master_seed, config.mc_samples
     if config.slack == 0.0:
         cone = geometry.descent_cone(theta)
         widths = {0.0: geometry.gaussian_width_cone(cone, samples, stream(seed, "width", "cone"))}
-        global_width = None
+        global_width = math.nan
         rng = stream(seed, "rsc", "cone")
         directions = {0.0: bounds.sample_cone_directions(cone, config.rsc_directions, rng)}
     else:
         cone = None
-        global_width = geometry.global_width_l1(fset, samples, stream(seed, "width", "global"))
+        global_width = geometry.global_width_l1(fset)
         localized = geometry.localized_width(fset, config.t_grid, samples, stream(seed, "width", "localized"))
         widths = dict(zip(config.t_grid, localized))
         directions = {}
     candidates = {t: w for t, w in widths.items() if t < fset.outer_radius}
     sigma_ref = glm.sigma_max_upper_bound(family, c)
-    global_mean = math.nan if global_width is None else global_width.mean
-    tuned_by_n = {n: bounds.optimize_t(candidates, global_mean, sigma_ref, mu_theory, n) for n in config.n_grid}
+    tuned_by_n = {n: bounds.optimize_t(candidates, global_width, sigma_ref, mu_theory, n) for n in config.n_grid}
     for t in {tuned.t_star for tuned in tuned_by_n.values()} - directions.keys():
         rng = stream(seed, "rsc", config.t_grid.index(t))
         directions[t] = bounds.sample_localized_directions(fset, t, config.rsc_directions, rng)

@@ -1,4 +1,4 @@
-"""Feasible sets, descent cones, and Monte-Carlo Gaussian-width estimators.
+"""Feasible sets, descent cones, and Gaussian-width estimators.
 
 Geometry conventions used throughout:
 
@@ -460,12 +460,15 @@ def localized_width(fset: FeasibleSet, radii, samples: int, rng: np.random.Gener
     return [WidthEstimate.from_samples(column) for column in values.T]
 
 
-def global_width_l1(fset: FeasibleSet, samples: int, rng: np.random.Generator) -> WidthEstimate:
-    """Monte-Carlo estimate of the unlocalized width ``E sup_{v in F} <h, v>``."""
-    values = _gaussian_row_values(
-        samples,
-        fset.ambient_dim,
-        rng,
-        lambda H: fset.radius_c * np.max(np.abs(H), axis=1) - H @ fset.theta_true,
-    )
-    return WidthEstimate.from_samples(values)
+def global_width_l1(fset: FeasibleSet) -> float:
+    """The unlocalized width ``E sup_{v in F} <h, v> = c E ||h||_inf``, exactly.
+
+    The sup is ``c ||h||_inf - <h, theta_true>`` (at a vertex of the ball),
+    whose second term has mean 0.  ``E ||h||_inf = int_0^inf (1 - erf(x /
+    sqrt 2)^p) dx`` by the trapezoid rule with 2400 steps on [0, 12], past
+    which the integrand is below ``p 1e-32``: relative error 2e-6 at p = 1,
+    whose integrand has slope ``-sqrt(2/pi)`` at 0, about 1e-12 for p >= 2.
+    """
+    step = 12.0 / 2400
+    values = [1.0 - math.erf(k * step / math.sqrt(2.0)) ** fset.ambient_dim for k in range(2401)]
+    return fset.radius_c * step * (math.fsum(values) - 0.5 * (values[0] + values[-1]))

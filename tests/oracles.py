@@ -2,12 +2,13 @@
 
 Everything here evaluates the quantity under test by a different route than
 the library (finite differences, dense grids, rejection sampling, vertex
-enumeration, projected ascent, golden-section search) so that agreement is
-meaningful.  It also holds the helpers that only tests use (membership
-margins, the cumulant triple, the duality gap at an arbitrary point, the c1
-calibration of acceptance criterion 9), which the package does not carry,
-the single-draw forms of the library's blocked Monte-Carlo kernels,
-which draw and evaluate every row or column in one array, and the row-block
+enumeration, projected ascent, golden-section search, Gauss-Legendre
+quadrature of a density) so that agreement is meaningful.  It also holds
+the helpers that only tests use (membership margins, the cumulant triple,
+the duality gap at an arbitrary point, the c1 calibration of acceptance
+criterion 9), which the package does not carry, the single-draw forms of
+the library's blocked Monte-Carlo kernels, which draw and evaluate every
+row or column in one array, and the row-block
 Gram instance of a gaussian design, whose law the library's Wishart draw
 reproduces.
 """
@@ -161,6 +162,20 @@ def cone_width_rejection_oracle(cone, samples, sphere_points, rng):
     H = rng.standard_normal((samples, p))
     sups = np.maximum(np.max(H @ members.T, axis=1), 0.0)
     return sups
+
+
+def expected_abs_max(p, nodes=200):
+    """``E ||h||_inf`` for a standard gaussian h in R^p, as the mean of its density.
+
+    ``||h||_inf`` has density ``p erf(x/sqrt 2)^(p-1) sqrt(2/pi) exp(-x^2/2)``
+    on x >= 0; its first moment is taken by Gauss-Legendre on [0, 12], not
+    by the library's trapezoid rule on the tail ``1 - erf(x/sqrt 2)^p``.
+    Relative error about 1e-14 for p up to a few hundred.
+    """
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x = 6.0 * (x + 1.0)
+    density = np.array([p * math.erf(v / math.sqrt(2.0)) ** (p - 1) * math.exp(-v * v / 2.0) for v in x])
+    return 6.0 * math.sqrt(2.0 / math.pi) * float(np.dot(w, x * density))
 
 
 def sup_localized_p2_oracle(h, fset, t, angles=100_000):
@@ -458,11 +473,6 @@ def batched_cone_directions(cone, num, rng, batch=512):
 def single_draw_width_cone(cone, samples, rng):
     H = rng.standard_normal((samples, cone.ambient_dim))
     return WidthEstimate.from_samples(cone.project_batch(H)[1])
-
-
-def single_draw_width_global(fset, samples, rng):
-    H = rng.standard_normal((samples, fset.ambient_dim))
-    return WidthEstimate.from_samples(fset.radius_c * np.max(np.abs(H), axis=1) - H @ fset.theta_true)
 
 
 def single_draw_width_localized(fset, radii, samples, rng):

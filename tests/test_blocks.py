@@ -76,11 +76,6 @@ class TestSingleDrawIdentity:
         assert blocked == oracles.single_draw_width_cone(CONE, samples, np.random.default_rng(samples))
 
     @pytest.mark.parametrize("samples", counts(ROWS))
-    def test_global_width(self, small_budget, samples):
-        blocked = geometry.global_width_l1(FSET, samples, np.random.default_rng(samples))
-        assert blocked == oracles.single_draw_width_global(FSET, samples, np.random.default_rng(samples))
-
-    @pytest.mark.parametrize("samples", counts(ROWS))
     def test_localized_width(self, small_budget, monkeypatch, samples):
         # ROWS rows per block at the root-find's count; sized by P, blocks would be twice as long
         monkeypatch.setattr(geometry, "BLOCK_ELEMENTS", PAIR_VALUES * ROWS)

@@ -235,17 +235,15 @@ class TestOptimizeT:
         theta = np.zeros(12)
         theta[:2] = 0.5
         fset = FeasibleSet(theta, 1.5)
-        wg = geometry.global_width_l1(fset, 3000, stream(78, "g"))
+        wg = geometry.global_width_l1(fset)
         sigma, mu, n = 1.0, 0.5, 64
         coef = BOUND_CONSTANT * sigma / mu
-        t_cf = math.sqrt(coef * wg.mean / math.sqrt(n))
+        t_cf = math.sqrt(coef * wg / math.sqrt(n))
         widths = {
             t: geometry.localized_width(fset, [t], 3000, stream(78, t))[0] for t in (0.25 * t_cf, t_cf, 4 * t_cf)
         }
-        tuned = bounds.optimize_t(widths, wg.mean, sigma, mu, n)
-        mc_allowance = 3 * (BOUND_CONSTANT * sigma / (mu * math.sqrt(n))) * (
-            widths[t_cf].stderr + wg.stderr / t_cf
-        )
+        tuned = bounds.optimize_t(widths, wg, sigma, mu, n)
+        mc_allowance = 3 * (BOUND_CONSTANT * sigma / (mu * math.sqrt(n))) * widths[t_cf].stderr
         bound_star = bounds.mismatched_bound(tuned.t_star, sigma, tuned.width_star.mean, mu, n)
         assert bound_star <= tuned.bound_closed_form + mc_allowance
 

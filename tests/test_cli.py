@@ -3,13 +3,15 @@
 import dataclasses
 import functools
 import hashlib
+import itertools
 from pathlib import Path
 
 import pytest
 
-from conewidth import cli, experiment, solver
+from conewidth import cli, experiment, geometry, solver
 from conewidth.cli import load_config, main, serialize_config
-from conewidth.experiment import ConfigError, ExperimentConfig
+from conewidth.experiment import ConfigError, ExperimentConfig, sweep_truth
+from conewidth.geometry import FeasibleSet
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -179,6 +181,13 @@ class TestDispatch:
         assert fields[0] == "cone"
         assert float(fields[2]) > 0 and float(fields[3]) > 0 and int(fields[4]) == 400
 
+    def test_t_grid_beyond_outer_radius_fails_at_load(self, mismatched_path):
+        # checked by validate, so also the subcommands that never set up a sweep
+        with pytest.raises(ConfigError, match="outer radius 3.92938") as err:
+            load_config(mismatched_path, ["t_grid=4,8"])
+        assert err.value.key == "t_grid"
+        assert main(["solve", "--config", mismatched_path, "t_grid=4,8"]) == 2
+
     def test_t_grid_beyond_outer_radius_exits_two(self, mismatched_path, capsys):
         # c = 0.8 + 2 theta_magnitude = 2.8, so every t >= sqrt(2 + 2.8^2 + 2 * 2.8) = 3.93 is unusable
         for command in ("width", "rsc", "sweep"):
@@ -202,6 +211,18 @@ class TestDispatch:
         out = capsys.readouterr().out.strip().split("\n")
         kinds = [line.split(",")[0] for line in out[1:]]
         assert kinds == ["localized", "localized", "localized", "global"]
+
+    def test_global_width_row_is_exact(self, mismatched_path, capsys):
+        # no draw behind the global row: master_seed and mc_samples leave it and the quadrature alone
+        configs = [[f"master_seed={seed}", f"mc_samples={m}"] for seed, m in itertools.product((1, 2), (200, 400))]
+        rows = set()
+        for overrides in configs:
+            assert main(["width", "--config", mismatched_path, *overrides]) == 0
+            rows.add(capsys.readouterr().out.strip().split("\n")[-1])
+        assert len(rows) == 1
+        fsets = [FeasibleSet(*sweep_truth(load_config(mismatched_path, overrides))) for overrides in configs]
+        (width,) = {geometry.global_width_l1(fset) for fset in fsets}
+        assert rows == {f"global,nan,{width:.17g},0,0"}
 
     def test_solve_row(self, matched_path, capsys):
         assert main(["solve", "--config", matched_path]) == 0

@@ -26,6 +26,8 @@ from conewidth.experiment import (
 )
 from conewidth.rng import stream
 
+from oracles import expected_abs_max
+
 MATCHED_SMALL = ExperimentConfig(
     p=40,
     s=3,
@@ -176,7 +178,7 @@ class TestPrepareSweep:
     def test_matched_is_t_zero(self):
         ctx = prepare_sweep(MATCHED_SMALL)
         ((t, width),) = ctx.widths.items()
-        assert t == 0.0 and ctx.global_width is None
+        assert t == 0.0 and math.isnan(ctx.global_width)
         for n in MATCHED_SMALL.n_grid:
             tuned = ctx.tuned_by_n[n]
             assert tuned.t_star == 0.0 and tuned.width_star == width
@@ -185,7 +187,7 @@ class TestPrepareSweep:
     def test_mismatched_width_rows(self):
         ctx = prepare_sweep(MISMATCHED_SMALL)
         assert list(ctx.widths) == list(MISMATCHED_SMALL.t_grid)
-        assert ctx.global_width.samples == MISMATCHED_SMALL.mc_samples
+        assert ctx.global_width == pytest.approx(ctx.fset.radius_c * expected_abs_max(MISMATCHED_SMALL.p), rel=1e-12)
         assert all(ctx.tuned_by_n[n].t_star > 0 for n in MISMATCHED_SMALL.n_grid)
 
     def test_t_star_stays_below_outer_radius(self):
@@ -200,6 +202,16 @@ class TestPrepareSweep:
     def test_no_t_below_outer_radius_is_config_error(self):
         with pytest.raises(ConfigError) as err:
             prepare_sweep(dataclasses.replace(SMALL_OUTER_RADIUS, t_grid=(4.0, 8.0)))
+        assert err.value.key == "t_grid"
+
+    def test_radius_check_uses_the_sweeps_own_radius(self):
+        # from the keys, R_F comes out one ulp above F's: a t_grid between the two would leave no candidate
+        m, c = 1.498, 7 * 1.498 + 1.701
+        config = ExperimentConfig(p=20, s=7, theta_magnitude=m, slack=1.701, n_grid=(30,), t_grid=(1.0,))
+        radius = geometry.FeasibleSet(*experiment.sweep_truth(config)).outer_radius
+        assert math.sqrt(7 * m * m + c * c + 2.0 * c * m) > radius
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(config, t_grid=(radius,)).validate()
         assert err.value.key == "t_grid"
 
     def test_radius_check_comes_before_any_draw(self, monkeypatch):

@@ -30,6 +30,7 @@ from oracles import (
     cone_margin,
     cone_projection_angle_oracle,
     cone_width_rejection_oracle,
+    expected_abs_max,
     feasible_margin,
     full_width_polar_tau,
     full_width_project_batch,
@@ -762,9 +763,35 @@ class TestLocalizedWidth:
 
 class TestGlobalWidth:
     def test_interval_case(self):
-        fset = FeasibleSet(np.array([0.0]), 2.0)
-        w = global_width_l1(fset, 20_000, stream(41, "w"))
-        assert abs(w.mean - 2.0 * math.sqrt(2.0 / math.pi)) <= 3 * w.stderr
+        # c E|h| = 2 sqrt(2/pi), and theta* does not move it
+        for theta in (0.0, 1.5):
+            fset = FeasibleSet(np.array([theta]), 2.0)
+            assert global_width_l1(fset) == pytest.approx(2.0 * math.sqrt(2.0 / math.pi), rel=1e-5)
+
+    def test_closed_forms_at_p1_and_p2(self):
+        # E|h| = sqrt(2/pi); E max(|h1|, |h2|) = 2/sqrt(pi).  Only p = 1 has a nonzero slope at 0.
+        one, two = FeasibleSet(np.zeros(1), 1.0), FeasibleSet(np.zeros(2), 1.0)
+        assert abs(global_width_l1(one) / math.sqrt(2.0 / math.pi) - 1.0) <= 1e-5
+        assert abs(global_width_l1(two) / (2.0 / math.sqrt(math.pi)) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("p", (3, 30, 200))
+    def test_matches_density_quadrature(self, p):
+        fset = FeasibleSet(np.zeros(p), 0.7)
+        assert global_width_l1(fset) == pytest.approx(0.7 * expected_abs_max(p), rel=1e-11)
+
+    def test_matches_monte_carlo_at_p200(self):
+        # 100,000 rows of E sup_F <h, v> = E [c ||h||_inf - <h, theta*>], in blocks of 10,000
+        theta = np.zeros(200)
+        theta[:5] = [1.0, -1.0, 1.0, -1.0, 1.0]
+        fset = FeasibleSet(theta, 7.5)
+        rng = stream(44, "w")
+        values = []
+        for _ in range(10):
+            H = rng.standard_normal((10_000, 200))
+            values.append(fset.radius_c * np.max(np.abs(H), axis=1) - H @ theta)
+        mc = WidthEstimate.from_samples(np.concatenate(values))
+        assert mc.samples == 100_000
+        assert abs(global_width_l1(fset) - mc.mean) <= 3 * mc.stderr
 
     def test_vertex_enumeration_identity_p2(self):
         # per-sample the sup over the shifted ball equals the max over vertices
@@ -778,7 +805,7 @@ class TestGlobalWidth:
 
     def test_dominates_localized(self):
         fset = FeasibleSet(np.array([0.4, -0.3, 0.1, 0.0]), 1.5)
-        wg = global_width_l1(fset, 4000, stream(43, "w"))
+        wg = global_width_l1(fset)
         for t in (0.3, 0.8, 1.6):
             wl = localized_width(fset, [t], 4000, stream(43, t))[0]
-            assert wg.mean >= wl.mean * t - 3 * math.hypot(wg.stderr, t * wl.stderr)
+            assert wg >= wl.mean * t - 3 * t * wl.stderr
