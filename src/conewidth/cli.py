@@ -35,14 +35,10 @@ from .experiment import (
 )
 
 
-def _tuple_parser(item):
-    """Parser of a comma-separated tuple; an empty value is the empty tuple."""
-
-    def parse(raw: str) -> tuple:
-        raw = raw.strip()
-        return tuple(item(part.strip()) for part in raw.split(",")) if raw else ()
-
-    return parse
+def _int_tuple(raw: str) -> tuple:
+    """A comma-separated tuple of ints; an empty value is the empty tuple."""
+    raw = raw.strip()
+    return tuple(int(part.strip()) for part in raw.split(",")) if raw else ()
 
 
 # ExperimentConfig's annotations are strings (postponed evaluation)
@@ -50,8 +46,7 @@ _TYPE_PARSERS = {
     "int": int,
     "float": float,
     "str": str,
-    "tuple[int, ...]": _tuple_parser(int),
-    "tuple[float, ...]": _tuple_parser(float),
+    "tuple[int, ...]": _int_tuple,
 }
 
 _PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(ExperimentConfig)}
@@ -98,7 +93,7 @@ def serialize_config(config: ExperimentConfig) -> str:
     for key in _PARSERS:
         value = getattr(config, key)
         if isinstance(value, tuple):
-            rendered = ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
+            rendered = ",".join(map(str, value))
         elif isinstance(value, float):
             rendered = repr(value)
         else:
@@ -177,10 +172,10 @@ def _cmd_slope(csv_path: str, out_path: str | None) -> None:
         header, *data = rows
         n_col, *cols = (header.index(name) for name in ("n", *names))
         ns = [int(parts[n_col]) for parts in data]
-        if any(n < 1 for n in ns):
-            raise ValueError(f"n must be >= 1, got {min(ns)}")
+        if any(b <= a for a, b in zip([0, *ns], ns)):  # every sweep's n_grid rule
+            raise ValueError(f"n must be >= 1 and strictly increasing, got {', '.join(map(str, ns))}")
         series = [[float(parts[col]) for parts in data] for col in cols]
-    except (IndexError, ValueError) as exc:  # no header, a short row, a non-numeric cell or an n < 1
+    except (IndexError, ValueError) as exc:  # no header, a short row, a non-numeric cell or a bad n column
         raise RuntimeError(f"{csv_path} is not an aggregate sweep CSV: {exc}") from exc
     out = []
     for name, values in zip(names, series):

@@ -79,7 +79,6 @@ class ExperimentConfig:
     rsc_directions: int = 2000
     mu_mode: str = "empirical"
     solver: str = "projected_gradient"
-    t_grid: tuple[float, ...] = ()
 
     def validate(self) -> None:
         if self.p < 1:
@@ -108,8 +107,13 @@ class ExperimentConfig:
                 f"gives ||theta*||_1 = {l1:.6g}, c = {c:.6g} and the feasible set's outer radius "
                 f"{outer:.6g}; each must be finite and the radius > 0",
             )
-        if bool(self.t_grid) != (self.slack > 0.0):
-            raise ConfigError("t_grid", "required by a mismatched constraint (slack > 0), unused by a matched one")
+        inner = self.slack / math.sqrt(self.p)  # F's inner radius (see prepare_sweep); R_F at p = 1, s = 0
+        if self.slack > 0.0 and not 0.0 < inner < outer:
+            raise ConfigError(
+                "s" if self.s == 0 else "slack",
+                f"leaves no radius between the feasible set's inner radius slack / sqrt(p) = {inner:.6g} and "
+                f"its outer radius {outer:.6g} (at p = 1 a mismatched constraint needs s = 1)",
+            )
         if not 0.0 <= self.noise_scale < math.inf:
             raise ConfigError("noise_scale", "must be finite and >= 0")
         if not self.n_grid:
@@ -128,14 +132,6 @@ class ExperimentConfig:
             raise ConfigError("mu_mode", f"must be one of {MU_MODES}")
         if self.solver not in SOLVERS:
             raise ConfigError("solver", f"must be one of {SOLVERS}")
-        if self.t_grid:
-            if not all(0.0 < t < math.inf for t in self.t_grid):
-                raise ConfigError("t_grid", "entries must be finite and > 0")
-            if any(b <= a for a, b in zip(self.t_grid, self.t_grid[1:])):
-                raise ConfigError("t_grid", "must be strictly increasing")
-            radius = FeasibleSet(*sweep_truth(self)).outer_radius  # prepare_sweep's; ``outer`` can be an ulp off
-            if self.t_grid[0] >= radius:
-                raise ConfigError("t_grid", f"needs an entry below the feasible set's outer radius {radius:.6g}")
 
     def glm_family(self) -> glm.GlmFamily:
         return glm.GlmFamily(self.family, self.noise_scale)
@@ -183,10 +179,11 @@ class SweepContext:
 
     ``fset`` holds theta* and the l1 radius c.  ``widths`` maps each radius
     t to its width: ``{0: cone width}`` when matched, else the localized
-    width at every ``t_grid`` value, and ``global_width`` is the exact
-    ``E sup_F <h, v>`` (nan when matched).  Grid n has radius
-    ``tuned_by_n[n].t_star``, and ``directions[t]`` is the RSC probe's
-    (p, m) direction set at each distinct t*, shared by every trial at it.
+    width at each radius from F (see :func:`prepare_sweep`), and
+    ``global_width`` is the exact ``E sup_F <h, v>`` (nan when matched).
+    Grid n has radius ``tuned_by_n[n].t_star``, and ``directions[t]`` is the
+    RSC probe's (p, m) direction set at each distinct t*, shared by every
+    trial at it.
     """
 
     fset: FeasibleSet
@@ -212,6 +209,8 @@ class SweepContext:
 # weight bound over the constraint ball.
 RSC_EPSILON = 0.5
 
+LOCALIZED_RADII = 12  # a mismatched sweep's candidate radii (see prepare_sweep)
+
 
 def prepare_sweep(config: ExperimentConfig) -> SweepContext:
     """Ground truth, constraint, widths, the radius t*(n) of every grid n,
@@ -220,15 +219,17 @@ def prepare_sweep(config: ExperimentConfig) -> SweepContext:
     The constraint is branched on once.  A matched one (``slack == 0``) puts
     theta* on the sphere of the l1 ball, whose tangent cone there is the
     descent cone: its one radius is t = 0, with the cone width and the cone
-    directions from stream ``("rsc", "cone")``.  A mismatched one has the
-    localized width at every ``t_grid`` radius, all from one draw on stream
-    ``("width", "localized")``, and the exact global width, which draws
-    nothing.  The rest is one path: :func:`bounds.optimize_t` picks every
-    t*(n) among the radii below the outer radius (for larger t the set
-    ``F \\ tB`` is empty, and :meth:`ExperimentConfig.validate` has checked
-    that some ``t_grid`` entry is below it), and a localized set is drawn
-    for each distinct t* > 0, at ``t_grid[i]`` from stream ``("rsc", i)``.
-    No direction set depends on a design.
+    directions from stream ``("rsc", "cone")``.  A mismatched one has as
+    radii the ``LOCALIZED_RADII`` interior points of the geometric grid from
+    F's inner radius ``r_in = slack / sqrt(p)`` to its outer radius R_F:
+    for ``t <= r_in``, ``F ∩ tB = tB`` needs curvature over all of R^p, and
+    for ``t >= R_F`` the set ``F \\ tB`` is empty.  It has the localized
+    width at every radius, all from one draw on stream ``("width",
+    "localized")``, and the exact global width, which draws nothing.  The
+    rest is one path: :func:`bounds.optimize_t` picks every t*(n) among the
+    radii, and a localized set is drawn for each distinct t* > 0, at the
+    i-th radius from stream ``("rsc", i)``.  No direction set depends on a
+    design.
     """
     config.validate()
     theta, c = sweep_truth(config)
@@ -245,14 +246,15 @@ def prepare_sweep(config: ExperimentConfig) -> SweepContext:
     else:
         cone = None
         global_width = geometry.global_width_l1(fset)
-        localized = geometry.localized_width(fset, config.t_grid, samples, stream(seed, "width", "localized"))
-        widths = dict(zip(config.t_grid, localized))
+        r_in = config.slack / math.sqrt(config.p)
+        radii = np.geomspace(r_in, fset.outer_radius, LOCALIZED_RADII + 2)[1:-1].tolist()
+        localized = geometry.localized_width(fset, radii, samples, stream(seed, "width", "localized"))
+        widths = dict(zip(radii, localized))
         directions = {}
-    candidates = {t: w for t, w in widths.items() if t < fset.outer_radius}
     sigma_ref = glm.sigma_max_upper_bound(family, c)
-    tuned_by_n = {n: bounds.optimize_t(candidates, global_width, sigma_ref, mu_theory, n) for n in config.n_grid}
+    tuned_by_n = {n: bounds.optimize_t(widths, global_width, sigma_ref, mu_theory, n) for n in config.n_grid}
     for t in {tuned.t_star for tuned in tuned_by_n.values()} - directions.keys():
-        rng = stream(seed, "rsc", config.t_grid.index(t))
+        rng = stream(seed, "rsc", list(widths).index(t))
         directions[t] = bounds.sample_localized_directions(fset, t, config.rsc_directions, rng)
     return SweepContext(fset, cone, mu_theory, tuned_by_n, widths, global_width, directions)
 
@@ -370,16 +372,14 @@ class SlopeFit:
 def fit_loglog_slope(points) -> SlopeFit:
     """OLS fit of log(value) against log(n); half-width from residual variance.
 
-    The points are at least 3, with positive n and values, as
-    :func:`fit_series` passes them.
+    The points are at least 3, with distinct positive n and positive
+    values, as :func:`fit_series` passes them.
     """
     pts = [(float(n), float(v)) for n, v in points]
     x = np.log(np.array([n for n, _ in pts]))
     y = np.log(np.array([v for _, v in pts]))
     xbar = x.mean()
     sxx = float(np.sum((x - xbar) ** 2))
-    if sxx == 0:
-        raise ValueError("slope fit requires at least two distinct n")
     slope = float(np.sum((x - xbar) * (y - y.mean())) / sxx)
     intercept = float(y.mean() - slope * xbar)
     residuals = y - (intercept + slope * x)

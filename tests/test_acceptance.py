@@ -304,7 +304,6 @@ def test_criterion_8_mismatched_quarter_rate():
         master_seed=108,
         rsc_directions=128,
         mu_mode="theoretical",
-        t_grid=tuple(float(t) for t in np.geomspace(0.25, 8.0, 12)),
     )
     res = run_sweep(cfg)
     cf_slope = res.slope_bound_closed_form.slope

@@ -9,6 +9,7 @@ several blocks.  At the shipped budget, the traced peak of each kernel must
 not grow with its sample count, nor that of a gaussian trial with its n.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -183,10 +184,10 @@ class TestBoundedMemory:
         assert traced_peak(lambda: geometry.localized_width(fset, [0.64], 1_500, np.random.default_rng(0))) < CAP_BYTES
 
     def test_localized_width_shipped_radii(self):
-        # the shipped mismatched geometry's size: 1,500 samples at 12 radii
+        # the shipped mismatched geometry's size: 1,500 samples at its 12 radii
         fset = geometry.FeasibleSet(self.theta, 7.5)
-        t_grid = (0.25, 0.34, 0.47, 0.64, 0.88, 1.21, 1.66, 2.27, 3.11, 4.26, 5.84, 8.0)
-        assert traced_peak(lambda: geometry.localized_width(fset, t_grid, 1_500, np.random.default_rng(0))) < CAP_BYTES
+        radii = np.geomspace(2.5 / math.sqrt(200), fset.outer_radius, 14)[1:-1]
+        assert traced_peak(lambda: geometry.localized_width(fset, radii, 1_500, np.random.default_rng(0))) < CAP_BYTES
 
     def test_secant_form(self):
         rng = np.random.default_rng(0)

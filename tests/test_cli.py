@@ -4,8 +4,10 @@ import dataclasses
 import functools
 import hashlib
 import itertools
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conewidth import cli, experiment, geometry, solver
@@ -41,7 +43,6 @@ mc_samples = 300
 master_seed = 8
 rsc_directions = 120
 mu_mode = theoretical
-t_grid = 0.4,0.8,1.6
 """
 
 
@@ -50,6 +51,7 @@ t_grid = 0.4,0.8,1.6
 UNKNOWN_KEYS = (
     "frobnicate",
     "constraint_mode",
+    "t_grid",
     "solver_max_iter",
     "solver_tol",
     "solver_gap_tol",
@@ -157,7 +159,7 @@ class TestDispatch:
             assert f"'{key}': unknown key" in capsys.readouterr().err
 
     def test_non_finite_value_exits_two(self, mismatched_path, capsys):
-        for override in ("theta_magnitude=nan", "noise_scale=inf", "slack=inf", "t_grid=0.5,nan"):
+        for override in ("theta_magnitude=nan", "noise_scale=inf", "slack=inf"):
             key = override.split("=")[0]
             assert main(["sweep", "--config", mismatched_path, override]) == 2
             assert f"config key '{key}'" in capsys.readouterr().err
@@ -181,24 +183,16 @@ class TestDispatch:
         assert fields[0] == "cone"
         assert float(fields[2]) > 0 and float(fields[3]) > 0 and int(fields[4]) == 400
 
-    def test_t_grid_beyond_outer_radius_fails_at_load(self, mismatched_path):
-        # checked by validate, so also the subcommands that never set up a sweep
-        with pytest.raises(ConfigError, match="outer radius 3.92938") as err:
-            load_config(mismatched_path, ["t_grid=4,8"])
-        assert err.value.key == "t_grid"
-        assert main(["solve", "--config", mismatched_path, "t_grid=4,8"]) == 2
-
-    def test_t_grid_beyond_outer_radius_exits_two(self, mismatched_path, capsys):
-        # c = 0.8 + 2 theta_magnitude = 2.8, so every t >= sqrt(2 + 2.8^2 + 2 * 2.8) = 3.93 is unusable
-        for command in ("width", "rsc", "sweep"):
-            assert main([command, "--config", mismatched_path, "t_grid=4,8"]) == 2
-            assert "'t_grid'" in capsys.readouterr().err
-
-    def test_matched_t_grid_exits_two(self, matched_path, capsys):
-        # 5 lies beyond R_F; a matched sweep would ignore the key rather than use it
-        for command in ("width", "rsc", "sweep"):
-            assert main([command, "--config", matched_path, "t_grid=0.3,5"]) == 2
-            assert "config key 't_grid'" in capsys.readouterr().err
+    @pytest.mark.parametrize("shipped", ("matched.cfg", "mismatched.cfg"))
+    @pytest.mark.parametrize("command", ("width", "solve", "rsc", "sweep"))
+    def test_removed_t_grid_key_exits_two(self, shipped, command, tmp_path, capsys):
+        # the radii come from F alone, so the key is gone, in the file as on the command line
+        text = (ROOT / "configs" / shipped).read_text(encoding="utf-8")
+        in_file = tmp_path / shipped
+        in_file.write_text(text + "t_grid = 0.25,0.5,1\n")
+        for argv in (["--config", str(in_file)], ["--config", str(ROOT / "configs" / shipped), "t_grid=0.25,0.5,1"]):
+            assert main([command, *argv]) == 2
+            assert capsys.readouterr().err == "config error: config key 't_grid': unknown key\n"
 
     def test_invalid_thread_count_exits_one(self, matched_path, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CONEWIDTH_THREADS", "abc")
@@ -207,10 +201,14 @@ class TestDispatch:
         assert "error: CONEWIDTH_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
 
     def test_width_mismatched_rows(self, mismatched_path, capsys):
+        # a localized row at each radius that prepare_sweep derives from F, then the global row
         assert main(["width", "--config", mismatched_path]) == 0
-        out = capsys.readouterr().out.strip().split("\n")
-        kinds = [line.split(",")[0] for line in out[1:]]
-        assert kinds == ["localized", "localized", "localized", "global"]
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+        assert [row[0] for row in rows] == ["localized"] * 12 + ["global"]
+        fset = FeasibleSet(*sweep_truth(load_config(mismatched_path)))
+        radii = np.geomspace(0.8 / math.sqrt(20), fset.outer_radius, 14)[1:-1]
+        assert [float(row[1]) for row in rows[:-1]] == list(radii)
+        assert all(int(row[4]) == 300 for row in rows[:-1])
 
     def test_global_width_row_is_exact(self, mismatched_path, capsys):
         # no draw behind the global row: master_seed and mc_samples leave it and the quadrature alone
@@ -240,8 +238,8 @@ class TestDispatch:
 
     def test_rsc_matches_sweep_probe_mismatched(self, mismatched_path, capsys):
         # both probe trial 0's ("design", n, 0) draw on the sweep's direction set
-        # at t*(n); at this seed t* = 0.8 = t_grid[1] at both n, so both use the
-        # set drawn from stream ("rsc", 1), not the one of t_grid[0]
+        # at t*(n); at this seed t*(30) and t*(60) are the sixth and fifth radii,
+        # so the probes use the sets of streams ("rsc", 5) and ("rsc", 4)
         assert main(["rsc", "--config", mismatched_path, "master_seed=9"]) == 0
         rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
         result = cli.run_sweep(load_config(mismatched_path, ["master_seed=9"]))
@@ -305,8 +303,10 @@ class TestDispatch:
             "n,mean_error,bound\n40,0.1\n",
             "n,mean_error,bound\nforty,0.1,0.2\n",
             "n,mean_error,bound\n0,0.4,0.8\n10,0.1,0.2\n20,0.05,0.1\n40,0.02,0.05\n",
+            "n,mean_error,bound\n40,0.1,0.2\n40,0.09,0.2\n40,0.11,0.2\n",
+            "n,mean_error,bound\n10,0.4,0.8\n40,0.1,0.2\n20,0.2,0.4\n",
         ],
-        ids=["empty", "short_row", "non_numeric_n", "zero_n"],
+        ids=["empty", "short_row", "non_numeric_n", "zero_n", "constant_n", "unsorted_n"],
     )
     def test_slope_rejects_malformed_csv(self, text, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -1,7 +1,6 @@
 """Sweep orchestration: truth generation, trials, aggregation, CSV, slopes."""
 
 import dataclasses
-import itertools
 import math
 import os
 import subprocess
@@ -12,6 +11,7 @@ import numpy as np
 import pytest
 
 from conewidth import bounds, experiment, geometry, glm
+from conewidth.cli import load_config
 from conewidth.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -56,10 +56,9 @@ MISMATCHED_SMALL = ExperimentConfig(
     master_seed=12,
     rsc_directions=150,
     mu_mode="theoretical",
-    t_grid=(0.25, 0.5, 1.0, 2.0, 4.0),
 )
 
-# R_F = sqrt(0.5 + 1.5^2 + 2 * 1.5 * 0.5) = 2.06, so t = 4 and t = 8 leave F \ tB empty
+# R_F = sqrt(0.5 + 1.5^2 + 2 * 1.5 * 0.5) = 2.06; at noise 5 the bound is smallest at the largest radius
 SMALL_OUTER_RADIUS = ExperimentConfig(
     p=20,
     s=2,
@@ -72,8 +71,22 @@ SMALL_OUTER_RADIUS = ExperimentConfig(
     master_seed=5,
     rsc_directions=120,
     mu_mode="theoretical",
-    t_grid=(0.5, 1.0, 2.0, 4.0, 8.0),
 )
+
+
+SHIPPED_MISMATCHED = Path(__file__).resolve().parents[1] / "configs" / "mismatched.cfg"
+
+# CI's mismatched sweeps and the traced-benchmark test, as overrides of the
+# shipped config (CI's Rademacher-design sweep has the shipped geometry)
+MISMATCHED_GEOMETRIES = {
+    "shipped": [],
+    "logistic": ["family=logistic", "ensemble=rademacher", "p=100", "s=3", "theta_magnitude=1.0", "slack=1.5"],
+    "poisson": ["family=poisson", "p=100", "s=3", "theta_magnitude=0.1", "slack=0.5"],
+    "mu-underflow": [
+        "family=logistic", "ensemble=rademacher", "p=20", "s=2", "theta_magnitude=400", "slack=1", "rsc_directions=100"
+    ],
+    "perfbench-hooks": ["p=20", "s=2", "theta_magnitude=0.5", "slack=0.5", "master_seed=3", "rsc_directions=100"],
+}
 
 
 class TestMakeTruth:
@@ -96,22 +109,22 @@ class TestMakeTruth:
 class TestConfigValidation:
     def test_negative_slack_rejected(self):
         for slack in (-0.5, math.nan):
-            cfg = ExperimentConfig(p=10, s=2, n_grid=(10,), trials=1, slack=slack, t_grid=(0.5,))
+            cfg = ExperimentConfig(p=10, s=2, n_grid=(10,), trials=1, slack=slack)
             with pytest.raises(ConfigError) as err:
                 cfg.validate()
             assert err.value.key == "slack"
 
-    def test_mismatched_needs_t_grid(self):
-        cfg = ExperimentConfig(p=10, s=2, slack=0.5, n_grid=(10,), trials=1)
-        with pytest.raises(ConfigError, match="t_grid"):
+    def test_mismatched_without_inner_radius_gap_rejected(self):
+        # at p = 1, s = 0, F is the interval [-c, c]: its inner radius slack / sqrt(p) is its outer radius
+        cfg = ExperimentConfig(p=1, s=0, slack=0.5, n_grid=(10,), trials=1)
+        with pytest.raises(ConfigError, match="inner radius") as err:
             cfg.validate()
-
-    def test_matched_rejects_t_grid(self):
-        # a matched sweep's one radius is t = 0, so a t_grid would go unused
-        cfg = ExperimentConfig(p=10, s=2, n_grid=(10,), trials=1, t_grid=(0.5,))
+        assert err.value.key == "s"
+        dataclasses.replace(cfg, s=1).validate()
+        # a slack whose inner radius underflows to 0 leaves no geometric grid either
         with pytest.raises(ConfigError) as err:
-            cfg.validate()
-        assert err.value.key == "t_grid"
+            dataclasses.replace(cfg, p=200, s=5, slack=5e-324).validate()
+        assert err.value.key == "slack"
 
     def test_n_grid_strictly_increasing(self):
         cfg = ExperimentConfig(p=10, s=2, n_grid=(10, 10), trials=1)
@@ -124,15 +137,13 @@ class TestConfigValidation:
             cfg.validate()
 
     def test_error_names_key(self):
-        cfg = ExperimentConfig(p=10, s=2, n_grid=(10,), trials=1, slack=0.5, t_grid=(0.5,))
+        cfg = ExperimentConfig(p=10, s=2, n_grid=(10,), trials=1, slack=0.5)
         for key, value in (
             ("theta_magnitude", math.nan),
             ("theta_magnitude", math.inf),
             ("noise_scale", math.nan),
             ("noise_scale", math.inf),
             ("slack", math.inf),
-            ("t_grid", (0.5, math.nan)),
-            ("t_grid", (0.5, math.inf)),
             # the rules below are checked nowhere else
             ("family", "binomial"),
             ("ensemble", "bernoulli"),
@@ -142,9 +153,6 @@ class TestConfigValidation:
             ("trials", 0),
             ("mc_samples", 1),
             ("noise_scale", -1.0),
-            ("t_grid", (0.0,)),
-            ("t_grid", (-0.5,)),
-            ("t_grid", (0.5, 0.5)),
             ("mu_mode", "oracle"),
             ("solver", "newton"),
         ):
@@ -186,37 +194,22 @@ class TestPrepareSweep:
 
     def test_mismatched_width_rows(self):
         ctx = prepare_sweep(MISMATCHED_SMALL)
-        assert list(ctx.widths) == list(MISMATCHED_SMALL.t_grid)
+        assert len(ctx.widths) == experiment.LOCALIZED_RADII
         assert ctx.global_width == pytest.approx(ctx.fset.radius_c * expected_abs_max(MISMATCHED_SMALL.p), rel=1e-12)
         assert all(ctx.tuned_by_n[n].t_star > 0 for n in MISMATCHED_SMALL.n_grid)
 
     def test_t_star_stays_below_outer_radius(self):
-        # t = 8 minimizes the bound at n = 10, but no direction of F has norm 8
+        # the largest radius minimizes the bound at n = 10; F still has directions of that norm
         res = run_sweep(SMALL_OUTER_RADIUS)
         radius = res.context.fset.outer_radius
         assert radius == pytest.approx(math.sqrt(4.25))
         assert not any(r.failed for r in res.records)
+        assert res.rows[0].t_star == max(res.context.widths)
         assert all(0.0 < row.t_star < radius for row in res.rows)
-        assert list(res.context.widths) == list(SMALL_OUTER_RADIUS.t_grid)
-
-    def test_no_t_below_outer_radius_is_config_error(self):
-        with pytest.raises(ConfigError) as err:
-            prepare_sweep(dataclasses.replace(SMALL_OUTER_RADIUS, t_grid=(4.0, 8.0)))
-        assert err.value.key == "t_grid"
-
-    def test_radius_check_uses_the_sweeps_own_radius(self):
-        # from the keys, R_F comes out one ulp above F's: a t_grid between the two would leave no candidate
-        m, c = 1.498, 7 * 1.498 + 1.701
-        config = ExperimentConfig(p=20, s=7, theta_magnitude=m, slack=1.701, n_grid=(30,), t_grid=(1.0,))
-        radius = geometry.FeasibleSet(*experiment.sweep_truth(config)).outer_radius
-        assert math.sqrt(7 * m * m + c * c + 2.0 * c * m) > radius
-        with pytest.raises(ConfigError) as err:
-            dataclasses.replace(config, t_grid=(radius,)).validate()
-        assert err.value.key == "t_grid"
 
     def test_radius_check_comes_before_any_draw(self, monkeypatch):
         def draw(*args):
-            raise AssertionError("a width or direction set was drawn before the t_grid check")
+            raise AssertionError("a width or direction set was drawn before the radius check")
 
         for module, name in (
             (geometry, "gaussian_width_cone"),
@@ -227,8 +220,27 @@ class TestPrepareSweep:
         ):
             monkeypatch.setattr(module, name, draw)
         with pytest.raises(ConfigError) as err:
-            prepare_sweep(dataclasses.replace(SMALL_OUTER_RADIUS, t_grid=(4.0, 8.0)))
-        assert err.value.key == "t_grid"
+            prepare_sweep(dataclasses.replace(SMALL_OUTER_RADIUS, p=1, s=0))
+        assert err.value.key == "s"
+
+
+class TestLocalizedRadii:
+    """A mismatched sweep's radii: the interior of a geometric grid from F's inner radius to its outer one."""
+
+    @pytest.mark.parametrize("name", sorted(MISMATCHED_GEOMETRIES))
+    def test_radii_lie_inside_f_and_each_can_be_probed(self, name):
+        config = load_config(str(SHIPPED_MISMATCHED), [*MISMATCHED_GEOMETRIES[name], "mc_samples=2"])
+        ctx = prepare_sweep(config)
+        radii = list(ctx.widths)
+        r_in, r_f = config.slack / math.sqrt(config.p), ctx.fset.outer_radius
+        assert radii == np.geomspace(r_in, r_f, 14)[1:-1].tolist()
+        assert len(radii) == experiment.LOCALIZED_RADII == 12
+        assert r_in < radii[0] and all(a < b for a, b in zip(radii, radii[1:])) and radii[-1] < r_f
+        # any radius can be some n's t*, so the draw of its set must never fail
+        num = config.rsc_directions
+        for i, t in enumerate(radii):
+            E = bounds.sample_localized_directions(ctx.fset, t, num, stream(config.master_seed, "rsc", i))
+            assert E.shape[1] >= max(2, num // 20)
 
 
 class TestRadiusDispatch:
@@ -245,7 +257,7 @@ class TestRadiusDispatch:
     def test_proj_grad_norm_at_positive_t_is_localized_sup(self):
         ctx = prepare_sweep(MISMATCHED_SMALL)
         rng = stream(94, "g")
-        for t in MISMATCHED_SMALL.t_grid:
+        for t in ctx.widths:
             g = rng.standard_normal(MISMATCHED_SMALL.p)
             expected = geometry._sup_localized_dual_rows(g[None], ctx.fset, (t,))[0, 0] / t
             assert ctx.proj_grad_norm(g, t) == expected
@@ -281,7 +293,7 @@ class TestSharedDirections:
         distinct = {tuned.t_star for tuned in res.context.tuned_by_n.values()}
         assert sorted(drawn) == sorted(distinct)
         assert set(res.context.directions) == distinct
-        assert len(distinct) == (1 if cfg is MATCHED_SMALL else 2)
+        assert len(distinct) == (1 if cfg is MATCHED_SMALL else 3)
 
     def test_sets_come_from_their_streams(self):
         ctx = prepare_sweep(MATCHED_SMALL)
@@ -290,24 +302,21 @@ class TestSharedDirections:
         expected = bounds.sample_cone_directions(cone, num, stream(MATCHED_SMALL.master_seed, "rsc", "cone"))
         assert np.array_equal(ctx.directions[0.0], expected)
         ctx = prepare_sweep(MISMATCHED_SMALL)
-        for i, t in enumerate(MISMATCHED_SMALL.t_grid):
+        for i, t in enumerate(ctx.widths):
             if t in ctx.directions:
                 rng = stream(MISMATCHED_SMALL.master_seed, "rsc", i)
                 expected = bounds.sample_localized_directions(ctx.fset, t, num, rng)
                 assert np.array_equal(ctx.directions[t], expected)
 
     def test_trials_at_one_radius_probe_one_set(self):
-        ctx = prepare_sweep(MISMATCHED_SMALL)
-        # two grid n that share a t*
-        pair = next(
-            (a, b) for a, b in itertools.combinations(ctx.tuned_by_n, 2)
-            if ctx.tuned_by_n[a].t_star == ctx.tuned_by_n[b].t_star
-        )
-        t = ctx.tuned_by_n[pair[0]].t_star
-        assert ctx.tuned_by_n[pair[1]].t_star == t
-        for n in pair:
-            record = run_trial(MISMATCHED_SMALL, n, 0, ctx)
-            instance = make_instance(MISMATCHED_SMALL, ctx.fset.theta_true, n, 0)
+        # two grid n close enough to share a t*
+        config = dataclasses.replace(MISMATCHED_SMALL, n_grid=(40, 41))
+        ctx = prepare_sweep(config)
+        t = ctx.tuned_by_n[40].t_star
+        assert ctx.tuned_by_n[41].t_star == t and set(ctx.directions) == {t}
+        for n in config.n_grid:
+            record = run_trial(config, n, 0, ctx)
+            instance = make_instance(config, ctx.fset.theta_true, n, 0)
             assert record.mu_hat == bounds.rsc_estimate(instance, ctx.directions[t]).mu_hat
 
     def test_localized_sets_lie_in_the_bound_set(self):
@@ -485,8 +494,18 @@ class TestEdgeSweeps:
     def test_poisson_predictors_at_the_cap_fail_their_trials(self, monkeypatch, budget):
         # n = 8 rows with |eta| near 11 |a_0|: trial 7 draws a predictor above
         # the cap, trial 5 passes sampling but its probe at theta + e crosses
-        # it.  The small budget splits the probe's 100 directions into blocks.
+        # it.  At t* (the largest radius) every probe direction points to F's
+        # far side, where |theta_0| shrinks, so the sweep probes the reflected
+        # set -E, which moves theta_0 outward.  The small budget splits the
+        # probe's 100 directions into blocks.
         monkeypatch.setattr(geometry, "BLOCK_ELEMENTS", budget)
+        prepare = experiment.prepare_sweep
+
+        def reflected(config):
+            ctx = prepare(config)
+            return dataclasses.replace(ctx, directions={t: -E for t, E in ctx.directions.items()})
+
+        monkeypatch.setattr(experiment, "prepare_sweep", reflected)
         cfg = ExperimentConfig(
             p=2,
             s=1,
@@ -499,9 +518,9 @@ class TestEdgeSweeps:
             master_seed=72,
             rsc_directions=100,
             mu_mode="theoretical",
-            t_grid=(0.25, 0.5, 1.0),
         )
         res = run_sweep(cfg)
+        assert res.context.tuned_by_n[8].t_star == max(res.context.widths)
         failed = [r for r in res.records if r.failed]
         assert len(res.records) == 10
         assert [(r.n, r.trial) for r in failed] == [(8, 5), (8, 7)]
@@ -532,14 +551,13 @@ class TestEdgeSweeps:
             master_seed=106,
             rsc_directions=100,
             mu_mode=mu_mode,
-            t_grid=(0.5, 1.0) if slack else (),
         )
         res = run_sweep(cfg)
         assert res.context.mu_theoretical == 0.0
         assert len(res.records) == 6 and not any(r.failed for r in res.records)
         for row in res.rows:
             if slack:
-                assert row.t_star == 0.5 and row.bound_closed_form == math.inf
+                assert row.t_star == min(res.context.widths) and row.bound_closed_form == math.inf
             else:
                 assert row.t_star == 0.0 and math.isnan(row.bound_closed_form)
             if mu_mode == "theoretical":

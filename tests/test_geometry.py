@@ -564,10 +564,11 @@ def shipped_mismatched():
 class TestLocalizedSupRootFind:
     def test_matches_golden_section_at_shipped_geometry(self, shipped_mismatched):
         config, fset = shipped_mismatched
-        # the first rows of the shipped width draw, at every radius
+        # the first rows of the shipped width draw, at every radius of the sweep
         H = stream(config.master_seed, "width", "localized").standard_normal((100, config.p))
-        sups = geometry._sup_localized_dual_rows(H, fset, config.t_grid)
-        for j, t in enumerate(config.t_grid):
+        radii = np.geomspace(config.slack / math.sqrt(config.p), fset.outer_radius, 14)[1:-1]
+        sups = geometry._sup_localized_dual_rows(H, fset, radii)
+        for j, t in enumerate(radii):
             np.testing.assert_allclose(sups[:, j], golden_section_sup_rows(H, fset, t), rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize(
@@ -610,6 +611,16 @@ class TestLocalizedSupRootFind:
                     sup_rows(h[None, :], fset, t), golden_section_sup_rows(h, fset, t), rtol=1e-10, atol=0
                 )
 
+    def test_inner_radius_ball_lies_in_f(self, shipped_mismatched):
+        # for t <= r_in = slack / sqrt(p), ||theta + v||_1 <= ||theta||_1 + sqrt(p) ||v|| <= c
+        # puts all of tB in F, so the sup is t ||h||
+        config, fset = shipped_mismatched
+        r_in = config.slack / math.sqrt(config.p)
+        H = stream(config.master_seed, "width", "localized").standard_normal((200, config.p))
+        sups = geometry._sup_localized_dual_rows(H, fset, (r_in, r_in / 2))
+        for j, t in enumerate((r_in, r_in / 2)):
+            np.testing.assert_allclose(sups[:, j] / t, np.linalg.norm(H, axis=1), rtol=1e-12, atol=0)
+
     def test_matched_equals_cone_section(self):
         # for t <= min |theta_S|, F ∩ tB = K ∩ tB, whose sup is t ||P_K(h)||
         rng = np.random.default_rng(46)
@@ -646,8 +657,7 @@ class TestLocalizedSupRootFind:
         residual stop never fires there, the certificate or the collapsed
         bracket must."""
         config, fset = shipped_mismatched
-        i = config.t_grid.index(5.84)
-        H = stream(config.master_seed, "width", i).standard_normal((config.mc_samples, config.p))
+        H = stream(config.master_seed, "width", 10).standard_normal((config.mc_samples, config.p))
         sups = sup_rows(H, fset, 5.84, max_iter=20)
         np.testing.assert_allclose(sups, golden_section_sup_rows(H, fset, 5.84), rtol=1e-10, atol=0)
 
@@ -655,7 +665,7 @@ class TestLocalizedSupRootFind:
         config, fset = shipped_mismatched
         H = stream(config.master_seed, "width", 0).standard_normal((20, config.p))
         with pytest.raises(ConvergenceError, match="not certified"):
-            sup_rows(H, fset, config.t_grid[0], max_iter=1)
+            sup_rows(H, fset, 0.25, max_iter=1)
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(data=st.data())
@@ -742,6 +752,15 @@ class TestLocalizedWidth:
         assert abs(w_half.mean - w_two.mean) <= 3 * math.hypot(w_half.stderr, w_two.stderr)
         cone_w = gaussian_width_cone(descent_cone(theta), 6000, stream(37, "c"))
         assert abs(w_half.mean - cone_w.mean) <= 3 * math.hypot(w_half.stderr, cone_w.stderr)
+
+    def test_inner_radius_width_is_lambda_p(self, shipped_mismatched):
+        # at t = r_in the width is E ||h|| = sqrt(2) Gamma((p + 1) / 2) / Gamma(p / 2), 14.1245 at p = 200
+        config, fset = shipped_mismatched
+        p = config.p
+        lambda_p = math.sqrt(2.0) * math.exp(math.lgamma((p + 1) / 2) - math.lgamma(p / 2))
+        rng = stream(config.master_seed, "width", "localized")
+        w = localized_width(fset, [config.slack / math.sqrt(p)], 4000, rng)[0]
+        assert abs(w.mean - lambda_p) <= 3 * w.stderr
 
     def test_mismatched_p2_against_oracle_mc(self):
         fset = FeasibleSet(np.array([0.4, -0.3]), 1.2)

@@ -31,7 +31,7 @@ rsc_directions = 100
 TINY = {
     "matched": (COMMON, {"geometry.width_cone"}),
     "mismatched": (
-        COMMON + "slack = 0.5\nmu_mode = theoretical\nt_grid = 0.3,0.6\n",
+        COMMON + "slack = 0.5\nmu_mode = theoretical\n",
         {"geometry.width_global", "geometry.width_localized"},
     ),
 }
