@@ -114,6 +114,12 @@ class ExperimentConfig:
                 f"leaves no radius between the feasible set's inner radius slack / sqrt(p) = {inner:.6g} and "
                 f"its outer radius {outer:.6g} (at p = 1 a mismatched constraint needs s = 1)",
             )
+        if self.slack > 0.0 and inner < 1e-8 * magnitude:
+            raise ConfigError(
+                "slack",
+                f"gives the inner radius slack / sqrt(p) = {inner:.6g}, below 1e-8 * theta_magnitude: "
+                "the localized widths lose their accuracy at radii that far below theta*'s entries",
+            )
         if not 0.0 <= self.noise_scale < math.inf:
             raise ConfigError("noise_scale", "must be finite and >= 0")
         if not self.n_grid:
@@ -156,12 +162,10 @@ def sweep_truth(config: ExperimentConfig) -> tuple[np.ndarray, float]:
 def make_instance(config: ExperimentConfig, theta: np.ndarray, n: int, trial_index: int) -> glm.Instance:
     """The seeded instance of one trial, from its design and responses streams.
 
-    :func:`glm.sample_instance` chooses its form: a gaussian trial with
-    n >= p is held by its sufficient statistics, every other by its design.
-    With a gaussian design and n > p the statistics are drawn from their
-    Wishart law on the design stream alone, and the responses stream goes
-    unused; a Rademacher design, or n = p, sums them over row blocks of the
-    two streams.
+    :func:`glm.sample_instance` chooses its form: a gaussian trial on a
+    gaussian design with n > p is held by its sufficient statistics, drawn
+    from their Wishart law on the design stream alone (the responses stream
+    goes unused); every other trial is held by its design.
     """
     return glm.sample_instance(
         n,

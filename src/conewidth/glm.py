@@ -16,12 +16,12 @@ functions in this module.
 A trial's instance comes in one of two forms, and only this module tells
 them apart.  :class:`ProblemInstance` holds the design and the responses.
 :class:`GramInstance` holds the sufficient statistics of a gaussian trial
-with n >= p, whose loss depends on the data only through ``A^T A / n`` and
-``A^T y / n``; :func:`sample_instance` picks the form, and for a gaussian
-design with n > p draws the statistics from their Wishart law without any
-design (:func:`sample_wishart_instance`).  The solvers work on
-an affine *predictor* of theta (:func:`predictor`): ``A theta`` for a
-design, ``G (theta - theta*)`` for a Gram instance.
+on a gaussian design with n > p, whose loss depends on the data only
+through ``A^T A / n`` and ``A^T y / n``; :func:`sample_instance` picks the
+form, and draws those statistics from their Wishart law without any design
+(:func:`sample_wishart_instance`).  The solvers work on an affine
+*predictor* of theta (:func:`predictor`): ``A theta`` for a design,
+``G (theta - theta*)`` for a Gram instance.
 """
 
 from __future__ import annotations
@@ -114,7 +114,8 @@ class ProblemInstance:
 
 @dataclass(frozen=True)
 class GramInstance:
-    """A gaussian regression problem held by its sufficient statistics.
+    """A gaussian regression problem on a gaussian design with n > p, held by
+    its sufficient statistics (:func:`sample_wishart_instance`).
 
     With the residual ``w = y - A theta*`` at the truth, it keeps
     ``gram = A^T A / n``, ``shift = A^T w / n`` and ``loss_at_truth =
@@ -154,10 +155,7 @@ def sample_responses(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw responses from the family's conditional law at ``eta = A theta``."""
-    return _responses_at(design @ theta_true, family, rng)
-
-
-def _responses_at(eta: np.ndarray, family: GlmFamily, rng: np.random.Generator) -> np.ndarray:
+    eta = design @ theta_true
     if family.tag == "gaussian":
         return eta + family.noise_scale * rng.standard_normal(eta.shape[0])
     if family.tag == "logistic":
@@ -206,33 +204,17 @@ def sample_instance(
 ) -> Instance:
     """One trial's instance: its design from ``design_rng``, its responses from ``responses_rng``.
 
-    A gaussian family at n >= p gets a :class:`GramInstance`.  With a
-    gaussian design and n > p it is drawn by :func:`sample_wishart_instance`
-    from ``design_rng`` alone, and ``responses_rng`` goes unused.  With a
-    Rademacher design, or at n = p (Bartlett's draw needs n >= p + 1), its
-    statistics are summed over the row blocks of :func:`geometry.blocks`,
-    each drawn as :func:`sample_design` and :func:`sample_responses` draw
-    them on the two generators, so the whole design never exists.  Both
-    generators fill in order, so the blocks hold the rows and the noise of
-    one draw.  Every other trial gets its :class:`ProblemInstance`.
+    A gaussian family on a gaussian design with n > p gets the
+    :class:`GramInstance` that :func:`sample_wishart_instance` draws from
+    ``design_rng`` alone; ``responses_rng`` goes unused.  Every other trial
+    gets its :class:`ProblemInstance`, whose design and responses are one
+    draw of :func:`sample_design` and :func:`sample_responses`.
     """
     p = theta_true.shape[0]
-    if family.tag != "gaussian" or n < p:
-        design = sample_design(n, p, ensemble, design_rng)
-        return ProblemInstance(design, sample_responses(design, theta_true, family, responses_rng), theta_true, family)
-    if ensemble == "gaussian" and n > p:
+    if family.tag == "gaussian" and ensemble == "gaussian" and n > p:
         return sample_wishart_instance(n, theta_true, family, design_rng)
-    gram = np.zeros((p, p))
-    shift = np.zeros(p)
-    loss_sum = 0.0
-    for rows in blocks(n, p):
-        design = sample_design(rows.stop - rows.start, p, ensemble, design_rng)
-        eta = design @ theta_true
-        responses = _responses_at(eta, family, responses_rng)
-        gram += design.T @ design
-        shift += (responses - eta) @ design
-        loss_sum += float(np.sum(_cumulant(family, eta) - responses * eta))
-    return GramInstance(gram / n, shift / n, loss_sum / n, theta_true, family, n)
+    design = sample_design(n, p, ensemble, design_rng)
+    return ProblemInstance(design, sample_responses(design, theta_true, family, responses_rng), theta_true, family)
 
 
 def predictor(instance: Instance, theta: np.ndarray) -> np.ndarray:

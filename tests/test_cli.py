@@ -171,6 +171,12 @@ class TestDispatch:
         assert main(["sweep", "--config", shipped, "trials=1", f"theta_magnitude={magnitude}"]) == 2
         assert "config key 'theta_magnitude'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("slack", ("1e-100", "1e-300"))
+    def test_slack_far_below_the_truth_exits_two(self, slack, capsys):
+        shipped = str(ROOT / "configs" / "mismatched.cfg")
+        assert main(["width", "--config", shipped, f"slack={slack}", "mc_samples=500"]) == 2
+        assert "config key 'slack'" in capsys.readouterr().err
+
     def test_missing_config_file_exits_one(self, tmp_path):
         assert main(["width", "--config", str(tmp_path / "absent.cfg")]) == 1
 

@@ -126,6 +126,18 @@ class TestConfigValidation:
             dataclasses.replace(cfg, p=200, s=5, slack=5e-324).validate()
         assert err.value.key == "slack"
 
+    def test_slack_far_below_the_truth_rejected(self):
+        # every localized radius lies above slack / sqrt(p), where the root-find
+        # still resolves theta*'s entries to about 1e-7 relative
+        cfg = ExperimentConfig(p=200, s=5, theta_magnitude=1.0, n_grid=(10,), trials=1, slack=2.5)
+        line = 1e-8 * math.sqrt(200)
+        for slack in (1e-100, 1e-300, line / 2):
+            with pytest.raises(ConfigError, match="1e-8 \\* theta_magnitude") as err:
+                dataclasses.replace(cfg, slack=slack).validate()
+            assert err.value.key == "slack"
+        dataclasses.replace(cfg, slack=1.01 * line).validate()
+        dataclasses.replace(cfg, s=0, slack=1e-100).validate()  # a zero truth has no entries to resolve
+
     def test_n_grid_strictly_increasing(self):
         cfg = ExperimentConfig(p=10, s=2, n_grid=(10, 10), trials=1)
         with pytest.raises(ConfigError, match="n_grid"):

@@ -329,43 +329,38 @@ def assert_oracles_match(gram, design, seed):
         assert_close(glm.hessian_quadratic_form(gram, theta, v), glm.hessian_quadratic_form(design, theta, v))
 
 
-# the trials whose Gram instance still sums the rows of their design streams
+# more Gram instances summed over the rows of their design streams: n = p on a
+# gaussian design, and a Rademacher design at and above p (both keep their
+# design in the library)
 ROW_BLOCK_CASES = ((GRAM_P, "gaussian"), (GRAM_P, "rademacher"), (2 * GRAM_P + 5, "rademacher"),
                    (7 * GRAM_ROWS + 9, "rademacher"))
 WISHART_NS = (GRAM_P + 1, 2 * GRAM_P + 5, 7 * GRAM_ROWS + 9)
 
 
 class TestGramInstance:
-    """A gaussian trial with n >= p is held by ``A^T A / n`` and its shift.
-    Summed over row blocks, its oracles agree with the design instance of the
-    same draw; drawn from its Wishart law (gaussian design, n > p), it shares
-    no draw with a design, and the row-block oracle stands in for it."""
+    """A gaussian trial on a gaussian design with n > p is held by ``A^T A / n``
+    and its shift, drawn from their Wishart law.  It shares no draw with a
+    design, so the row-block oracle, whose oracles agree with the design
+    instance of the same draw, stands in for it."""
 
     @pytest.fixture(autouse=True)
     def small_budget(self, monkeypatch):
         monkeypatch.setattr(geometry, "BLOCK_ELEMENTS", GRAM_P * GRAM_ROWS)
 
-    @pytest.mark.parametrize("n, ensemble", ROW_BLOCK_CASES)
-    def test_oracles_match_the_design(self, n, ensemble):
-        gram, design = gram_twin(n, ensemble)
-        assert isinstance(gram, glm.GramInstance) and (gram.n, gram.p) == (n, GRAM_P)
-        assert_oracles_match(gram, design, n)
-
-    @pytest.mark.parametrize("n", WISHART_NS[1:])
-    def test_row_block_oracle_matches_the_design(self, n):
+    @pytest.mark.parametrize(
+        "n, ensemble",
+        [pytest.param(n, "gaussian", id=str(n)) for n in WISHART_NS[1:]]
+        + [pytest.param(n, ensemble, id=f"{n}-{ensemble}") for n, ensemble in ROW_BLOCK_CASES],
+    )
+    def test_row_block_oracle_matches_the_design(self, n, ensemble):
         # a Wishart draw has no design; the Gram instance of one stands in for it
-        gram, design = gram_twin(n, "gaussian", sample=row_block_gram_instance)
+        gram, design = gram_twin(n, ensemble, sample=row_block_gram_instance)
+        assert (gram.n, gram.p) == (n, GRAM_P)
         assert_oracles_match(gram, design, n)
-
-    @pytest.mark.parametrize("n, ensemble", ROW_BLOCK_CASES)
-    def test_row_block_trials_keep_their_draw(self, n, ensemble):
-        sampled, _ = gram_twin(n, ensemble)
-        oracle, _ = gram_twin(n, ensemble, sample=row_block_gram_instance)
-        assert np.array_equal(sampled.gram, oracle.gram) and np.array_equal(sampled.shift, oracle.shift)
-        assert sampled.loss_at_truth == oracle.loss_at_truth
 
     @pytest.mark.parametrize("ensemble", glm.ENSEMBLES)
     def test_gradient_at_truth_is_zero_without_noise(self, ensemble):
+        # a Wishart draw on a gaussian design; a Rademacher design keeps its design
         gram, _ = gram_twin(7 * GRAM_ROWS + 9, ensemble, noise_scale=0.0)
         assert np.all(glm.gradient(gram, gram.theta_true) == 0.0)
 
@@ -396,15 +391,21 @@ class TestGramInstance:
     def test_other_trials_keep_their_design(self):
         theta = np.zeros(GRAM_P)
         theta[0] = 0.5
-        for n, family in ((GRAM_P - 1, GAUSSIAN), (4 * GRAM_P, LOGISTIC), (4 * GRAM_P, POISSON)):
-            inst = glm.sample_instance(n, "rademacher", theta, family, stream(23, "d"), stream(23, "r"))
-            design = glm.sample_design(n, GRAM_P, "rademacher", stream(23, "d"))
+        for n, ensemble, family in (
+            (GRAM_P - 1, "rademacher", GAUSSIAN),
+            (GRAM_P, "gaussian", GAUSSIAN),
+            (4 * GRAM_P, "rademacher", GAUSSIAN),
+            (4 * GRAM_P, "rademacher", LOGISTIC),
+            (4 * GRAM_P, "rademacher", POISSON),
+        ):
+            inst = glm.sample_instance(n, ensemble, theta, family, stream(23, "d"), stream(23, "r"))
+            design = glm.sample_design(n, GRAM_P, ensemble, stream(23, "d"))
             assert isinstance(inst, glm.ProblemInstance) and np.array_equal(inst.design, design)
             assert np.array_equal(inst.responses, glm.sample_responses(design, theta, family, stream(23, "r")))
 
 
 class TestWishartDraw:
-    """The Wishart draw of a gaussian trial has the law of the row-block sums it replaces."""
+    """The Wishart draw of a gaussian trial has the law of the row-block oracle's sums."""
 
     DRAWS = 3000
 
