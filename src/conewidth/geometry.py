@@ -83,10 +83,13 @@ def _gaussian_row_values(
 def _water_level(a: np.ndarray, offset, target) -> np.ndarray:
     """Per row, the level ``x >= 0`` where ``sum_j (a_j - x)_+ = offset x - target``, else 0.
 
-    The one soft threshold behind the l1-ball projection (offset 0, target
-    ``-c``), a descent cone's polar scale (:func:`_polar_tau_batch`) and the
-    localized path's threshold (:meth:`_OffSupportPath.sums`), found by one
-    sort and one count (Duchi, Shalev-Shwartz, Singer & Chandra 2008).  The
+    The one soft threshold of the batched callers, the row-wise l1-ball
+    projection (offset 0, target ``-c``), a descent cone's polar scale
+    (:func:`_polar_tau_batch`) and the localized path's threshold
+    (:meth:`_OffSupportPath.sums`), found by one sort and one count (Duchi,
+    Shalev-Shwartz, Singer & Chandra 2008).  :func:`project_l1_ball`, the
+    solver's single-vector projection, evaluates the same formula in scalar
+    arithmetic; a property test pins it to this kernel bit for bit.  The
     rows of ``a`` are nonnegative and sorted in descending order, and are
     overwritten.  ``offset`` (a count) and ``target`` are scalars or (rows, 1)
     columns, with ``offset > 0 or target < 0`` in every row.
@@ -176,8 +179,26 @@ def project_onto_descent_cone(cone: ConeModel, h: np.ndarray) -> tuple[np.ndarra
 
 
 def project_l1_ball(x: np.ndarray, c: float) -> np.ndarray:
-    """Euclidean projection onto ``{v : ||v||_1 <= c}`` by soft thresholding."""
-    return project_l1_ball_rows(x[None, :], c)[0]
+    """Euclidean projection onto ``{v : ||v||_1 <= c}`` by soft thresholding.
+
+    :func:`_water_level`'s count with offset 0 and target ``-c``, on one
+    vector: with ``u`` the magnitudes in descending order and ``A_j = sum_{i<j}
+    u_i``, the k indices with ``j u_j - A_j > -c`` give the level
+    ``max((A_k - c) / k, 0)``.  It runs the kernel's operations in the same
+    order, so it equals ``project_l1_ball_rows(x[None], c)[0]`` bit for bit,
+    without the rows kernel's 2-D bookkeeping (the solver projects once per
+    candidate).
+    """
+    absx = np.abs(x)
+    if absx.sum() <= c:
+        return x.copy()
+    u = np.sort(absx)[::-1]
+    prefix = np.zeros(u.size + 1)
+    np.cumsum(u, out=prefix[1:])
+    k = int(np.count_nonzero(u * np.arange(u.size) - prefix[:-1] > -c))
+    # k is 0 only on a non-finite entry, where the kernel's level -c/0 clips to 0
+    lam = max((float(prefix[k]) - c) / k, 0.0) if k else 0.0
+    return np.sign(x) * np.maximum(absx - lam, 0.0)
 
 
 def project_l1_ball_rows(X: np.ndarray, c: float) -> np.ndarray:

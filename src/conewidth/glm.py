@@ -239,7 +239,7 @@ def loss_at_predictor(instance: Instance, theta: np.ndarray, eta: np.ndarray) ->
         d = theta - instance.theta_true
         return float(instance.loss_at_truth - instance.shift @ d + 0.5 * (d @ eta))
     b = _cumulant(instance.family, eta)
-    return float(np.mean(b - instance.responses * eta))
+    return float((b - instance.responses * eta).sum() / instance.n)
 
 
 def gradient_at_predictor(instance: Instance, eta: np.ndarray) -> np.ndarray:

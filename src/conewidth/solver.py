@@ -146,7 +146,7 @@ def projected_gradient(
         gap = float(grad @ (theta - lmo_l1_ball(grad, c)))
         if gap <= gap_tol or stalled or k >= max_iter:
             break
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             raise SolverError(f"non-finite gradient at iteration {k}")
         momentum_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
         beta = (momentum - 1.0) / momentum_next
@@ -159,7 +159,7 @@ def projected_gradient(
                 z_grad = glm.gradient_at_predictor(instance, eta_z)
             except ValueError:  # extrapolated poisson predictor past its cap
                 z_value = np.inf
-            if np.isfinite(z_value) and np.all(np.isfinite(z_grad)):
+            if np.isfinite(z_value) and np.isfinite(z_grad).all():
                 accepted = _backtrack(instance, c, z, z_value, z_grad, step, k)
                 if accepted[2] > value:
                     accepted = None
@@ -167,14 +167,15 @@ def projected_gradient(
             momentum_next = 0.5 * (1.0 + math.sqrt(5.0))
             accepted = _backtrack(instance, c, theta, value, grad, step, k)
         candidate, cand_eta, cand_value, step = accepted
-        step_size = float(np.linalg.norm(candidate - theta))
+        move = candidate - theta
+        step_size = math.sqrt(move @ move)
         theta_prev, eta_prev = theta, eta
         theta, eta, value = candidate, cand_eta, cand_value
         grad = glm.gradient_at_predictor(instance, eta)
         momentum = momentum_next
         step *= 1.5
         k += 1
-        stalled = step_size <= tol * max(1.0, float(np.linalg.norm(theta)))
+        stalled = step_size <= tol * max(1.0, math.sqrt(theta @ theta))
     return SolveReport(theta, k, gap, value, "projected_gradient", gap <= gap_tol)
 
 

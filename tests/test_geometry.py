@@ -93,7 +93,38 @@ class TestProjectL1Ball:
         X = rng.normal(scale=2.0, size=(40, 7))
         rows = geometry.project_l1_ball_rows(X, 1.3)
         for i in range(40):
-            assert np.allclose(rows[i], project_l1_ball(X[i], 1.3), atol=1e-14)
+            assert np.array_equal(rows[i], project_l1_ball(X[i], 1.3))
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_vector_equals_rows_kernel_bit_for_bit(self, data):
+        """The single-vector projection evaluates the rows kernel's formula in
+        scalar arithmetic and must give its row bit for bit: at p up to 300,
+        for c over six decades, on points inside the ball, on entries drawn
+        from a few magnitudes (exact ties, also across signs) and on zeros."""
+        p = data.draw(st.integers(1, 300), label="p")
+        c = data.draw(st.floats(1e-3, 1e3), label="c")
+        magnitudes = data.draw(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=4), label="magnitudes")
+        # each entry is 0, +-one of the magnitudes, or a free draw, in proportions hypothesis picks
+        weights = np.array(data.draw(st.lists(st.integers(0, 3), min_size=3, max_size=3), label="weights")) + 1e-3
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        tied = rng.choice(magnitudes, size=p) * rng.choice([-1.0, 1.0], size=p)
+        free = rng.uniform(-1e3, 1e3, size=p) * 10.0 ** rng.uniform(-6, 0, size=p)
+        kind = rng.choice(3, size=p, p=weights / weights.sum())
+        x = np.where(kind == 0, 0.0, np.where(kind == 1, tied, free))
+        norm1 = float(np.sum(np.abs(x)))
+        if data.draw(st.booleans(), label="inside") and norm1 > 0:
+            x = x / norm1 * (0.5 * c)
+        vector = project_l1_ball(x, c)
+        assert vector.tobytes() == geometry.project_l1_ball_rows(x[None, :], c)[0].tobytes()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_vector_equals_rows_kernel_on_a_nonfinite_entry(self, bad):
+        # no index passes the count; the kernel's level -c/0 clips to 0
+        x = np.array([0.5, bad, -2.0])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            rows = geometry.project_l1_ball_rows(x[None, :], 1.0)[0]
+            assert project_l1_ball(x, 1.0).tobytes() == rows.tobytes()
 
     @settings(max_examples=500)
     @given(data=st.data())

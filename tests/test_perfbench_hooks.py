@@ -69,3 +69,5 @@ def test_traced_sweep_records_every_layer(mode, tmp_path):
     assert payload["trials_attempted"] == 4 and payload["failed_trials"] == []
     names = {span[0] for span in payload["trace"]["spans"]}
     assert EVERY_SWEEP | mode_spans <= names
+    # the solver projects through the name the tracer wraps, not through the rows kernel
+    assert payload["trace"]["counters"].get("solver.proj", [0])[0] > 0

@@ -147,6 +147,34 @@ class TestProjectedGradient:
             ]
             assert all(b <= a + 1e-14 * max(1.0, abs(a)) for a, b in zip(values, values[1:]))
 
+    def poisoned_gradients(self, monkeypatch, calls):
+        """Make the listed calls of ``glm.gradient_at_predictor`` (0 is the
+        one at the origin) return NaN."""
+        orig, count = glm.gradient_at_predictor, [0]
+
+        def gradient_at_predictor(instance, eta):
+            grad = orig(instance, eta)
+            count[0] += 1
+            return np.full_like(grad, np.nan) if count[0] - 1 in calls else grad
+
+        monkeypatch.setattr(glm, "gradient_at_predictor", gradient_at_predictor)
+
+    @pytest.mark.parametrize("iteration", [0, 1])
+    def test_nonfinite_gradient_reports_iteration(self, monkeypatch, iteration):
+        # call 0 is the gradient at the origin, call 1 the one at the first accepted iterate
+        inst = small_instance(stream(67, "pg"), GAUSSIAN, n=30, p=60)
+        self.poisoned_gradients(monkeypatch, {iteration})
+        with pytest.raises(solver.SolverError, match=f"non-finite gradient at iteration {iteration}$"):
+            solver.projected_gradient(inst, 1.0)
+
+    def test_nonfinite_extrapolated_gradient_restarts(self, monkeypatch):
+        # call 2 is the first extrapolated gradient: the step is retaken from
+        # the iterate instead of backtracking along a NaN direction
+        inst = small_instance(stream(67, "pg"), GAUSSIAN, n=30, p=60)
+        self.poisoned_gradients(monkeypatch, {2})
+        report = solver.projected_gradient(inst, 1.0)
+        assert report.converged and np.isfinite(report.theta_hat).all()
+
     def test_iteration_cap_reports_not_converged(self):
         rng = stream(65, "pg")
         inst = small_instance(rng, GAUSSIAN, n=30, p=60)
