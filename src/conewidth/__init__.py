@@ -2,7 +2,7 @@
 
 Modules by responsibility: :mod:`conewidth.glm` (families and oracles),
 :mod:`conewidth.geometry` (cones, projections, width estimators),
-:mod:`conewidth.solver` (Frank-Wolfe and projected gradient),
+:mod:`conewidth.solver` (projected gradient, and the Frank-Wolfe reference),
 :mod:`conewidth.bounds` (restricted-convexity probes and bound formulas),
 :mod:`conewidth.experiment` (sweeps and CSV output), :mod:`conewidth.cli`.
 """

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import solver
 from .experiment import (
     RSC_EPSILON,
     ConfigError,
@@ -30,7 +31,6 @@ from .experiment import (
     probe_rsc,
     render_csv,
     run_sweep,
-    solve,
     sweep_truth,
 )
 
@@ -122,7 +122,7 @@ def _cmd_solve(config: ExperimentConfig, out_path: str | None) -> None:
     n = config.n_grid[0]
     theta, c = sweep_truth(config)
     instance = make_instance(config, theta, n, 0)
-    report = solve(config, instance, c)
+    report = solver.projected_gradient(instance, c)
     err = report.theta_hat - instance.theta_true
     row = (
         n,

@@ -33,7 +33,6 @@ THREADS_ENV_VAR = "CONEWIDTH_THREADS"
 FLOAT_FORMAT = "{:.17g}"
 
 MU_MODES = ("empirical", "theoretical")
-SOLVERS = ("projected_gradient", "frank_wolfe")
 
 TRIAL_CSV_COLUMNS = (
     "n",
@@ -78,7 +77,6 @@ class ExperimentConfig:
     master_seed: int = 0
     rsc_directions: int = 2000
     mu_mode: str = "empirical"
-    solver: str = "projected_gradient"
 
     def validate(self) -> None:
         if self.p < 1:
@@ -136,8 +134,6 @@ class ExperimentConfig:
             raise ConfigError("rsc_directions", "must be >= 100")
         if self.mu_mode not in MU_MODES:
             raise ConfigError("mu_mode", f"must be one of {MU_MODES}")
-        if self.solver not in SOLVERS:
-            raise ConfigError("solver", f"must be one of {SOLVERS}")
 
     def glm_family(self) -> glm.GlmFamily:
         return glm.GlmFamily(self.family, self.noise_scale)
@@ -263,13 +259,6 @@ def prepare_sweep(config: ExperimentConfig) -> SweepContext:
     return SweepContext(fset, cone, mu_theory, tuned_by_n, widths, global_width, directions)
 
 
-def solve(config: ExperimentConfig, instance: glm.Instance, c: float) -> solver.SolveReport:
-    """Run the configured solver with its fixed iteration cap and tolerances."""
-    if config.solver == "frank_wolfe":
-        return solver.frank_wolfe(instance, c)
-    return solver.projected_gradient(instance, c)
-
-
 @dataclass(frozen=True)
 class TrialRecord:
     n: int
@@ -315,7 +304,7 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int, ctx: SweepCont
     theta = ctx.fset.theta_true
     instance = make_instance(config, theta, n, trial_index)
 
-    report = solve(config, instance, ctx.fset.radius_c)
+    report = solver.projected_gradient(instance, ctx.fset.radius_c)
 
     err = report.theta_hat - theta
     error_l2 = float(np.linalg.norm(err))
@@ -366,6 +355,32 @@ def probe_rsc(ctx: SweepContext, instance: glm.Instance, n: int) -> bounds.RscEs
     return bounds.rsc_estimate(instance, ctx.directions[ctx.tuned_by_n[n].t_star])
 
 
+# Student-t 0.975 quantiles t_{0.975, nu} for nu = 1, ..., 30 residual degrees of freedom
+T975_TABLE = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934, 2.5705818356363146,
+    2.4469118511449786, 2.364624251592784, 2.306004135204166, 2.262157162798205, 2.228138851986274,
+    2.200985160091639, 2.1788128296672284, 2.1603686564627913, 2.144786687917804, 2.131449545559776,
+    2.1199052992212546, 2.1098155778333156, 2.1009220402410382, 2.0930240544083087, 2.085963447265864,
+    2.0796138447276795, 2.0738730679040254, 2.0686576104190486, 2.0638985616280245, 2.0595385527532972,
+    2.0555294386428735, 2.0518305164802846, 2.0484071417952454, 2.045229642132703, 2.0422724563012378,
+)
+Z975 = 1.959963984540054  # the standard normal 0.975 quantile
+
+
+def t975(dof: int) -> float:
+    """The Student-t 0.975 quantile on ``dof >= 1`` degrees of freedom.
+
+    From :data:`T975_TABLE` up to 30 dof; above it, the Cornish-Fisher
+    expansion around :data:`Z975` to the 1/dof^3 term, within a relative
+    1e-6 of the exact quantile.
+    """
+    if dof <= len(T975_TABLE):
+        return T975_TABLE[dof - 1]
+    z, z2 = Z975, Z975 * Z975
+    terms = (z * (z2 + 1) / 4, z * ((5 * z2 + 16) * z2 + 3) / 96, z * (((3 * z2 + 19) * z2 + 17) * z2 - 15) / 384)
+    return z + sum(term / dof**k for k, term in enumerate(terms, 1))
+
+
 @dataclass(frozen=True)
 class SlopeFit:
     slope: float
@@ -374,10 +389,12 @@ class SlopeFit:
 
 
 def fit_loglog_slope(points) -> SlopeFit:
-    """OLS fit of log(value) against log(n); half-width from residual variance.
+    """OLS fit of log(value) against log(n) with a 95% interval on the slope.
 
-    The points are at least 3, with distinct positive n and positive
-    values, as :func:`fit_series` passes them.
+    ``half_width`` is the Student-t 0.975 quantile on the k - 2 residual
+    degrees of freedom of k points times the slope's standard error.  The
+    points are at least 3, with distinct positive n and positive values, as
+    :func:`fit_series` passes them.
     """
     pts = [(float(n), float(v)) for n, v in points]
     x = np.log(np.array([n for n, _ in pts]))
@@ -389,7 +406,7 @@ def fit_loglog_slope(points) -> SlopeFit:
     residuals = y - (intercept + slope * x)
     dof = len(pts) - 2
     sigma2 = float(residuals @ residuals) / dof
-    half_width = 1.96 * math.sqrt(max(sigma2, 0.0) / sxx)
+    half_width = t975(dof) * math.sqrt(max(sigma2, 0.0) / sxx)
     return SlopeFit(slope, intercept, half_width)
 
 

@@ -1,10 +1,12 @@
-"""Constrained solvers over the l1 ball: Frank-Wolfe and projected gradient.
+"""Constrained solvers over the l1 ball: projected gradient and Frank-Wolfe.
 
-Frank-Wolfe touches the constraint set only through the linear minimization
-oracle and carries a duality-gap certificate: for convex f and feasible
-theta, ``gap = <grad f(theta), theta - s>`` with s the oracle output
-upper-bounds ``f(theta) - min f``.  Accelerated projected gradient is the
-default solver and stops on the same certificate.  Every report carries the
+Accelerated projected gradient is the solver: the sweep and ``conewidth
+solve`` call :func:`projected_gradient`, and no config selects another.  It
+stops on the Frank-Wolfe duality-gap certificate: for convex f and feasible
+theta, ``gap = <grad f(theta), theta - s>`` with s the linear minimization
+oracle's output upper-bounds ``f(theta) - min f``.  Frank-Wolfe, which
+touches the constraint set only through that oracle, stays as the reference
+solver of acceptance criterion 4's cross-check.  Every report carries the
 gap at its final iterate and whether it cleared the tolerance.
 """
 

@@ -3,7 +3,8 @@
 Everything here evaluates the quantity under test by a different route than
 the library (finite differences, dense grids, rejection sampling, vertex
 enumeration, projected ascent, golden-section search, Gauss-Legendre
-quadrature of a density) so that agreement is meaningful.  It also holds
+quadrature of a density, bisection of a closed-form distribution function)
+so that agreement is meaningful.  It also holds
 the helpers that only tests use (membership margins, the cumulant triple,
 the duality gap at an arbitrary point, the c1 calibration of acceptance
 criterion 9), which the package does not carry, the single-draw forms of
@@ -176,6 +177,47 @@ def expected_abs_max(p, nodes=200):
     x = 6.0 * (x + 1.0)
     density = np.array([p * math.erf(v / math.sqrt(2.0)) ** (p - 1) * math.exp(-v * v / 2.0) for v in x])
     return 6.0 * math.sqrt(2.0 / math.pi) * float(np.dot(w, x * density))
+
+
+def student_t_central_mass(t, dof):
+    """``P(|T| <= t)`` for Student's t on an integer ``dof >= 1``, in closed form.
+
+    With ``a = atan(t / sqrt(dof))``: for odd dof, ``(2/pi)(a + sin a (cos a
+    + (2/3) cos^3 a + ... + (2·4···(dof-3))/(1·3···(dof-2)) cos^(dof-2) a))``,
+    the sum empty at dof = 1; for even dof, ``sin a (1 + (1/2) cos^2 a + ...
+    + (1·3···(dof-3))/(2·4···(dof-2)) cos^(dof-2) a)`` (Abramowitz & Stegun
+    26.7.3-4).
+    """
+    a = math.atan(t / math.sqrt(dof))
+    cos2 = math.cos(a) ** 2
+    if dof % 2:
+        term, series = math.cos(a), 0.0
+        for k in range(1, (dof - 1) // 2 + 1):
+            series += term
+            term *= cos2 * (2 * k) / (2 * k + 1)
+        return 2.0 / math.pi * (a + math.sin(a) * series)
+    term, series = 1.0, 0.0
+    for k in range(1, dof // 2 + 1):
+        series += term
+        term *= cos2 * (2 * k - 1) / (2 * k)
+    return math.sin(a) * series
+
+
+def student_t_quantile_bisection(prob, dof):
+    """The Student-t ``prob`` quantile (``prob > 1/2``) on integer ``dof``, by bisecting
+    :func:`student_t_central_mass` to the last float."""
+    target = 2.0 * prob - 1.0
+    lo, hi = 0.0, 1.0
+    while student_t_central_mass(hi, dof) < target:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if student_t_central_mass(mid, dof) < target:
+            lo = mid
+        else:
+            hi = mid
 
 
 def sup_localized_p2_oracle(h, fset, t, angles=100_000):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conewidth import bounds, experiment, geometry, glm
+from conewidth import bounds, experiment, geometry, glm, solver
 
 P = 20
 ROWS = 64  # rows of length P per block under the small budget
@@ -205,6 +205,6 @@ class TestBoundedMemory:
 
         def trial():
             instance = experiment.make_instance(config, theta, n, 0)
-            assert experiment.solve(config, instance, c).converged
+            assert solver.projected_gradient(instance, c).converged
 
         assert traced_peak(trial) < CAP_BYTES

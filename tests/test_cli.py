@@ -52,6 +52,7 @@ UNKNOWN_KEYS = (
     "frobnicate",
     "constraint_mode",
     "t_grid",
+    "solver",
     "solver_max_iter",
     "solver_tol",
     "solver_gap_tol",
@@ -88,7 +89,7 @@ class TestLoadConfig:
 
     def test_unknown_key_named(self, matched_path):
         # constraint_mode is no key: slack alone sets matched (0) or mismatched (> 0);
-        # the solver's cap and tolerances and the rsc alpha are constants
+        # projected gradient is the one solver, and its cap and tolerances and the rsc alpha are constants
         for key in UNKNOWN_KEYS:
             with pytest.raises(ConfigError) as err:
                 load_config(matched_path, [f"{key}=matched"])
@@ -132,7 +133,7 @@ class TestLoadConfig:
         assert load_config(str(rendered)) == cfg
 
     def test_round_trip_every_field_in_field_order(self, mismatched_path, tmp_path):
-        overrides = ["solver=frank_wolfe", "ensemble=rademacher"]
+        overrides = ["mu_mode=empirical", "ensemble=rademacher"]
         cfg = load_config(mismatched_path, overrides)
         text = serialize_config(cfg)
         names = [f.name for f in dataclasses.fields(ExperimentConfig)]
@@ -192,13 +193,15 @@ class TestDispatch:
     @pytest.mark.parametrize("shipped", ("matched.cfg", "mismatched.cfg"))
     @pytest.mark.parametrize("command", ("width", "solve", "rsc", "sweep"))
     def test_removed_t_grid_key_exits_two(self, shipped, command, tmp_path, capsys):
-        # the radii come from F alone, so the key is gone, in the file as on the command line
+        # the radii come from F alone and projected gradient is the one solver, so both keys are
+        # gone, in the file as on the command line
         text = (ROOT / "configs" / shipped).read_text(encoding="utf-8")
-        in_file = tmp_path / shipped
-        in_file.write_text(text + "t_grid = 0.25,0.5,1\n")
-        for argv in (["--config", str(in_file)], ["--config", str(ROOT / "configs" / shipped), "t_grid=0.25,0.5,1"]):
-            assert main([command, *argv]) == 2
-            assert capsys.readouterr().err == "config error: config key 't_grid': unknown key\n"
+        for key, value in (("t_grid", "0.25,0.5,1"), ("solver", "frank_wolfe")):
+            in_file = tmp_path / f"{key}-{shipped}"
+            in_file.write_text(text + f"{key} = {value}\n")
+            for argv in (["--config", str(in_file)], ["--config", str(ROOT / "configs" / shipped), f"{key}={value}"]):
+                assert main([command, *argv]) == 2
+                assert capsys.readouterr().err == f"config error: config key '{key}': unknown key\n"
 
     def test_invalid_thread_count_exits_one(self, matched_path, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CONEWIDTH_THREADS", "abc")
@@ -233,6 +236,24 @@ class TestDispatch:
         out = capsys.readouterr().out.strip().split("\n")
         assert out[0].startswith("n,method,objective")
         assert out[1].split(",")[1] == "projected_gradient"
+
+    @pytest.mark.parametrize("fixture", ("matched_path", "mismatched_path"))
+    def test_solve_row_is_sweep_trial_zero(self, request, fixture, capsys):
+        # one solver: solve's row at n_grid[0] reports the sweep's own solve of that trial
+        path = request.getfixturevalue(fixture)
+        assert main(["solve", "--config", path]) == 0
+        header, row = (line.split(",") for line in capsys.readouterr().out.strip().split("\n"))
+        config = load_config(path)
+        (record,) = (r for r in cli.run_sweep(config).records if (r.n, r.trial) == (config.n_grid[0], 0))
+        expected = {
+            "error_l2": record.error_l2,
+            "error_l1": record.error_l1,
+            "iterations": record.solver_iters,
+            "final_gap": record.final_gap,
+        }
+        assert {name: row[header.index(name)] for name in expected} == {
+            name: experiment._cell(value) for name, value in expected.items()
+        }
 
     def test_rsc_rows(self, matched_path, capsys):
         assert main(["rsc", "--config", matched_path]) == 0

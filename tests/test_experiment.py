@@ -26,7 +26,7 @@ from conewidth.experiment import (
 )
 from conewidth.rng import stream
 
-from oracles import expected_abs_max
+from oracles import expected_abs_max, student_t_quantile_bisection
 
 MATCHED_SMALL = ExperimentConfig(
     p=40,
@@ -166,7 +166,6 @@ class TestConfigValidation:
             ("mc_samples", 1),
             ("noise_scale", -1.0),
             ("mu_mode", "oracle"),
-            ("solver", "newton"),
         ):
             with pytest.raises(ConfigError) as err:
                 dataclasses.replace(cfg, **{key: value}).validate()
@@ -192,6 +191,51 @@ class TestSlopeFit:
     def test_quarter_rate(self):
         points = [(n, float(n) ** -0.25) for n in (16, 64, 256, 1024)]
         assert fit_loglog_slope(points).slope == pytest.approx(-0.25, abs=1e-12)
+
+    def test_half_width_is_t_quantile_times_slope_stderr(self):
+        ns = (40, 60, 90, 135, 200)
+        points = [(n, n**-0.5 * (1.0 + 0.05 * (-1) ** k)) for k, n in enumerate(ns)]
+        fit = fit_loglog_slope(points)
+        x, y = np.log(ns), np.log([v for _, v in points])
+        slope, intercept = np.polyfit(x, y, 1)
+        residuals = y - (intercept + slope * x)
+        stderr = math.sqrt(float(residuals @ residuals) / 3 / float(np.sum((x - x.mean()) ** 2)))
+        assert fit.half_width == pytest.approx(3.1824463052837078 * stderr, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "dof, quantile",
+        [
+            # scipy.stats.t.ppf(0.975, dof)
+            (1, 12.706204736174694),
+            (2, 4.302652729749462),
+            (3, 3.1824463052837078),
+            (5, 2.5705818356363146),
+            (10, 2.228138851986274),
+            (30, 2.0422724563012378),
+        ],
+    )
+    def test_t975_table_values(self, dof, quantile):
+        assert experiment.t975(dof) == pytest.approx(quantile, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("dof, quantile", [(31, 2.039513446396408), (100, 1.9839715185235518)])
+    def test_t975_expansion_above_table(self, dof, quantile):
+        assert experiment.t975(dof) == pytest.approx(quantile, rel=1e-6)
+
+    def test_t975_table_against_closed_form_cdf(self):
+        for dof, quantile in enumerate(experiment.T975_TABLE, 1):
+            assert quantile == pytest.approx(student_t_quantile_bisection(0.975, dof), rel=1e-13), dof
+        assert experiment.t975(31) < experiment.T975_TABLE[-1]  # the expansion continues the table downward
+
+    @pytest.mark.parametrize("k, seed", [(5, 11), (7, 12)])
+    def test_interval_covers_true_slope_95_percent(self, k, seed):
+        # gaussian noise on log(value): the 95% interval must cover the true slope about 95% of the time
+        rng = np.random.default_rng(seed)
+        ns = np.geomspace(64, 4096, k).round()
+        covered = 0
+        for noise in rng.normal(0.0, 0.1, size=(4000, k)):
+            fit = fit_loglog_slope(zip(ns, np.exp(0.3 - 0.25 * np.log(ns) + noise)))
+            covered += abs(fit.slope + 0.25) <= fit.half_width
+        assert 0.94 <= covered / 4000 <= 0.96
 
 
 class TestPrepareSweep:
