@@ -10,19 +10,20 @@ analogue ``t + 2 sqrt(2 pi) sigma_max omega_1(t) / (mu sqrt(n))`` for
 mismatched ones.  Tuning t against the unlocalized width yields the
 ``n^{-1/4}`` closed-form rate.
 
-mu itself is never observable; :func:`rsc_estimate` reports the minimum and
-a low quantile of sampled restricted curvatures, and the theoretical values
-(``1 - eps`` for the gaussian model, ``nu (1 - eps)`` for bounded-curvature
-GLMs) are available alongside.  The sampled minimum overstates the set's
-infimum and is no certificate: at n = 40 on the shipped matched config it
-reads 0.502 where a search finds 0.046 (ROADMAP item 2).
+mu itself is never observable; :func:`rsc_estimate` returns the restricted
+curvature of each sampled direction, whose minimum a sweep uses as mu-hat,
+and the theoretical values (``1 - eps`` for the gaussian model, ``nu (1 -
+eps)`` for bounded-curvature GLMs) are available alongside.  The sampled
+minimum overstates the set's infimum and is no certificate: at n = 40 on the
+shipped matched config it reads 0.502 where a search finds 0.046 (ROADMAP
+item 2).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,28 +43,6 @@ LOCALIZED_SAMPLE_MAX_BATCHES = 200
 
 
 @dataclass(frozen=True)
-class RscEstimate:
-    """Empirical restricted-convexity summary over sampled directions.
-
-    ``mu_hat`` is the minimum sampled curvature, ``quantile_mu`` the 1%
-    quantile; a finite sample cannot certify an infimum, so both are kept.
-    The quantile is computed on access: ``np.quantile`` imports ``numpy.ma``,
-    which sweeps never need.
-    """
-
-    mu_hat: float
-    curvatures: np.ndarray = field(repr=False, compare=False)
-
-    @property
-    def directions_tested(self) -> int:
-        return int(self.curvatures.size)
-
-    @property
-    def quantile_mu(self) -> float:
-        return float(np.quantile(self.curvatures, 0.01))
-
-
-@dataclass(frozen=True)
 class TunedBound:
     """Result of minimizing the bound over the candidate radii.
 
@@ -71,7 +50,6 @@ class TunedBound:
     """
 
     t_star: float
-    width_star: WidthEstimate
     bound_closed_form: float
 
 
@@ -145,15 +123,16 @@ def sample_localized_directions(
     return out[:have].T
 
 
-def rsc_estimate(instance: glm.Instance, E: np.ndarray) -> RscEstimate:
-    """Probe restricted strong convexity over sampled unit directions.
+def rsc_estimate(instance: glm.Instance, E: np.ndarray) -> np.ndarray:
+    """The restricted curvature of each sampled unit direction, shape (m,).
 
     ``E`` is a (p, m) array whose columns are unit directions of the bound's
     set.  Per direction e the probed curvature is the secant form
-    ``<grad f(theta + e) - grad f(theta), e>`` at the truth theta.
+    ``<grad f(theta + e) - grad f(theta), e>`` at the truth theta.  A finite
+    sample cannot certify an infimum: a sweep keeps the minimum as mu-hat,
+    and ``conewidth rsc`` also prints the 1% quantile.
     """
-    q = glm.secant_form_batch(instance, instance.theta_true, E)
-    return RscEstimate(mu_hat=float(np.min(q)), curvatures=q)
+    return glm.secant_form_batch(instance, instance.theta_true, E)
 
 
 def mismatched_bound(t: float, sigma_max: float, localized_width1: float, mu: float, n: int) -> float:
@@ -193,4 +172,4 @@ def optimize_t(
     t_star = min(widths, key=lambda t: mismatched_bound(t, sigma_max, widths[t].mean, mu, n))
     coef = BOUND_CONSTANT * sigma_max / mu if mu > 0 else math.inf
     t_cf = math.sqrt(coef * global_width / math.sqrt(n))
-    return TunedBound(t_star, widths[t_star], 2.0 * t_cf)
+    return TunedBound(t_star, 2.0 * t_cf)

@@ -139,19 +139,18 @@ class ExperimentConfig:
         return glm.GlmFamily(self.family, self.noise_scale)
 
 
-def make_truth(p: int, s: int, magnitude: float, rng: np.random.Generator) -> np.ndarray:
-    """s-sparse ground truth: s random coordinates set to +-magnitude."""
-    theta = np.zeros(p)
-    if s > 0:
-        support = rng.choice(p, size=s, replace=False)
-        signs = 2.0 * rng.integers(0, 2, size=s).astype(float) - 1.0
-        theta[support] = signs * magnitude
-    return theta
-
-
 def sweep_truth(config: ExperimentConfig) -> tuple[np.ndarray, float]:
-    """The sweep's ground truth and its l1 radius ``c = ||theta||_1 + slack``."""
-    theta = make_truth(config.p, config.s, config.theta_magnitude, stream(config.master_seed, "truth"))
+    """The sweep's ground truth and its l1 radius ``c = ||theta||_1 + slack``.
+
+    The truth is s-sparse: s coordinates drawn on stream ``"truth"`` are set
+    to +-theta_magnitude.
+    """
+    theta = np.zeros(config.p)
+    if config.s > 0:
+        rng = stream(config.master_seed, "truth")
+        support = rng.choice(config.p, size=config.s, replace=False)
+        signs = 2.0 * rng.integers(0, 2, size=config.s).astype(float) - 1.0
+        theta[support] = signs * config.theta_magnitude
     return theta, float(np.sum(np.abs(theta))) + config.slack
 
 
@@ -312,14 +311,14 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int, ctx: SweepCont
 
     grad0 = glm.gradient(instance, theta)
     grad_norm = float(np.linalg.norm(grad0))
-    tuned = ctx.tuned_by_n[n]
-    t_star, width = tuned.t_star, tuned.width_star
+    t_star = ctx.tuned_by_n[n].t_star
+    width = ctx.widths[t_star]
     proj_norm = ctx.proj_grad_norm(-grad0, t_star)
-    rsc = probe_rsc(ctx, instance, n)
+    mu_hat = float(np.min(probe_rsc(ctx, instance, n)))
 
     sigma_trial = glm.sigma_max(instance)
-    mu_used = rsc.mu_hat if config.mu_mode == "empirical" else ctx.mu_theoretical
-    discarded = rsc.mu_hat < 0.5 * ctx.mu_theoretical
+    mu_used = mu_hat if config.mu_mode == "empirical" else ctx.mu_theoretical
+    discarded = mu_hat < 0.5 * ctx.mu_theoretical
 
     return TrialRecord(
         n=n,
@@ -331,7 +330,7 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int, ctx: SweepCont
         t_star=t_star,
         width_mean=width.mean,
         width_stderr=width.stderr,
-        mu_hat=rsc.mu_hat,
+        mu_hat=mu_hat,
         mu_theoretical=ctx.mu_theoretical,
         mu_used=mu_used,
         sigma_max=sigma_trial,
@@ -344,8 +343,8 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int, ctx: SweepCont
     )
 
 
-def probe_rsc(ctx: SweepContext, instance: glm.Instance, n: int) -> bounds.RscEstimate:
-    """Restricted-convexity probe of one trial over the directions its bound uses.
+def probe_rsc(ctx: SweepContext, instance: glm.Instance, n: int) -> np.ndarray:
+    """Restricted curvatures of one trial over the directions its bound uses.
 
     The directions are the sweep's set at t*(n), drawn by
     :func:`prepare_sweep` from the bound's set: the descent cone in matched
@@ -388,36 +387,29 @@ class SlopeFit:
     half_width: float
 
 
-def fit_loglog_slope(points) -> SlopeFit:
-    """OLS fit of log(value) against log(n) with a 95% interval on the slope.
+def fit_series(ns, values) -> SlopeFit | None:
+    """OLS fit of log(value) against log(n) over the finite positive values,
+    with a 95% interval on the slope; None below 3 points.
 
     ``half_width`` is the Student-t 0.975 quantile on the k - 2 residual
     degrees of freedom of k points times the slope's standard error.  The
-    points are at least 3, with distinct positive n and positive values, as
-    :func:`fit_series` passes them.
+    rule behind the aggregate CSV's slope footer and the ``slope``
+    subcommand; its ns are distinct and positive.
     """
-    pts = [(float(n), float(v)) for n, v in points]
-    x = np.log(np.array([n for n, _ in pts]))
-    y = np.log(np.array([v for _, v in pts]))
+    points = [(float(n), float(v)) for n, v in zip(ns, values) if math.isfinite(v) and v > 0]
+    if len(points) < 3:
+        return None
+    x = np.log(np.array([n for n, _ in points]))
+    y = np.log(np.array([v for _, v in points]))
     xbar = x.mean()
     sxx = float(np.sum((x - xbar) ** 2))
     slope = float(np.sum((x - xbar) * (y - y.mean())) / sxx)
     intercept = float(y.mean() - slope * xbar)
     residuals = y - (intercept + slope * x)
-    dof = len(pts) - 2
+    dof = len(points) - 2
     sigma2 = float(residuals @ residuals) / dof
     half_width = t975(dof) * math.sqrt(max(sigma2, 0.0) / sxx)
     return SlopeFit(slope, intercept, half_width)
-
-
-def fit_series(ns, values) -> SlopeFit | None:
-    """Log-log fit of one series over its finite positive values; None below 3 points.
-
-    The rule behind the aggregate CSV's slope footer and the ``slope``
-    subcommand.
-    """
-    points = [(n, v) for n, v in zip(ns, values) if math.isfinite(v) and v > 0]
-    return fit_loglog_slope(points) if len(points) >= 3 else None
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,6 @@ class SolveReport:
     iterations: int
     final_gap: float
     final_objective: float
-    method: str
     converged: bool
 
 
@@ -105,7 +104,7 @@ def frank_wolfe(
         grad = glm.gradient(instance, theta)
         gap = float(grad @ (theta - lmo_l1_ball(grad, c)))
     gap = max(gap, 0.0)
-    return SolveReport(theta, k, gap, value, "frank_wolfe", gap <= gap_tol)
+    return SolveReport(theta, k, gap, value, gap <= gap_tol)
 
 
 def projected_gradient(
@@ -178,7 +177,7 @@ def projected_gradient(
         step *= 1.5
         k += 1
         stalled = step_size <= tol * max(1.0, math.sqrt(theta @ theta))
-    return SolveReport(theta, k, gap, value, "projected_gradient", gap <= gap_tol)
+    return SolveReport(theta, k, gap, value, gap <= gap_tol)
 
 
 def _backtrack(instance, c, point, value, grad, step, k):

@@ -7,7 +7,8 @@ quadrature of a density, bisection of a closed-form distribution function)
 so that agreement is meaningful.  It also holds
 the helpers that only tests use (membership margins, the cumulant triple,
 the duality gap at an arbitrary point, the c1 calibration of acceptance
-criterion 9), which the package does not carry, the single-draw forms of
+criterion 9, the local slopes and power-law chi2 of an error curve), which
+the package does not carry, the single-draw forms of
 the library's blocked Monte-Carlo kernels, which draw and evaluate every
 row or column in one array, and the row-block
 Gram instance of a gaussian design, whose law the library's Wishart draw
@@ -21,6 +22,7 @@ import math
 import numpy as np
 
 from conewidth import bounds, glm
+from conewidth.experiment import Z975
 from conewidth.geometry import (
     ConvergenceError,
     WidthEstimate,
@@ -218,6 +220,36 @@ def student_t_quantile_bisection(prob, dof):
             lo = mid
         else:
             hi = mid
+
+
+def local_slopes(ns, means, stderrs):
+    """Log-log slope of each adjacent pair of grid points, with its delta-method 95% half-width.
+
+    Between points i and j the slope is ``Δlog m / Δlog n`` and the
+    half-width ``Z975 sqrt((se_i/m_i)^2 + (se_j/m_j)^2) / Δlog n``: the
+    standard error of log m is about se/m, and the two means are independent.
+    Returns two arrays of length k - 1.
+    """
+    m = np.asarray(means, dtype=float)
+    rel = np.asarray(stderrs, dtype=float) / m
+    dx = np.diff(np.log(np.asarray(ns, dtype=float)))
+    return np.diff(np.log(m)) / dx, Z975 * np.sqrt(rel[:-1] ** 2 + rel[1:] ** 2) / dx
+
+
+def power_law_chi2(ns, means, stderrs):
+    """``(chi2, dof)`` of a weighted power-law fit: log m against log n by least
+    squares with weights ``(m/se)^2``, on ``dof = k - 2``.
+
+    Near dof when the means follow one power law within their stderrs; far
+    above it when the local slopes change along the grid.
+    """
+    m = np.asarray(means, dtype=float)
+    x, y = np.log(np.asarray(ns, dtype=float)), np.log(m)
+    w = (m / np.asarray(stderrs, dtype=float)) ** 2
+    xbar, ybar = np.sum(w * x) / np.sum(w), np.sum(w * y) / np.sum(w)
+    slope = np.sum(w * (x - xbar) * (y - ybar)) / np.sum(w * (x - xbar) ** 2)
+    residuals = y - ybar - slope * (x - xbar)
+    return float(np.sum(w * residuals**2)), x.size - 2
 
 
 def sup_localized_p2_oracle(h, fset, t, angles=100_000):

@@ -13,20 +13,21 @@ import pytest
 from conewidth import bounds, experiment, geometry, glm
 from conewidth.cli import load_config
 from conewidth.experiment import (
+    Z975,
     ConfigError,
     ExperimentConfig,
     SlopeFit,
-    fit_loglog_slope,
+    fit_series,
     make_instance,
-    make_truth,
     prepare_sweep,
     resolve_workers,
     run_sweep,
     run_trial,
+    sweep_truth,
 )
 from conewidth.rng import stream
 
-from oracles import expected_abs_max, student_t_quantile_bisection
+from oracles import expected_abs_max, local_slopes, power_law_chi2, student_t_quantile_bisection
 
 MATCHED_SMALL = ExperimentConfig(
     p=40,
@@ -91,19 +92,22 @@ MISMATCHED_GEOMETRIES = {
 
 class TestMakeTruth:
     def test_full_support(self):
-        theta = make_truth(4, 4, 1.0, stream(90, "t"))
-        assert np.all(np.abs(theta) == 1.0)
+        theta, c = sweep_truth(ExperimentConfig(p=4, s=4, master_seed=90))
+        assert np.all(np.abs(theta) == 1.0) and c == 4.0
 
     def test_zero_sparsity(self):
-        assert np.array_equal(make_truth(10, 0, 1.0, stream(91, "t")), np.zeros(10))
+        theta, c = sweep_truth(ExperimentConfig(p=10, s=0, slack=1.5, master_seed=91))
+        assert np.array_equal(theta, np.zeros(10)) and c == 1.5
 
     def test_l1_norm_always_s_times_magnitude(self):
         rng = stream(92, "t")
-        for _ in range(20):
+        for seed in range(20):
             p = int(rng.integers(2, 30))
             s = int(rng.integers(0, p + 1))
-            theta = make_truth(p, s, 0.7, rng)
+            theta, c = sweep_truth(ExperimentConfig(p=p, s=s, theta_magnitude=0.7, slack=0.25, master_seed=seed))
+            assert np.count_nonzero(theta) == s
             assert np.sum(np.abs(theta)) == pytest.approx(0.7 * s)
+            assert c == pytest.approx(0.7 * s + 0.25)
 
 
 class TestConfigValidation:
@@ -180,23 +184,23 @@ class TestConfigValidation:
 
 class TestSlopeFit:
     def test_collinear_half_slope(self):
-        fit = fit_loglog_slope([(1, 1.0), (10, 10**-0.5), (100, 0.1)])
+        fit = fit_series((1, 10, 100), (1.0, 10**-0.5, 0.1))
         assert fit.slope == pytest.approx(-0.5, abs=1e-12)
         assert fit.half_width == pytest.approx(0.0, abs=1e-9)
 
     def test_constant_values(self):
-        fit = fit_loglog_slope([(10, 2.0), (100, 2.0), (1000, 2.0)])
+        fit = fit_series((10, 100, 1000), (2.0, 2.0, 2.0))
         assert fit.slope == pytest.approx(0.0, abs=1e-12)
 
     def test_quarter_rate(self):
-        points = [(n, float(n) ** -0.25) for n in (16, 64, 256, 1024)]
-        assert fit_loglog_slope(points).slope == pytest.approx(-0.25, abs=1e-12)
+        ns = (16, 64, 256, 1024)
+        assert fit_series(ns, [float(n) ** -0.25 for n in ns]).slope == pytest.approx(-0.25, abs=1e-12)
 
     def test_half_width_is_t_quantile_times_slope_stderr(self):
         ns = (40, 60, 90, 135, 200)
-        points = [(n, n**-0.5 * (1.0 + 0.05 * (-1) ** k)) for k, n in enumerate(ns)]
-        fit = fit_loglog_slope(points)
-        x, y = np.log(ns), np.log([v for _, v in points])
+        values = [n**-0.5 * (1.0 + 0.05 * (-1) ** k) for k, n in enumerate(ns)]
+        fit = fit_series(ns, values)
+        x, y = np.log(ns), np.log(values)
         slope, intercept = np.polyfit(x, y, 1)
         residuals = y - (intercept + slope * x)
         stderr = math.sqrt(float(residuals @ residuals) / 3 / float(np.sum((x - x.mean()) ** 2)))
@@ -233,9 +237,35 @@ class TestSlopeFit:
         ns = np.geomspace(64, 4096, k).round()
         covered = 0
         for noise in rng.normal(0.0, 0.1, size=(4000, k)):
-            fit = fit_loglog_slope(zip(ns, np.exp(0.3 - 0.25 * np.log(ns) + noise)))
+            fit = fit_series(ns, np.exp(0.3 - 0.25 * np.log(ns) + noise))
             covered += abs(fit.slope + 0.25) <= fit.half_width
         assert 0.94 <= covered / 4000 <= 0.96
+
+
+class TestLocalSlopes:
+    NS = (64, 128, 256, 512, 1024, 2048, 4096)
+
+    def test_exact_power_law(self):
+        means = [0.3 * n**-0.37 for n in self.NS]
+        stderrs = [0.02 * m for m in means]
+        slopes, half_widths = local_slopes(self.NS, means, stderrs)
+        assert slopes == pytest.approx(np.full(6, -0.37), rel=0, abs=1e-12)
+        assert half_widths == pytest.approx(np.full(6, Z975 * math.sqrt(2) * 0.02 / math.log(2)), rel=1e-12)
+        chi2, dof = power_law_chi2(self.NS, means, stderrs)
+        assert chi2 < 1e-20 and dof == 5
+
+    def test_kink_fails_the_power_law(self):
+        # -0.25 up to n = 512, then -0.5, each mean known to 2%; chi2 scales as 1 / stderr^2
+        means = np.array([n**-0.25 if n <= 512 else 512**0.25 * n**-0.5 for n in self.NS])
+        slopes, _ = local_slopes(self.NS, means, 0.02 * means)
+        assert slopes == pytest.approx([-0.25, -0.25, -0.25, -0.5, -0.5, -0.5], abs=1e-12)
+        chi2, dof = power_law_chi2(self.NS, means, 0.02 * means)
+        x, y = np.log(self.NS), np.log(means)
+        residuals = (y - np.polyval(np.polyfit(x, y, 1, w=np.full(7, 50.0)), x)) * 50.0
+        assert chi2 == pytest.approx(float(residuals @ residuals), rel=1e-9)
+        # the chi2(5) 0.9999 quantile is 25.7
+        assert chi2 > 20 * dof
+        assert power_law_chi2(self.NS, means, 0.01 * means)[0] > 100 * dof
 
 
 class TestPrepareSweep:
@@ -245,7 +275,7 @@ class TestPrepareSweep:
         assert t == 0.0 and math.isnan(ctx.global_width)
         for n in MATCHED_SMALL.n_grid:
             tuned = ctx.tuned_by_n[n]
-            assert tuned.t_star == 0.0 and tuned.width_star == width
+            assert tuned.t_star == 0.0
             assert math.isnan(tuned.bound_closed_form)
 
     def test_mismatched_width_rows(self):
@@ -322,7 +352,7 @@ class TestRadiusDispatch:
         ctx = prepare_sweep(MATCHED_SMALL)
         for n in MATCHED_SMALL.n_grid:
             record = run_trial(MATCHED_SMALL, n, 1, ctx)
-            width = ctx.tuned_by_n[n].width_star.mean
+            width = ctx.widths[0.0].mean
             assert record.bound == bounds.mismatched_bound(0.0, record.sigma_max, width, record.mu_used, n)
             assert record.bound_matched == record.bound
 
@@ -373,7 +403,7 @@ class TestSharedDirections:
         for n in config.n_grid:
             record = run_trial(config, n, 0, ctx)
             instance = make_instance(config, ctx.fset.theta_true, n, 0)
-            assert record.mu_hat == bounds.rsc_estimate(instance, ctx.directions[t]).mu_hat
+            assert record.mu_hat == bounds.rsc_estimate(instance, ctx.directions[t]).min()
 
     def test_localized_sets_lie_in_the_bound_set(self):
         ctx = prepare_sweep(MISMATCHED_SMALL)

@@ -11,13 +11,16 @@ bound properties are read by ``getattr`` over the CSV column names).
 there must not count, or every exported helper would pass.
 
 A second check keeps the form of a trial's data inside ``glm.py``: no other
-module reads an instance's ``.design``.
+module reads an instance's ``.design``.  A third holds ``tests/oracles.py``
+to the same rule: each of its top-level functions is referenced from a test
+module or from another oracle.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "conewidth"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "conewidth"
 
 # cli.py's config writer: the sweep manifest planned in ROADMAP item 1 will
 # record the config with it; until then only the config round-trip tests call it.
@@ -84,3 +87,16 @@ def test_only_glm_reads_a_design():
         if isinstance(node, ast.Attribute) and node.attr == "design"
     }
     assert readers == set()
+
+
+def test_every_oracle_is_used():
+    oracles = ast.parse((TESTS / "oracles.py").read_text(encoding="utf-8"))
+    tests = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(TESTS.glob("test_*.py"))]
+    used = {name for tree in tests for name, _ in _references(tree)}
+    unused = set()
+    for node in oracles.body:
+        if isinstance(node, ast.FunctionDef) and node.name not in used and not any(
+            name == node.name and not node.lineno <= line <= node.end_lineno for name, line in _references(oracles)
+        ):
+            unused.add(node.name)
+    assert unused == set(), "no test or other oracle uses these (delete them)"
