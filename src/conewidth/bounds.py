@@ -58,22 +58,27 @@ def sample_cone_directions(cone: ConeModel, num: int, rng: np.random.Generator) 
 
     Each round draws as many rows as are still missing, block by block
     (:func:`geometry.blocks`), so the kept directions are the first ``num``
-    nonzero projections of one gaussian stream.  Returns an array of shape
+    nonzero projections of one gaussian stream.  Every block is drawn into,
+    and projected through, one set of :class:`geometry.BlockBuffers`, and the
+    kept rows are copied straight into the result.  Returns an array of shape
     (p, num) with unit columns; raises ``ValueError`` after
     ``CONE_SAMPLE_MAX_ROUNDS`` rounds that leave some missing.
     """
     p = cone.ambient_dim
     out = np.empty((num, p))
     have = 0
+    buffers = geometry.BlockBuffers()
     for _ in range(CONE_SAMPLE_MAX_ROUNDS):
         if have == num:
             break
         for block in geometry.blocks(num - have, p):
-            proj, norms = cone.project_batch(rng.standard_normal((block.stop - block.start, p)))
+            H = rng.standard_normal(out=buffers.take("draw", block.stop - block.start, p))
+            proj, norms = cone.project_batch(H, buffers)
             keep = norms > 1e-12
-            kept = int(np.count_nonzero(keep))
-            out[have : have + kept] = proj[keep] / norms[keep, None]
-            have += kept
+            kept = out[have : have + int(np.count_nonzero(keep))]
+            np.compress(keep, proj, axis=0, out=kept)
+            kept /= norms[keep, None]
+            have += kept.shape[0]
     if have < num:
         raise ValueError(
             f"could not sample directions from the cone: {have} of {num} nonzero projections "
@@ -123,16 +128,18 @@ def sample_localized_directions(
     return out[:have].T
 
 
-def rsc_estimate(instance: glm.Instance, E: np.ndarray) -> np.ndarray:
+def rsc_estimate(instance: glm.Instance, E: np.ndarray, sq_norms: np.ndarray | None = None) -> np.ndarray:
     """The restricted curvature of each sampled unit direction, shape (m,).
 
     ``E`` is a (p, m) array whose columns are unit directions of the bound's
-    set.  Per direction e the probed curvature is the secant form
-    ``<grad f(theta + e) - grad f(theta), e>`` at the truth theta.  A finite
-    sample cannot certify an infimum: a sweep keeps the minimum as mu-hat,
-    and ``conewidth rsc`` also prints the 1% quantile.
+    set, and ``sq_norms`` their :func:`glm.column_sq_norms` (computed per
+    call when None; a sweep passes the ones it keeps).  Per direction e the
+    probed curvature is the secant form ``<grad f(theta + e) - grad f(theta),
+    e>`` at the truth theta.  A finite sample cannot certify an infimum: a
+    sweep keeps the minimum as mu-hat, and ``conewidth rsc`` also prints the
+    1% quantile.
     """
-    return glm.secant_form_batch(instance, instance.theta_true, E)
+    return glm.secant_form_batch(instance, instance.theta_true, E, sq_norms)
 
 
 def mismatched_bound(t: float, sigma_max: float, localized_width1: float, mu: float, n: int) -> float:

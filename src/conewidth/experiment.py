@@ -182,7 +182,8 @@ class SweepContext:
     ``global_width`` is the exact ``E sup_F <h, v>`` (nan when matched).
     Grid n has radius ``tuned_by_n[n].t_star``, and ``directions[t]`` is the
     RSC probe's (p, m) direction set at each distinct t*, shared by every
-    trial at it.
+    trial at it, with its :func:`glm.column_sq_norms` in
+    ``direction_norms[t]``.
     """
 
     fset: FeasibleSet
@@ -192,6 +193,7 @@ class SweepContext:
     widths: dict
     global_width: float
     directions: dict
+    direction_norms: dict
 
     def proj_grad_norm(self, g: np.ndarray, t: float) -> float:
         """``sup <g, u>`` over unit directions u of the bound's set at radius t.
@@ -228,7 +230,7 @@ def prepare_sweep(config: ExperimentConfig) -> SweepContext:
     rest is one path: :func:`bounds.optimize_t` picks every t*(n) among the
     radii, and a localized set is drawn for each distinct t* > 0, at the
     i-th radius from stream ``("rsc", i)``.  No direction set depends on a
-    design.
+    design, so each one's column norms are computed here, once.
     """
     config.validate()
     theta, c = sweep_truth(config)
@@ -255,7 +257,8 @@ def prepare_sweep(config: ExperimentConfig) -> SweepContext:
     for t in {tuned.t_star for tuned in tuned_by_n.values()} - directions.keys():
         rng = stream(seed, "rsc", list(widths).index(t))
         directions[t] = bounds.sample_localized_directions(fset, t, config.rsc_directions, rng)
-    return SweepContext(fset, cone, mu_theory, tuned_by_n, widths, global_width, directions)
+    norms = {t: glm.column_sq_norms(E) for t, E in directions.items()}
+    return SweepContext(fset, cone, mu_theory, tuned_by_n, widths, global_width, directions, norms)
 
 
 @dataclass(frozen=True)
@@ -351,7 +354,8 @@ def probe_rsc(ctx: SweepContext, instance: glm.Instance, n: int) -> np.ndarray:
     sweeps, the localized set otherwise.  The CLI's ``rsc`` subcommand runs
     the same probe.
     """
-    return bounds.rsc_estimate(instance, ctx.directions[ctx.tuned_by_n[n].t_star])
+    t = ctx.tuned_by_n[n].t_star
+    return bounds.rsc_estimate(instance, ctx.directions[t], ctx.direction_norms[t])
 
 
 # Student-t 0.975 quantiles t_{0.975, nu} for nu = 1, ..., 30 residual degrees of freedom

@@ -19,6 +19,13 @@ Geometry conventions used throughout:
 * The Monte-Carlo kernels, the direction samplers and the curvature probe
   work on blocks of about ``BLOCK_ELEMENTS`` float64 values (see
   :func:`blocks`), so their memory does not grow with the sample count.
+* A width draws every block into one buffer, and the cone kernels also
+  project them in one set of :class:`BlockBuffers`, allocated at the first
+  block and freed when the call returns.  Fresh arrays per block cost page
+  faults: glibc hands the freed top of its heap back to the OS, so each
+  block faulted the same pages in again (a shipped ``matched.cfg`` sweep
+  took 14,544 minor faults with fresh arrays and takes 8,122 with the
+  buffers).
 """
 
 from __future__ import annotations
@@ -32,7 +39,9 @@ import numpy as np
 # Element budget of one block: 512 KiB of float64.  With 1 MiB blocks the
 # allocator handed a matched sweep's freed blocks back to the OS between
 # trials, so its trials took ten times the minor page faults and ran 8%
-# slower (glibc, shipped matched.cfg).
+# slower (glibc, shipped matched.cfg).  For the same reason a kernel call
+# keeps its block-sized arrays in one BlockBuffers across its blocks: glibc
+# trims the freed top of the heap, and the next block would fault it in again.
 BLOCK_ELEMENTS = 1 << 16
 # A block spans a multiple of this many rows or columns, and a remainder
 # shorter than it joins the block before it.  BLAS kernels then see each
@@ -63,24 +72,47 @@ def blocks(total: int, width: int) -> Iterator[slice]:
         start = stop
 
 
+class BlockBuffers:
+    """Scratch arrays that one kernel call reuses across its blocks.
+
+    ``take(name, rows, cols)`` returns a C-contiguous (rows, cols) float64
+    array.  The first request for a name allocates it; later requests reuse
+    its memory, and reallocate only for a larger size (the last block of a
+    call can be a little longer than the first).  A kernel call makes its own
+    and drops it on return, so the buffers live for one call.
+    """
+
+    def __init__(self) -> None:
+        self._flat: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, rows: int, cols: int) -> np.ndarray:
+        flat = self._flat.get(name)
+        if flat is None or flat.size < rows * cols:
+            flat = self._flat[name] = np.empty(rows * cols)
+        return flat[: rows * cols].reshape(rows, cols)
+
+
 def _gaussian_row_values(
     rows: int, p: int, rng: np.random.Generator, row_values, shape: tuple = (), width: int = 0
 ) -> np.ndarray:
     """``row_values(H)`` of ``rows`` standard gaussian rows of length p, drawn and evaluated block by block.
 
-    ``Generator.standard_normal`` fills in C order, so the blocks hold the
-    rows that one draw of the whole (rows, p) array would; ``row_values``
-    must compute each row's value, of the given shape, from that row alone.
+    Every block is drawn into one buffer by ``Generator.standard_normal(out=...)``,
+    which fills in C order, so the blocks hold the rows that one draw of the
+    whole (rows, p) array would; ``row_values`` must compute each row's
+    value, of the given shape, from that row alone, and must not keep H.
     Blocks are sized by ``max(p, width)`` values per row, so ``width``
     budgets a kernel whose temporaries outgrow its rows.
     """
     out = np.empty((rows,) + shape)
+    draw = BlockBuffers()
     for block in blocks(rows, max(p, width)):
-        out[block] = row_values(rng.standard_normal((block.stop - block.start, p)))
+        H = rng.standard_normal(out=draw.take("draw", block.stop - block.start, p))
+        out[block] = row_values(H)
     return out
 
 
-def _water_level(a: np.ndarray, offset, target) -> np.ndarray:
+def _water_level(a: np.ndarray, offset, target, prefix: np.ndarray | None = None) -> np.ndarray:
     """Per row, the level ``x >= 0`` where ``sum_j (a_j - x)_+ = offset x - target``, else 0.
 
     The one soft threshold of the batched callers, the row-wise l1-ball
@@ -91,8 +123,9 @@ def _water_level(a: np.ndarray, offset, target) -> np.ndarray:
     solver's single-vector projection, evaluates the same formula in scalar
     arithmetic; a property test pins it to this kernel bit for bit.  The
     rows of ``a`` are nonnegative and sorted in descending order, and are
-    overwritten.  ``offset`` (a count) and ``target`` are scalars or (rows, 1)
-    columns, with ``offset > 0 or target < 0`` in every row.
+    overwritten, as is ``prefix``, a (rows, q + 1) scratch array when given.
+    ``offset`` (a count) and ``target`` are scalars or (rows, 1) columns,
+    with ``offset > 0 or target < 0`` in every row.
 
     The left side minus the right, f(x), is nonincreasing.  With
     ``A_j = sum_{i<j} a_i``, ``f(a_j) < 0`` iff ``(offset + j) a_j - A_j >
@@ -104,7 +137,9 @@ def _water_level(a: np.ndarray, offset, target) -> np.ndarray:
     when ``f(0) <= 0``, and then the level is 0.
     """
     rows, q = a.shape
-    prefix = np.zeros((rows, q + 1))
+    if prefix is None:
+        prefix = np.empty((rows, q + 1))
+    prefix[:, 0] = 0.0
     np.cumsum(a, axis=1, out=prefix[:, 1:])
     a *= offset + np.arange(q)
     a -= prefix[:, :q]
@@ -139,13 +174,25 @@ class ConeModel:
     ambient_dim: int
     _off_support: np.ndarray = field(repr=False)
 
-    def project_batch(self, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Project the rows of H onto the cone; returns (projections, norms)."""
-        tau = _polar_tau_batch(self, H)[:, None]
+    def project_batch(self, H: np.ndarray, buffers: BlockBuffers | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Project the rows of H onto the cone; returns (projections, norms).
+
+        H is never written.  The projections and every block-sized temporary
+        live in ``buffers`` (fresh ones when None), so a caller that passes the
+        same buffers for each block of a call allocates them once, and each
+        call overwrites the projections of the one before.
+        """
+        if buffers is None:
+            buffers = BlockBuffers()
+        rows, p = H.shape
+        tau = _polar_tau_batch(self, H, buffers)[:, None]
         # the polar part clips off the support and is tau * sign on it
-        proj = H - np.clip(H, -tau, tau)
+        proj = np.clip(H, -tau, tau, out=buffers.take("proj", rows, p))
+        np.subtract(H, proj, out=proj)
         proj[:, self.support] = H[:, self.support] - tau * self.signs[None, :]
-        return proj, np.linalg.norm(proj, axis=1)
+        # np.linalg.norm's own sum of squares, in the buffer the magnitudes used
+        squares = np.multiply(proj, proj, out=buffers.take("scratch", rows, p))
+        return proj, np.sqrt(np.add.reduce(squares, axis=1))
 
 
 def descent_cone(theta_true: np.ndarray) -> ConeModel:
@@ -154,17 +201,25 @@ def descent_cone(theta_true: np.ndarray) -> ConeModel:
     return ConeModel(support, np.sign(theta_true[support]), theta_true.size, np.flatnonzero(theta_true == 0))
 
 
-def _polar_tau_batch(cone: ConeModel, H: np.ndarray) -> np.ndarray:
+def _polar_tau_batch(cone: ConeModel, H: np.ndarray, buffers: BlockBuffers) -> np.ndarray:
     """Per-row minimizer over tau >= 0 of the distance to the polar slice.
 
     Its stationarity equation is ``sum_{i not in S} (|h_i| - tau)_+ =
-    |S| tau - <h_S, sign>``, solved by :func:`_water_level`.
+    |S| tau - <h_S, sign>``, solved by :func:`_water_level` on the
+    off-support magnitudes, sorted into a contiguous descending array by
+    negating, sorting and negating back.  A NaN sorts last that way, below
+    every magnitude, so a row with a NaN off the support still gets a finite
+    tau from its other entries (its projection and norm are NaN all the same).
     """
+    rows, q = H.shape[0], cone._off_support.size
     on_target = H[:, cone.support] @ cone.signs
-    a = np.abs(H[:, cone._off_support])
+    # mode="clip" writes straight into the buffer; the default mode buffers the copy
+    a = np.take(H, cone._off_support, axis=1, out=buffers.take("scratch", rows, q), mode="clip")
+    np.abs(a, out=a)
+    np.negative(a, out=a)
     a.sort(axis=1)
-    # the kernel works in place, so the peak holds one rows x q array besides its prefix sums
-    return _water_level(a[:, ::-1], cone.support.size, on_target[:, None])
+    np.negative(a, out=a)
+    return _water_level(a, cone.support.size, on_target[:, None], buffers.take("prefix", rows, q + 1))
 
 
 def project_onto_descent_cone(cone: ConeModel, h: np.ndarray) -> tuple[np.ndarray, float]:
@@ -268,7 +323,8 @@ def gaussian_width_cone(cone, samples: int, rng: np.random.Generator) -> WidthEs
     the sup of ``<h, v>`` over unit cone members; a zero projection
     contributes 0.
     """
-    norms = _gaussian_row_values(samples, cone.ambient_dim, rng, lambda H: cone.project_batch(H)[1])
+    buffers = BlockBuffers()
+    norms = _gaussian_row_values(samples, cone.ambient_dim, rng, lambda H: cone.project_batch(H, buffers)[1])
     return WidthEstimate.from_samples(norms)
 
 

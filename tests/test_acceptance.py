@@ -116,7 +116,7 @@ def test_criterion_3_width_estimators():
     class Line:
         ambient_dim = 3
 
-        def project_batch(self, H):
+        def project_batch(self, H, buffers=None):
             proj = np.zeros_like(H)
             proj[:, 0] = H[:, 0]
             return proj, np.abs(H[:, 0])
@@ -124,7 +124,7 @@ def test_criterion_3_width_estimators():
     class Full:
         ambient_dim = 2
 
-        def project_batch(self, H):
+        def project_batch(self, H, buffers=None):
             return H, np.linalg.norm(H, axis=1)
 
     w_line = gaussian_width_cone(Line(), samples, stream(103, "line"))

@@ -124,6 +124,35 @@ class TestSingleDrawIdentity:
         assert np.array_equal(blocked, single)
 
 
+class TestShippedBudget:
+    """Blocked equals single draw at the default budget and the shipped matched sizes."""
+
+    theta = np.zeros(200)
+    theta[:5] = 0.2
+    cone = geometry.descent_cone(theta)
+
+    def test_block_split(self):
+        # 4,000 width samples of p = 200: 12 blocks of 320 rows and a last one of 160
+        sizes = [b.stop - b.start for b in geometry.blocks(4_000, 200)]
+        assert sizes == [320] * 12 + [160]
+        assert [b.stop - b.start for b in geometry.blocks(800, 200)] == [320, 320, 160]
+
+    def test_cone_width(self):
+        blocked = geometry.gaussian_width_cone(self.cone, 4_000, np.random.default_rng(4000))
+        assert blocked == oracles.single_draw_width_cone(self.cone, 4_000, np.random.default_rng(4000))
+
+    def test_cone_directions(self):
+        blocked = bounds.sample_cone_directions(self.cone, 800, np.random.default_rng(800))
+        single = oracles.single_draw_cone_directions(self.cone, 800, np.random.default_rng(800))
+        assert np.array_equal(blocked, single)
+        # the probe's column norms, taken once, equal the sums over its column blocks at every
+        # shipped n (and at p, the block width of a Gram instance)
+        sq_norms = glm.column_sq_norms(blocked)
+        for width in (40, 60, 90, 135, 200, 4096):
+            for cols in geometry.blocks(800, width):
+                assert np.array_equal(sq_norms[cols], glm.column_sq_norms(blocked[:, cols]))
+
+
 def probe_instance(family):
     rng = np.random.default_rng(7)
     ensemble = "rademacher" if family == "logistic" else "gaussian"
@@ -139,8 +168,11 @@ class TestSecantFormIdentity:
         instance = probe_instance(family)
         E = bounds.sample_cone_directions(CONE, m, np.random.default_rng(m))
         for directions in (E, np.ascontiguousarray(E)):
-            blocked = glm.secant_form_batch(instance, THETA, directions)
-            assert np.array_equal(blocked, oracles.single_call_secant_form(instance, THETA, directions))
+            single = oracles.single_call_secant_form(instance, THETA, directions)
+            assert np.array_equal(glm.secant_form_batch(instance, THETA, directions), single)
+            # with the column norms a sweep computes once, over the whole set
+            sq_norms = glm.column_sq_norms(directions)
+            assert np.array_equal(glm.secant_form_batch(instance, THETA, directions, sq_norms), single)
 
     @pytest.mark.parametrize("family", glm.FAMILIES)
     def test_unaligned_tail(self, small_budget, family):

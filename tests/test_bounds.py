@@ -70,7 +70,7 @@ class HalfZeroCone:
 
     ambient_dim = 7
 
-    def project_batch(self, H):
+    def project_batch(self, H, buffers=None):
         proj = np.where(H[:, :1] > 0, H, 0.0)
         return proj, np.linalg.norm(proj, axis=1)
 
@@ -97,7 +97,7 @@ class TestConeDirectionSampler:
         class ZeroCone:
             ambient_dim = 3
 
-            def project_batch(self, H):
+            def project_batch(self, H, buffers=None):
                 return np.zeros_like(H), np.zeros(H.shape[0])
 
         with pytest.raises(ValueError, match="0 of 200 nonzero projections"):

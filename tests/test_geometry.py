@@ -286,7 +286,7 @@ class TestConeProjection:
         for _ in range(50):
             cone = random_cone(rng, p=12)
             H = rng.normal(size=(1, 12)) * rng.uniform(0.2, 4.0)
-            tau = geometry._polar_tau_batch(cone, H)
+            tau = geometry._polar_tau_batch(cone, H, geometry.BlockBuffers())
             base = polar_distance_sq(cone, H, tau)
             for delta in (1e-7, -1e-7, 1e-3, -1e-3):
                 shifted = np.maximum(tau + delta, 0.0)
@@ -350,7 +350,7 @@ class TestPolarTauCount:
     """The counted tau against the self-consistent segment search, bit for bit."""
 
     def assert_same_as_full_width(self, cone, H):
-        tau = geometry._polar_tau_batch(cone, H)
+        tau = geometry._polar_tau_batch(cone, H, geometry.BlockBuffers())
         assert np.array_equal(tau, full_width_polar_tau(cone, H))
         proj, norms = cone.project_batch(H)
         ref_proj, ref_norms = full_width_project_batch(cone, H)
@@ -420,7 +420,7 @@ class TestPolarTauCount:
         H = np.array(steps, dtype=float)[None, :] / 3.0
         scale = float(np.max(np.abs(H)))
         eps = np.finfo(float).eps
-        tau = geometry._polar_tau_batch(cone, H)
+        tau = geometry._polar_tau_batch(cone, H, geometry.BlockBuffers())
         assert abs(tau[0] - full_width_polar_tau(cone, H)[0]) <= 2.0 * eps * scale
         # a convex piecewise quadratic: no breakpoint and no nearby tau does better
         candidates = np.concatenate([[0.0], np.abs(H[0]), np.maximum(tau + [-1e-6, 1e-6], 0.0)])
@@ -433,6 +433,120 @@ class TestPolarTauCount:
         assert cone_margin(cone, P) <= tol
         assert np.all(np.abs(U[support] * signs - tau[0]) <= tol)
         assert np.all(np.abs(np.delete(U, support)) <= tau[0] + tol)
+
+
+
+def same_bits(a, b):
+    """Equal bit for bit, so that -0.0 differs from 0.0 and a NaN equals the same NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestConeKernelSpecialValues:
+    """The cone kernel on tied magnitudes, signed zeros, infinities and NaN.
+
+    The kernel sorts the off-support magnitudes into a contiguous descending
+    array by negating, sorting and negating back, so a NaN sorts last,
+    below every magnitude (a reversed ascending sort put it first).  Such a
+    row still gets a finite tau from its other entries, and its projection
+    and norm are NaN.
+    """
+
+    cone = cone_at_pattern([1, 4, 7], [1.0, -1.0, 1.0], 12)
+
+    def finite_block(self, seed):
+        rng = stream(85, "special", seed)
+        # magnitudes tie on a half-integer grid, where rounding also leaves -0.0
+        H = np.round(rng.standard_normal((300, 12)) * 2.0) / 2.0
+        H[rng.random(H.shape) < 0.1] = -0.0
+        H[rng.random(H.shape) < 0.1] = 0.0
+        H[:5] = 0.0
+        H[5:10] = -0.0
+        return H
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ties_and_signed_zeros_keep_the_oracle_bits(self, seed):
+        H = self.finite_block(seed)
+        assert np.any(H.view(np.int64) == np.float64(-0.0).view(np.int64))
+        proj, norms = self.cone.project_batch(H)
+        ref_proj, ref_norms = full_width_project_batch(self.cone, H)
+        assert same_bits(proj, ref_proj)
+        assert same_bits(norms, ref_norms)
+        tau = geometry._polar_tau_batch(self.cone, H, geometry.BlockBuffers())
+        assert same_bits(tau, full_width_polar_tau(self.cone, H))
+
+    @pytest.mark.parametrize("special", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rows_leave_the_others_alone(self, special):
+        H = self.finite_block(7)
+        bad = np.zeros(H.shape[0], dtype=bool)
+        bad[::7] = True
+        cols = stream(86, "special", "cols").integers(0, 12, size=H.shape[0])
+        H[bad, cols[bad]] = special
+        with np.errstate(invalid="ignore"):
+            proj, norms = self.cone.project_batch(H)
+        # on a row with an infinity the oracle's segment search finds no segment and falls
+        # back to tau = 0, where the count gives tau = inf, so only the other rows compare
+        ref_proj, ref_norms = full_width_project_batch(self.cone, H[~bad])
+        assert same_bits(proj[~bad], ref_proj)
+        assert same_bits(norms[~bad], ref_norms)
+        # a non-finite entry gives a non-finite norm, never a finite stand-in
+        assert not np.any(np.isfinite(norms[bad]))
+        if math.isnan(special):
+            assert np.all(np.isnan(norms[bad]))
+
+    def test_nan_off_the_support_sorts_last(self):
+        # the NaN takes no part in the count, so tau is that of the row without its coordinate
+        rng = stream(87, "special", "nan")
+        for _ in range(200):
+            h = np.round(rng.standard_normal(12) * 2.0) / 2.0
+            j = int(rng.choice(self.cone._off_support))
+            h[j] = math.nan
+            keep = np.delete(np.arange(12), j)
+            smaller = cone_at_pattern([int(np.flatnonzero(keep == i)[0]) for i in (1, 4, 7)], [1.0, -1.0, 1.0], 11)
+            tau = geometry._polar_tau_batch(self.cone, h[None, :], geometry.BlockBuffers())
+            assert np.isfinite(tau[0])
+            assert same_bits(tau, geometry._polar_tau_batch(smaller, h[None, keep], geometry.BlockBuffers()))
+            with np.errstate(invalid="ignore"):
+                assert math.isnan(self.cone.project_batch(h[None, :])[1][0])
+
+
+class TestConeKernelBuffers:
+    """Buffers shared across a call's blocks change no bit, and never the caller's rows."""
+
+    def test_shared_buffers_give_the_fresh_bits(self):
+        cone = shipped_matched_cone()
+        rng = stream(88, "buffers")
+        buffers = geometry.BlockBuffers()
+        # the third block is longer than the first two, so the buffers grow once
+        for rows in (320, 160, 351, 1):
+            H = rng.standard_normal((rows, 200))
+            before = H.copy()
+            proj, norms = cone.project_batch(H, buffers)
+            fresh_proj, fresh_norms = cone.project_batch(H)
+            ref_proj, ref_norms = full_width_project_batch(cone, H)
+            assert same_bits(H, before)
+            assert same_bits(proj, fresh_proj) and same_bits(norms, fresh_norms)
+            assert same_bits(proj, ref_proj) and same_bits(norms, ref_norms)
+
+    def test_projection_leaves_the_gradient_alone(self):
+        cone = shipped_matched_cone()
+        g = stream(89, "gradient").standard_normal(200)
+        before = g.copy()
+        proj, norm = project_onto_descent_cone(cone, g)
+        assert same_bits(g, before)
+        assert not np.shares_memory(proj, g)
+        ref_proj, ref_norms = full_width_project_batch(cone, g[None, :])
+        assert same_bits(proj, ref_proj[0]) and norm == ref_norms[0]
+
+    def test_buffers_reuse_and_grow(self):
+        buffers = geometry.BlockBuffers()
+        first = buffers.take("a", 4, 5)
+        assert first.shape == (4, 5) and first.flags.c_contiguous
+        assert np.shares_memory(buffers.take("a", 2, 3), first)
+        assert np.shares_memory(buffers.take("a", 4, 5), first)
+        assert not np.shares_memory(buffers.take("b", 4, 5), first)
+        grown = buffers.take("a", 5, 5)
+        assert grown.shape == (5, 5) and not np.shares_memory(grown, first)
 
 
 def _gaussian_tail(x):
@@ -472,7 +586,7 @@ class TestWidthEstimators:
         class Line:
             ambient_dim = 4
 
-            def project_batch(self, H):
+            def project_batch(self, H, buffers=None):
                 proj = np.zeros_like(H)
                 proj[:, 0] = H[:, 0]
                 return proj, np.abs(H[:, 0])
@@ -484,7 +598,7 @@ class TestWidthEstimators:
         class Full:
             ambient_dim = 2
 
-            def project_batch(self, H):
+            def project_batch(self, H, buffers=None):
                 return H, np.linalg.norm(H, axis=1)
 
         w = gaussian_width_cone(Full(), 20_000, stream(28, "w"))
