@@ -1,4 +1,4 @@
-"""Error-bound evaluation: restricted-convexity probes and width-based bounds.
+"""Error-bound evaluation: the restricted-convexity probe, the bound formulas and t-tuning.
 
 The core chain: restricted strong convexity with parameter mu on the
 feasible cone gives the sure inequality
@@ -11,7 +11,8 @@ mismatched ones.  Tuning t against the unlocalized width yields the
 ``n^{-1/4}`` closed-form rate.
 
 mu itself is never observable; :func:`rsc_estimate` returns the restricted
-curvature of each sampled direction, whose minimum a sweep uses as mu-hat,
+curvature of each direction that :mod:`geometry` sampled from the bound's
+set (the cone, or the localized set), whose minimum a sweep uses as mu-hat,
 and the theoretical values (``1 - eps`` for the gaussian model, ``nu (1 -
 eps)`` for bounded-curvature GLMs) are available alongside.  The sampled
 minimum overstates the set's infimum and is no certificate: at n = 40 on the
@@ -27,19 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, glm
-from .geometry import ConeModel, FeasibleSet, WidthEstimate
+from . import glm
+from .geometry import WidthEstimate
 
 BOUND_CONSTANT = 2.0 * math.sqrt(2.0 * math.pi)
-
-# A descent cone's polar lies in the half-space {u : <u, theta> >= 0}, so a
-# gaussian projects to zero with probability at most 1/2, and a slot is
-# still empty after R rounds with probability at most 2^-R.
-CONE_SAMPLE_MAX_ROUNDS = 100
-
-# The localized sampler gives up after this many rounds of drawing the rows
-# still missing.
-LOCALIZED_SAMPLE_MAX_BATCHES = 200
 
 
 @dataclass(frozen=True)
@@ -51,81 +43,6 @@ class TunedBound:
 
     t_star: float
     bound_closed_form: float
-
-
-def sample_cone_directions(cone: ConeModel, num: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit directions in the cone: project gaussians, drop zeros, normalize.
-
-    Each round draws as many rows as are still missing, block by block
-    (:func:`geometry.blocks`), so the kept directions are the first ``num``
-    nonzero projections of one gaussian stream.  Every block is drawn into,
-    and projected through, one set of :class:`geometry.BlockBuffers`, and the
-    kept rows are copied straight into the result.  Returns an array of shape
-    (p, num) with unit columns; raises ``ValueError`` after
-    ``CONE_SAMPLE_MAX_ROUNDS`` rounds that leave some missing.
-    """
-    p = cone.ambient_dim
-    out = np.empty((num, p))
-    have = 0
-    buffers = geometry.BlockBuffers()
-    for _ in range(CONE_SAMPLE_MAX_ROUNDS):
-        if have == num:
-            break
-        for block in geometry.blocks(num - have, p):
-            H = rng.standard_normal(out=buffers.take("draw", block.stop - block.start, p))
-            proj, norms = cone.project_batch(H, buffers)
-            keep = norms > 1e-12
-            kept = out[have : have + int(np.count_nonzero(keep))]
-            np.compress(keep, proj, axis=0, out=kept)
-            kept /= norms[keep, None]
-            have += kept.shape[0]
-    if have < num:
-        raise ValueError(
-            f"could not sample directions from the cone: {have} of {num} nonzero projections "
-            f"after {CONE_SAMPLE_MAX_ROUNDS} rounds"
-        )
-    return out.T
-
-
-def sample_localized_directions(
-    fset: FeasibleSet, t: float, num: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Unit directions in the cone of ``F \\ tB``.
-
-    Draws points of F (projections of gaussians at several scales), keeps
-    those with norm at least t, and normalizes.  Because F is star-shaped
-    around the origin, each kept direction e satisfies ``t e in F`` and
-    therefore lies in the conic hull of ``F \\ tB``.
-
-    Each round draws scales and gaussians only for the rows still missing,
-    as :func:`sample_cone_directions` does: first the round's scales, then
-    its gaussian rows block by block.  Returns an array of shape
-    (p, m) with unit columns, ``m = num`` unless ``LOCALIZED_SAMPLE_MAX_BATCHES``
-    rounds end short; raises ``ValueError`` if fewer than
-    ``max(2, num // 20)`` were accepted by then.
-    """
-    p = fset.ambient_dim
-    out = np.empty((num, p))
-    have = 0
-    scale = fset.radius_c
-    for _ in range(LOCALIZED_SAMPLE_MAX_BATCHES):
-        if have == num:
-            break
-        magnitudes = scale * 10.0 ** rng.uniform(-1.5, 0.5, size=num - have)
-        for block in geometry.blocks(magnitudes.size, p):
-            Z = rng.standard_normal((block.stop - block.start, p)) * magnitudes[block, None]
-            X = fset.project_rows(Z)
-            norms = np.linalg.norm(X, axis=1)
-            keep = norms >= t
-            kept = int(np.count_nonzero(keep))
-            out[have : have + kept] = X[keep] / norms[keep, None]
-            have += kept
-    if have < max(2, num // 20):
-        raise ValueError(
-            f"could not sample directions from the localized set at t = {t:.6g}; "
-            f"accepted {have} of {num} requested (is t larger than the set radius?)"
-        )
-    return out[:have].T
 
 
 def rsc_estimate(instance: glm.Instance, E: np.ndarray, sq_norms: np.ndarray | None = None) -> np.ndarray:

@@ -243,7 +243,7 @@ def prepare_sweep(config: ExperimentConfig) -> SweepContext:
         widths = {0.0: geometry.gaussian_width_cone(cone, samples, stream(seed, "width", "cone"))}
         global_width = math.nan
         rng = stream(seed, "rsc", "cone")
-        directions = {0.0: bounds.sample_cone_directions(cone, config.rsc_directions, rng)}
+        directions = {0.0: geometry.sample_cone_directions(cone, config.rsc_directions, rng)}
     else:
         cone = None
         global_width = geometry.global_width_l1(fset)
@@ -256,7 +256,7 @@ def prepare_sweep(config: ExperimentConfig) -> SweepContext:
     tuned_by_n = {n: bounds.optimize_t(widths, global_width, sigma_ref, mu_theory, n) for n in config.n_grid}
     for t in {tuned.t_star for tuned in tuned_by_n.values()} - directions.keys():
         rng = stream(seed, "rsc", list(widths).index(t))
-        directions[t] = bounds.sample_localized_directions(fset, t, config.rsc_directions, rng)
+        directions[t] = geometry.sample_localized_directions(fset, t, config.rsc_directions, rng)
     norms = {t: glm.column_sq_norms(E) for t, E in directions.items()}
     return SweepContext(fset, cone, mu_theory, tuned_by_n, widths, global_width, directions, norms)
 

@@ -1,4 +1,4 @@
-"""Feasible sets, descent cones, and Gaussian-width estimators.
+"""Feasible sets, descent cones, Gaussian-width estimators, and the sets' direction samplers.
 
 Geometry conventions used throughout:
 
@@ -16,16 +16,18 @@ Geometry conventions used throughout:
 * Localized widths maximize over the intersection with the l2 *ball* of
   radius t rather than the sphere; the ball version upper-bounds the sphere
   version and keeps the inner problem convex.
+* The RSC probe draws its directions from the bound's set, as its width
+  does: :func:`sample_cone_directions`, :func:`sample_localized_directions`.
 * The Monte-Carlo kernels, the direction samplers and the curvature probe
   work on blocks of about ``BLOCK_ELEMENTS`` float64 values (see
   :func:`blocks`), so their memory does not grow with the sample count.
-* A width draws every block into one buffer, and the cone kernels also
-  project them in one set of :class:`BlockBuffers`, allocated at the first
-  block and freed when the call returns.  Fresh arrays per block cost page
-  faults: glibc hands the freed top of its heap back to the OS, so each
-  block faulted the same pages in again (a shipped ``matched.cfg`` sweep
-  took 14,544 minor faults with fresh arrays and takes 8,122 with the
-  buffers).
+* A width draws every block into one buffer, and the cone width and the
+  cone sampler also project them in one set of :class:`BlockBuffers`,
+  allocated at the first block and freed when the call returns.  Fresh
+  arrays per block cost page faults: glibc hands the freed top of its heap
+  back to the OS, so each block faulted the same pages in again (a shipped
+  ``matched.cfg`` sweep took 14,544 minor faults with fresh arrays and
+  takes 8,122 with the buffers).
 """
 
 from __future__ import annotations
@@ -311,7 +313,7 @@ class FeasibleSet:
 
 
 # ---------------------------------------------------------------------------
-# Width estimators
+# Width estimators and direction samplers
 # ---------------------------------------------------------------------------
 
 
@@ -549,3 +551,85 @@ def global_width_l1(fset: FeasibleSet) -> float:
     step = 12.0 / 2400
     values = [1.0 - math.erf(k * step / math.sqrt(2.0)) ** fset.ambient_dim for k in range(2401)]
     return fset.radius_c * step * (math.fsum(values) - 0.5 * (values[0] + values[-1]))
+
+
+# A descent cone's polar lies in the half-space {u : <u, theta> >= 0}, so a
+# gaussian projects to zero with probability at most 1/2, and a slot is
+# still empty after R rounds with probability at most 2^-R.
+CONE_SAMPLE_MAX_ROUNDS = 100
+
+# The localized sampler gives up after this many rounds of drawing the rows
+# still missing.
+LOCALIZED_SAMPLE_MAX_BATCHES = 200
+
+
+def _keep_unit_rows(X: np.ndarray, norms: np.ndarray, keep: np.ndarray, out: np.ndarray) -> int:
+    """Copy the kept rows of X into the leading rows of ``out``, each divided by its norm; returns their count."""
+    kept = out[: int(np.count_nonzero(keep))]
+    np.compress(keep, X, axis=0, out=kept)
+    kept /= norms[keep, None]
+    return kept.shape[0]
+
+
+def sample_cone_directions(cone: ConeModel, num: int, rng: np.random.Generator) -> np.ndarray:
+    """Unit directions in the cone: project gaussians, drop zeros, normalize.
+
+    Each round draws as many rows as are still missing, block by block
+    (:func:`blocks`), so the kept directions are the first ``num`` nonzero
+    projections of one gaussian stream.  Every block is drawn into, and
+    projected through, one set of :class:`BlockBuffers`, and the kept rows
+    are copied straight into the result.  Returns an array of shape (p, num)
+    with unit columns; raises ``ValueError`` after ``CONE_SAMPLE_MAX_ROUNDS``
+    rounds that leave some missing.
+    """
+    p = cone.ambient_dim
+    out = np.empty((num, p))
+    have = 0
+    buffers = BlockBuffers()
+    for _ in range(CONE_SAMPLE_MAX_ROUNDS):
+        if have == num:
+            break
+        for block in blocks(num - have, p):
+            H = rng.standard_normal(out=buffers.take("draw", block.stop - block.start, p))
+            proj, norms = cone.project_batch(H, buffers)
+            have += _keep_unit_rows(proj, norms, norms > 1e-12, out[have:])
+    if have < num:
+        raise ValueError(
+            f"could not sample directions from the cone: {have} of {num} nonzero projections "
+            f"after {CONE_SAMPLE_MAX_ROUNDS} rounds"
+        )
+    return out.T
+
+
+def sample_localized_directions(fset: FeasibleSet, t: float, num: int, rng: np.random.Generator) -> np.ndarray:
+    """Unit directions in the cone of ``F \\ tB``.
+
+    Draws points of F (projections of gaussians at several scales), keeps
+    those with norm at least t, and normalizes.  Because F is star-shaped
+    around the origin, each kept direction e satisfies ``t e in F`` and
+    therefore lies in the conic hull of ``F \\ tB``.
+
+    Each round draws scales and gaussians only for the rows still missing,
+    as :func:`sample_cone_directions` does: first the round's scales, then
+    its gaussian rows block by block.  Returns an array of shape (p, m) with
+    unit columns, ``m = num`` unless ``LOCALIZED_SAMPLE_MAX_BATCHES`` rounds
+    end short; raises ``ValueError`` if fewer than ``max(2, num // 20)`` were
+    accepted by then.
+    """
+    p = fset.ambient_dim
+    out = np.empty((num, p))
+    have = 0
+    for _ in range(LOCALIZED_SAMPLE_MAX_BATCHES):
+        if have == num:
+            break
+        magnitudes = fset.radius_c * 10.0 ** rng.uniform(-1.5, 0.5, size=num - have)
+        for block in blocks(magnitudes.size, p):
+            X = fset.project_rows(rng.standard_normal((block.stop - block.start, p)) * magnitudes[block, None])
+            norms = np.linalg.norm(X, axis=1)
+            have += _keep_unit_rows(X, norms, norms >= t, out[have:])
+    if have < max(2, num // 20):
+        raise ValueError(
+            f"could not sample directions from the localized set at t = {t:.6g}; "
+            f"accepted {have} of {num} requested (is t larger than the set radius?)"
+        )
+    return out[:have].T

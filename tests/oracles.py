@@ -21,9 +21,11 @@ import math
 
 import numpy as np
 
-from conewidth import bounds, glm
+from conewidth import glm
 from conewidth.experiment import Z975
 from conewidth.geometry import (
+    CONE_SAMPLE_MAX_ROUNDS,
+    LOCALIZED_SAMPLE_MAX_BATCHES,
     ConvergenceError,
     WidthEstimate,
     _sup_localized_dual_rows,
@@ -484,7 +486,10 @@ def full_width_polar_tau(cone, H):
     sort gets its stationary point, and the first segment that contains its
     own (to within 1e-12 of the row's largest magnitude) gives tau.  The
     library instead counts the magnitudes above tau; both evaluate the same
-    expression on the segment they pick.
+    expression on the segment they pick.  A row where no segment contains
+    its stationary point gets 0, or its first NaN stationary point if it has
+    one: an infinity on the support meets another infinity (``inf - inf``),
+    and the library's count gives that NaN too.
     """
     m = H.shape[0]
     s_count = cone.support.size
@@ -503,7 +508,9 @@ def full_width_polar_tau(cone, H):
     feasible = (tau_k <= upper + tol) & (tau_k >= lower - tol)
     found = feasible.any(axis=1)
     tau = tau_k[np.arange(m), np.argmax(feasible, axis=1)]
-    return np.where(found, np.maximum(tau, 0.0), 0.0)
+    nan_k = np.isnan(tau_k)
+    fallback = np.where(nan_k.any(axis=1), tau_k[np.arange(m), np.argmax(nan_k, axis=1)], 0.0)
+    return np.where(found, np.maximum(tau, 0.0), fallback)
 
 
 def full_width_project_batch(cone, H):
@@ -555,7 +562,7 @@ def single_draw_width_localized(fset, radii, samples, rng):
     return [WidthEstimate.from_samples(column) for column in values.T]
 
 
-def single_draw_cone_directions(cone, num, rng, max_rounds=bounds.CONE_SAMPLE_MAX_ROUNDS):
+def single_draw_cone_directions(cone, num, rng, max_rounds=CONE_SAMPLE_MAX_ROUNDS):
     """Each round draws all ``num - have`` missing rows in one array."""
     collected = []
     have = 0
@@ -569,7 +576,7 @@ def single_draw_cone_directions(cone, num, rng, max_rounds=bounds.CONE_SAMPLE_MA
     return np.concatenate(collected, axis=0).T
 
 
-def single_draw_localized_directions(fset, t, num, rng, max_rounds=bounds.LOCALIZED_SAMPLE_MAX_BATCHES):
+def single_draw_localized_directions(fset, t, num, rng, max_rounds=LOCALIZED_SAMPLE_MAX_BATCHES):
     """Each round draws its scales, then all of its missing gaussian rows in one array."""
     collected = []
     have = 0

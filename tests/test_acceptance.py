@@ -330,7 +330,7 @@ def test_criterion_9_rsc_sample_size_threshold():
         rng = stream(109, role, seed, n)
         design = glm.sample_design(n, p, "gaussian", rng)
         inst = glm.ProblemInstance(design, np.zeros(n), theta, family)
-        q = bounds.rsc_estimate(inst, bounds.sample_cone_directions(cone, 400, rng))
+        q = bounds.rsc_estimate(inst, geometry.sample_cone_directions(cone, 400, rng))
         return q.min() >= 1.0 - epsilon
 
     c1 = calibrate_c1(

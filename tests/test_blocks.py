@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conewidth import bounds, experiment, geometry, glm, solver
+from conewidth import experiment, geometry, glm, solver
 
 P = 20
 ROWS = 64  # rows of length P per block under the small budget
@@ -103,14 +103,14 @@ class TestSingleDrawIdentity:
 
     @pytest.mark.parametrize("num", counts(ROWS))
     def test_cone_directions(self, small_budget, num):
-        blocked = bounds.sample_cone_directions(CONE, num, np.random.default_rng(num))
+        blocked = geometry.sample_cone_directions(CONE, num, np.random.default_rng(num))
         single = oracles.single_draw_cone_directions(CONE, num, np.random.default_rng(num))
         assert np.array_equal(blocked, single)
         assert blocked.flags.f_contiguous and single.flags.f_contiguous
 
     @pytest.mark.parametrize("num", counts(ROWS))
     def test_localized_directions(self, small_budget, num):
-        blocked = bounds.sample_localized_directions(FSET, T, num, np.random.default_rng(num))
+        blocked = geometry.sample_localized_directions(FSET, T, num, np.random.default_rng(num))
         single = oracles.single_draw_localized_directions(FSET, T, num, np.random.default_rng(num))
         assert np.array_equal(blocked, single)
         assert blocked.flags.f_contiguous and single.flags.f_contiguous
@@ -118,7 +118,7 @@ class TestSingleDrawIdentity:
     def test_localized_directions_short_of_num(self, small_budget):
         # t near the outer radius accepts few draws, so the sampler returns fewer than num
         t = 0.97 * FSET.outer_radius
-        blocked = bounds.sample_localized_directions(FSET, t, 3 * ROWS, np.random.default_rng(5))
+        blocked = geometry.sample_localized_directions(FSET, t, 3 * ROWS, np.random.default_rng(5))
         single = oracles.single_draw_localized_directions(FSET, t, 3 * ROWS, np.random.default_rng(5))
         assert blocked.shape[1] < 3 * ROWS
         assert np.array_equal(blocked, single)
@@ -142,7 +142,7 @@ class TestShippedBudget:
         assert blocked == oracles.single_draw_width_cone(self.cone, 4_000, np.random.default_rng(4000))
 
     def test_cone_directions(self):
-        blocked = bounds.sample_cone_directions(self.cone, 800, np.random.default_rng(800))
+        blocked = geometry.sample_cone_directions(self.cone, 800, np.random.default_rng(800))
         single = oracles.single_draw_cone_directions(self.cone, 800, np.random.default_rng(800))
         assert np.array_equal(blocked, single)
         # the probe's column norms, taken once, equal the sums over its column blocks at every
@@ -166,7 +166,7 @@ class TestSecantFormIdentity:
     @pytest.mark.parametrize("m", (COLS - 1, COLS, COLS + 1, 4 * COLS))
     def test_matches_single_call(self, small_budget, family, m):
         instance = probe_instance(family)
-        E = bounds.sample_cone_directions(CONE, m, np.random.default_rng(m))
+        E = geometry.sample_cone_directions(CONE, m, np.random.default_rng(m))
         for directions in (E, np.ascontiguousarray(E)):
             single = oracles.single_call_secant_form(instance, THETA, directions)
             assert np.array_equal(glm.secant_form_batch(instance, THETA, directions), single)
@@ -181,7 +181,7 @@ class TestSecantFormIdentity:
         # keep their bits
         m = 3 * COLS + 5
         instance = probe_instance(family)
-        E = bounds.sample_cone_directions(CONE, m, np.random.default_rng(m))
+        E = geometry.sample_cone_directions(CONE, m, np.random.default_rng(m))
         blocked = glm.secant_form_batch(instance, THETA, E)
         single = oracles.single_call_secant_form(instance, THETA, E)
         assert np.array_equal(blocked[: m - m % 8], single[: m - m % 8])
@@ -226,7 +226,7 @@ class TestBoundedMemory:
         design = rng.standard_normal((4096, 200))
         family = glm.GlmFamily("gaussian", 0.5)
         instance = glm.ProblemInstance(design, glm.sample_responses(design, self.theta, family, rng), self.theta, family)
-        E = bounds.sample_cone_directions(geometry.descent_cone(self.theta), 800, rng)
+        E = geometry.sample_cone_directions(geometry.descent_cone(self.theta), 800, rng)
         assert traced_peak(lambda: glm.secant_form_batch(instance, self.theta, E)) < CAP_BYTES
 
     @pytest.mark.parametrize("n", (4096, 40_960))

@@ -37,14 +37,14 @@ class TestRscEstimate:
         n = 6
         theta = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         inst = glm.ProblemInstance(np.eye(n), np.zeros(n), theta, glm.GlmFamily("gaussian", 1.0))
-        q = bounds.rsc_estimate(inst, bounds.sample_cone_directions(descent_cone(theta), 200, stream(70, "id")))
+        q = bounds.rsc_estimate(inst, geometry.sample_cone_directions(descent_cone(theta), 200, stream(70, "id")))
         assert q.shape == (200,)
         assert q == pytest.approx(np.full(200, 1.0 / n), rel=1e-12)
 
     def test_zero_design_gives_zero(self):
         theta = np.array([1.0, 0.0, 0.0])
         inst = glm.ProblemInstance(np.zeros((5, 3)), np.zeros(5), theta, glm.GlmFamily("gaussian", 1.0))
-        q = bounds.rsc_estimate(inst, bounds.sample_cone_directions(descent_cone(theta), 150, stream(71, "z")))
+        q = bounds.rsc_estimate(inst, geometry.sample_cone_directions(descent_cone(theta), 150, stream(71, "z")))
         assert np.all(q == 0.0)
 
     def test_well_sampled_regime_clears_threshold(self):
@@ -54,7 +54,7 @@ class TestRscEstimate:
         theta = np.zeros(p)
         theta[:s] = 1.0
         inst = gaussian_instance(rng, n, p, theta)
-        q = bounds.rsc_estimate(inst, bounds.sample_cone_directions(descent_cone(theta), 500, rng))
+        q = bounds.rsc_estimate(inst, geometry.sample_cone_directions(descent_cone(theta), 500, rng))
         assert q.min() >= 0.5
         assert q.min() <= np.quantile(q, 0.01)
 
@@ -80,14 +80,14 @@ class TestConeDirectionSampler:
         theta, _ = sweep_truth(load_config(str(SHIPPED_MATCHED)))
         cone = descent_cone(theta)
         for key in range(3):
-            E = bounds.sample_cone_directions(cone, 800, stream(90, "rsc", key))
+            E = geometry.sample_cone_directions(cone, 800, stream(90, "rsc", key))
             reference = batched_cone_directions(cone, 800, stream(90, "rsc", key))
             assert np.array_equal(E, reference)
             assert E.strides == reference.strides  # same layout, so the same matmul rounding
 
     def test_zero_rows_skipped_in_stream_order(self):
         for num in (1, 300, 1500):
-            E = bounds.sample_cone_directions(HalfZeroCone(), num, stream(91, "z", num))
+            E = geometry.sample_cone_directions(HalfZeroCone(), num, stream(91, "z", num))
             assert np.array_equal(E, batched_cone_directions(HalfZeroCone(), num, stream(91, "z", num)))
             assert E.shape == (7, num)
             assert np.all(E[0] > 0)
@@ -101,14 +101,14 @@ class TestConeDirectionSampler:
                 return np.zeros_like(H), np.zeros(H.shape[0])
 
         with pytest.raises(ValueError, match="0 of 200 nonzero projections"):
-            bounds.sample_cone_directions(ZeroCone(), 200, stream(92, "z"))
+            geometry.sample_cone_directions(ZeroCone(), 200, stream(92, "z"))
 
 
 class TestLocalizedDirectionSampler:
     def test_directions_certify_membership(self):
         fset = FeasibleSet(np.array([0.5, -0.25, 0.0, 0.0]), 1.5)
         t = 0.4
-        E = bounds.sample_localized_directions(fset, t, 300, stream(74, "dirs"))
+        E = geometry.sample_localized_directions(fset, t, 300, stream(74, "dirs"))
         assert E.shape == (4, 300)
         norms = np.linalg.norm(E, axis=0)
         assert np.allclose(norms, 1.0, atol=1e-10)
@@ -126,7 +126,7 @@ class TestLocalizedDirectionSampler:
 
         monkeypatch.setattr(FeasibleSet, "project_rows", recording)
         t = 1.0  # most projected points land inside tB here, so many rounds run
-        E = bounds.sample_localized_directions(fset, t, 300, stream(76, "dirs"))
+        E = geometry.sample_localized_directions(fset, t, 300, stream(76, "dirs"))
         assert E.shape == (4, 300)
         assert rounds[0] == 300 and len(rounds) > 1
         assert all(b <= a for a, b in zip(rounds, rounds[1:]))
@@ -134,7 +134,7 @@ class TestLocalizedDirectionSampler:
     def test_unreachable_t_errors(self):
         fset = FeasibleSet(np.array([0.5]), 1.0)
         with pytest.raises(ValueError, match="localized set"):
-            bounds.sample_localized_directions(fset, 10.0, 100, stream(75, "dirs"))
+            geometry.sample_localized_directions(fset, 10.0, 100, stream(75, "dirs"))
 
 
 class TestThresholdAndNaive:

@@ -301,8 +301,8 @@ class TestPrepareSweep:
             (geometry, "gaussian_width_cone"),
             (geometry, "global_width_l1"),
             (geometry, "localized_width"),
-            (bounds, "sample_cone_directions"),
-            (bounds, "sample_localized_directions"),
+            (geometry, "sample_cone_directions"),
+            (geometry, "sample_localized_directions"),
         ):
             monkeypatch.setattr(module, name, draw)
         with pytest.raises(ConfigError) as err:
@@ -325,7 +325,7 @@ class TestLocalizedRadii:
         # any radius can be some n's t*, so the draw of its set must never fail
         num = config.rsc_directions
         for i, t in enumerate(radii):
-            E = bounds.sample_localized_directions(ctx.fset, t, num, stream(config.master_seed, "rsc", i))
+            E = geometry.sample_localized_directions(ctx.fset, t, num, stream(config.master_seed, "rsc", i))
             assert E.shape[1] >= max(2, num // 20)
 
 
@@ -363,7 +363,7 @@ class TestSharedDirections:
     @pytest.mark.parametrize("cfg", [MATCHED_SMALL, MISMATCHED_SMALL], ids=["matched", "mismatched"])
     def test_one_draw_per_distinct_t_star(self, cfg, monkeypatch):
         drawn = []
-        cone_sampler, localized_sampler = bounds.sample_cone_directions, bounds.sample_localized_directions
+        cone_sampler, localized_sampler = geometry.sample_cone_directions, geometry.sample_localized_directions
 
         def counting_cone(cone, num, rng):
             drawn.append(0.0)
@@ -373,8 +373,8 @@ class TestSharedDirections:
             drawn.append(t)
             return localized_sampler(fset, t, num, rng)
 
-        monkeypatch.setattr(bounds, "sample_cone_directions", counting_cone)
-        monkeypatch.setattr(bounds, "sample_localized_directions", counting_localized)
+        monkeypatch.setattr(geometry, "sample_cone_directions", counting_cone)
+        monkeypatch.setattr(geometry, "sample_localized_directions", counting_localized)
         res = run_sweep(dataclasses.replace(cfg, trials=2))
         distinct = {tuned.t_star for tuned in res.context.tuned_by_n.values()}
         assert sorted(drawn) == sorted(distinct)
@@ -385,13 +385,13 @@ class TestSharedDirections:
         ctx = prepare_sweep(MATCHED_SMALL)
         num = MATCHED_SMALL.rsc_directions
         cone = geometry.descent_cone(ctx.fset.theta_true)
-        expected = bounds.sample_cone_directions(cone, num, stream(MATCHED_SMALL.master_seed, "rsc", "cone"))
+        expected = geometry.sample_cone_directions(cone, num, stream(MATCHED_SMALL.master_seed, "rsc", "cone"))
         assert np.array_equal(ctx.directions[0.0], expected)
         ctx = prepare_sweep(MISMATCHED_SMALL)
         for i, t in enumerate(ctx.widths):
             if t in ctx.directions:
                 rng = stream(MISMATCHED_SMALL.master_seed, "rsc", i)
-                expected = bounds.sample_localized_directions(ctx.fset, t, num, rng)
+                expected = geometry.sample_localized_directions(ctx.fset, t, num, rng)
                 assert np.array_equal(ctx.directions[t], expected)
 
     def test_trials_at_one_radius_probe_one_set(self):

@@ -482,13 +482,16 @@ class TestConeKernelSpecialValues:
         bad[::7] = True
         cols = stream(86, "special", "cols").integers(0, 12, size=H.shape[0])
         H[bad, cols[bad]] = special
+        # support entries of opposite signs make <h_S, sign> = inf - inf, a NaN tau
+        H[3::14, [1, 4]] = special
+        bad[3::14] = True
+        # the oracle sorts a NaN first, so with NaN only the other rows compare
+        rows = ~bad if math.isnan(special) else slice(None)
         with np.errstate(invalid="ignore"):
             proj, norms = self.cone.project_batch(H)
-        # on a row with an infinity the oracle's segment search finds no segment and falls
-        # back to tau = 0, where the count gives tau = inf, so only the other rows compare
-        ref_proj, ref_norms = full_width_project_batch(self.cone, H[~bad])
-        assert same_bits(proj[~bad], ref_proj)
-        assert same_bits(norms[~bad], ref_norms)
+            ref_proj, ref_norms = full_width_project_batch(self.cone, H[rows])
+        assert same_bits(proj[rows], ref_proj)
+        assert same_bits(norms[rows], ref_norms)
         # a non-finite entry gives a non-finite norm, never a finite stand-in
         assert not np.any(np.isfinite(norms[bad]))
         if math.isnan(special):

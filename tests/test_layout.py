@@ -11,9 +11,11 @@ bound properties are read by ``getattr`` over the CSV column names).
 there must not count, or every exported helper would pass.
 
 A second check keeps the form of a trial's data inside ``glm.py``: no other
-module reads an instance's ``.design``.  A third holds ``tests/oracles.py``
-to the same rule: each of its top-level functions is referenced from a test
-module or from another oracle.
+module reads an instance's ``.design``.  A third keeps the cone kernels'
+scratch arrays inside ``geometry.py``: no other module names
+``BlockBuffers``.  A fourth holds ``tests/oracles.py`` to the first rule:
+each of its top-level functions is referenced from a test module or from
+another oracle.
 """
 
 import ast
@@ -87,6 +89,19 @@ def test_only_glm_reads_a_design():
         if isinstance(node, ast.Attribute) and node.attr == "design"
     }
     assert readers == set()
+
+
+def test_only_geometry_names_block_buffers():
+    # project_batch's projections live in the caller's buffers until its next
+    # call, a rule that only geometry's own kernels need to keep
+    namers = {
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "geometry.py"
+        for name, line in _references(ast.parse(path.read_text(encoding="utf-8")))
+        if name == "BlockBuffers"
+    }
+    assert namers == set()
 
 
 def test_every_oracle_is_used():
