@@ -11,13 +11,13 @@ mismatched ones.  Tuning t against the unlocalized width yields the
 ``n^{-1/4}`` closed-form rate.
 
 mu itself is never observable; :func:`rsc_estimate` returns the restricted
-curvature of each direction that :mod:`geometry` sampled from the bound's
-set (the cone, or the localized set), whose minimum a sweep uses as mu-hat,
-and the theoretical values (``1 - eps`` for the gaussian model, ``nu (1 -
-eps)`` for bounded-curvature GLMs) are available alongside.  The sampled
-minimum overstates the set's infimum and is no certificate: at n = 40 on the
-shipped matched config it reads 0.502 where a search finds 0.046 (ROADMAP
-item 2).
+curvature at the truth of each unit direction that :mod:`geometry` sampled
+from the bound's set (the cone, or the localized set), whose minimum a sweep
+uses as mu-hat, and the theoretical values (``1 - eps`` for the gaussian
+model, ``nu (1 - eps)`` for bounded-curvature GLMs) are available alongside.
+The sampled minimum overstates the set's infimum and is no certificate: at
+n = 40 on the shipped matched config it reads 0.502 where a search finds
+0.046 (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -45,18 +45,16 @@ class TunedBound:
     bound_closed_form: float
 
 
-def rsc_estimate(instance: glm.Instance, E: np.ndarray, sq_norms: np.ndarray | None = None) -> np.ndarray:
+def rsc_estimate(instance: glm.Instance, E: np.ndarray) -> np.ndarray:
     """The restricted curvature of each sampled unit direction, shape (m,).
 
     ``E`` is a (p, m) array whose columns are unit directions of the bound's
-    set, and ``sq_norms`` their :func:`glm.column_sq_norms` (computed per
-    call when None; a sweep passes the ones it keeps).  Per direction e the
-    probed curvature is the secant form ``<grad f(theta + e) - grad f(theta),
-    e>`` at the truth theta.  A finite sample cannot certify an infimum: a
-    sweep keeps the minimum as mu-hat, and ``conewidth rsc`` also prints the
-    1% quantile.
+    set; per column e the curvature is the secant form ``<grad f(theta* + e)
+    - grad f(theta*), e>`` at the truth (:func:`glm.secant_form_batch`).  A
+    finite sample cannot certify an infimum: a sweep keeps the minimum as
+    mu-hat, and ``conewidth rsc`` also prints the 1% quantile.
     """
-    return glm.secant_form_batch(instance, instance.theta_true, E, sq_norms)
+    return glm.secant_form_batch(instance, E)
 
 
 def mismatched_bound(t: float, sigma_max: float, localized_width1: float, mu: float, n: int) -> float:

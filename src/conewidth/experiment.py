@@ -181,9 +181,8 @@ class SweepContext:
     width at each radius from F (see :func:`prepare_sweep`), and
     ``global_width`` is the exact ``E sup_F <h, v>`` (nan when matched).
     Grid n has radius ``tuned_by_n[n].t_star``, and ``directions[t]`` is the
-    RSC probe's (p, m) direction set at each distinct t*, shared by every
-    trial at it, with its :func:`glm.column_sq_norms` in
-    ``direction_norms[t]``.
+    RSC probe's (p, m) set of unit directions at each distinct t*, shared
+    by every trial at it.
     """
 
     fset: FeasibleSet
@@ -193,7 +192,6 @@ class SweepContext:
     widths: dict
     global_width: float
     directions: dict
-    direction_norms: dict
 
     def proj_grad_norm(self, g: np.ndarray, t: float) -> float:
         """``sup <g, u>`` over unit directions u of the bound's set at radius t.
@@ -229,8 +227,7 @@ def prepare_sweep(config: ExperimentConfig) -> SweepContext:
     "localized")``, and the exact global width, which draws nothing.  The
     rest is one path: :func:`bounds.optimize_t` picks every t*(n) among the
     radii, and a localized set is drawn for each distinct t* > 0, at the
-    i-th radius from stream ``("rsc", i)``.  No direction set depends on a
-    design, so each one's column norms are computed here, once.
+    i-th radius from stream ``("rsc", i)``.
     """
     config.validate()
     theta, c = sweep_truth(config)
@@ -257,8 +254,7 @@ def prepare_sweep(config: ExperimentConfig) -> SweepContext:
     for t in {tuned.t_star for tuned in tuned_by_n.values()} - directions.keys():
         rng = stream(seed, "rsc", list(widths).index(t))
         directions[t] = geometry.sample_localized_directions(fset, t, config.rsc_directions, rng)
-    norms = {t: glm.column_sq_norms(E) for t, E in directions.items()}
-    return SweepContext(fset, cone, mu_theory, tuned_by_n, widths, global_width, directions, norms)
+    return SweepContext(fset, cone, mu_theory, tuned_by_n, widths, global_width, directions)
 
 
 @dataclass(frozen=True)
@@ -355,7 +351,7 @@ def probe_rsc(ctx: SweepContext, instance: glm.Instance, n: int) -> np.ndarray:
     the same probe.
     """
     t = ctx.tuned_by_n[n].t_star
-    return bounds.rsc_estimate(instance, ctx.directions[t], ctx.direction_norms[t])
+    return bounds.rsc_estimate(instance, ctx.directions[t])
 
 
 # Student-t 0.975 quantiles t_{0.975, nu} for nu = 1, ..., 30 residual degrees of freedom

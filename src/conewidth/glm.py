@@ -270,41 +270,24 @@ def hessian_quadratic_form(instance: Instance, theta: np.ndarray, v: np.ndarray)
     return float(np.mean(b2 * av**2))
 
 
-def column_sq_norms(directions: np.ndarray) -> np.ndarray:
-    """``||e_j||^2`` of each column of directions, with 1 in place of 0: the divisors of :func:`secant_form_batch`.
+def secant_form_batch(instance: Instance, directions: np.ndarray) -> np.ndarray:
+    """Per-column secant form ``<grad f(theta* + e_j) - grad f(theta*), e_j>`` at the truth theta*.
 
-    A sweep computes them once per direction set, with one temporary the
-    size of the set.  Each column's sum has the same bits whether it is taken
-    over the whole array or over a block of columns, so they equal the sums
-    the form would take block by block.
+    The columns are unit directions, so this is each one's restricted
+    curvature.  They go through in blocks (:func:`geometry.blocks`), so each
+    n x m temporary (p x m on a Gram instance, where the form is ``e^T G e``)
+    holds about one block.  A poisson predictor above ``POISSON_ETA_CAP``
+    raises with the largest predictor of the first block that has one.
     """
-    sq = np.sum(directions**2, axis=0)
-    return np.where(sq > 0, sq, 1.0)
-
-
-def secant_form_batch(
-    instance: Instance, base: np.ndarray, directions: np.ndarray, sq_norms: np.ndarray | None = None
-) -> np.ndarray:
-    """Per-column secant form ``<grad f(base + e_j) - grad f(base), e_j> / ||e_j||^2``.
-
-    The columns go through in blocks (:func:`geometry.blocks`), so each n x m
-    temporary (p x m on a Gram instance, where the form is ``e^T G e`` at
-    every base) holds about one block.  ``sq_norms`` is
-    :func:`column_sq_norms` of directions, computed here when None.  A
-    poisson predictor above ``POISSON_ETA_CAP`` raises with the largest
-    predictor of the first block that has one.
-    """
-    if sq_norms is None:
-        sq_norms = column_sq_norms(directions)
     out = np.empty(directions.shape[1])
     if isinstance(instance, GramInstance):
         for cols in blocks(directions.shape[1], instance.p):
             E = directions[:, cols]
             ge = instance.gram @ E
             ge *= E
-            out[cols] = np.sum(ge, axis=0) / sq_norms[cols]
+            out[cols] = np.sum(ge, axis=0)
         return out
-    eta0 = instance.design @ base
+    eta0 = instance.design @ instance.theta_true
     b1_base = _cumulant_d1(instance.family, eta0)[:, None]
     for cols in blocks(directions.shape[1], instance.n):
         E = directions[:, cols]
@@ -312,7 +295,7 @@ def secant_form_batch(
         q = _cumulant_d1(instance.family, eta0[:, None] + ae)
         q -= b1_base
         q *= ae
-        out[cols] = np.mean(q, axis=0) / sq_norms[cols]
+        out[cols] = np.mean(q, axis=0)
     return out
 
 

@@ -110,9 +110,10 @@ def hessian_quadratic_form_batch(instance, theta, directions):
 
 
 def realized_secant_form(instance, e):
-    """Secant curvature ``<grad f(theta + e) - grad f(theta), e> / ||e||^2``."""
+    """Secant curvature ``<grad f(theta + e) - grad f(theta), e> / ||e||^2`` at the truth theta, for any nonzero e."""
     e = np.asarray(e, dtype=float)
-    return float(glm.secant_form_batch(instance, instance.theta_true, e[:, None])[0])
+    theta = instance.theta_true
+    return float((glm.gradient(instance, theta + e) - glm.gradient(instance, theta)) @ e / (e @ e))
 
 
 def projected_gradient_norm_at_truth(instance, cone):
@@ -497,7 +498,8 @@ def full_width_polar_tau(cone, H):
     off = cone._off_support
     if off.size == 0:
         return np.maximum(on_target / s_count, 0.0)
-    a = np.sort(np.abs(H[:, off]), axis=1)[:, ::-1]
+    # sorted by negation, as the library does, so a NaN sorts last
+    a = -np.sort(-np.abs(H[:, off]), axis=1)
     q = a.shape[1]
     prefix = np.concatenate([np.zeros((m, 1)), np.cumsum(a, axis=1)], axis=1)
     counts = s_count + np.arange(q + 1, dtype=float)
@@ -593,15 +595,13 @@ def single_draw_localized_directions(fset, t, num, rng, max_rounds=LOCALIZED_SAM
     return np.concatenate(collected, axis=0).T
 
 
-def single_call_secant_form(instance, base, directions):
-    """The secant form from one n x m design product."""
-    eta0 = instance.design @ np.asarray(base, dtype=float)
+def single_call_secant_form(instance, directions):
+    """The secant form at the truth from one n x m design product."""
+    eta0 = instance.design @ instance.theta_true
     ae = instance.design @ directions
     b1_shift = glm._cumulant_d1(instance.family, eta0[:, None] + ae)
     b1_base = glm._cumulant_d1(instance.family, eta0)
-    sq = np.sum(directions**2, axis=0)
-    sq = np.where(sq > 0, sq, 1.0)
-    return np.mean((b1_shift - b1_base[:, None]) * ae, axis=0) / sq
+    return np.mean((b1_shift - b1_base[:, None]) * ae, axis=0)
 
 
 def row_block_gram_instance(n, ensemble, theta_true, family, design_rng, responses_rng):

@@ -145,12 +145,6 @@ class TestShippedBudget:
         blocked = geometry.sample_cone_directions(self.cone, 800, np.random.default_rng(800))
         single = oracles.single_draw_cone_directions(self.cone, 800, np.random.default_rng(800))
         assert np.array_equal(blocked, single)
-        # the probe's column norms, taken once, equal the sums over its column blocks at every
-        # shipped n (and at p, the block width of a Gram instance)
-        sq_norms = glm.column_sq_norms(blocked)
-        for width in (40, 60, 90, 135, 200, 4096):
-            for cols in geometry.blocks(800, width):
-                assert np.array_equal(sq_norms[cols], glm.column_sq_norms(blocked[:, cols]))
 
 
 def probe_instance(family):
@@ -168,11 +162,8 @@ class TestSecantFormIdentity:
         instance = probe_instance(family)
         E = geometry.sample_cone_directions(CONE, m, np.random.default_rng(m))
         for directions in (E, np.ascontiguousarray(E)):
-            single = oracles.single_call_secant_form(instance, THETA, directions)
-            assert np.array_equal(glm.secant_form_batch(instance, THETA, directions), single)
-            # with the column norms a sweep computes once, over the whole set
-            sq_norms = glm.column_sq_norms(directions)
-            assert np.array_equal(glm.secant_form_batch(instance, THETA, directions, sq_norms), single)
+            single = oracles.single_call_secant_form(instance, directions)
+            assert np.array_equal(glm.secant_form_batch(instance, directions), single)
 
     @pytest.mark.parametrize("family", glm.FAMILIES)
     def test_unaligned_tail(self, small_budget, family):
@@ -182,8 +173,8 @@ class TestSecantFormIdentity:
         m = 3 * COLS + 5
         instance = probe_instance(family)
         E = geometry.sample_cone_directions(CONE, m, np.random.default_rng(m))
-        blocked = glm.secant_form_batch(instance, THETA, E)
-        single = oracles.single_call_secant_form(instance, THETA, E)
+        blocked = glm.secant_form_batch(instance, E)
+        single = oracles.single_call_secant_form(instance, E)
         assert np.array_equal(blocked[: m - m % 8], single[: m - m % 8])
         np.testing.assert_allclose(blocked, single, rtol=1e-13, atol=0)
 
@@ -227,7 +218,7 @@ class TestBoundedMemory:
         family = glm.GlmFamily("gaussian", 0.5)
         instance = glm.ProblemInstance(design, glm.sample_responses(design, self.theta, family, rng), self.theta, family)
         E = geometry.sample_cone_directions(geometry.descent_cone(self.theta), 800, rng)
-        assert traced_peak(lambda: glm.secant_form_batch(instance, self.theta, E)) < CAP_BYTES
+        assert traced_peak(lambda: glm.secant_form_batch(instance, E)) < CAP_BYTES
 
     @pytest.mark.parametrize("n", (4096, 40_960))
     def test_gaussian_trial(self, n):

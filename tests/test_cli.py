@@ -5,6 +5,9 @@ import functools
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +283,22 @@ class TestDispatch:
         assert main(["sweep", "--config", matched_path, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert (tmp_path / "a.csv.trials.csv").read_bytes() == (tmp_path / "b.csv.trials.csv").read_bytes()
+
+    def test_sweep_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # n > p gaussian trials draw their Wishart statistics, whose BLAS rounding
+        # follows the thread count unless the package pins one thread
+        env = {k: v for k, v in os.environ.items() if k != "CONEWIDTH_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+        outs = []
+        for threads in ("1", "2"):
+            outs.append(tmp_path / f"blas{threads}.csv")
+            subprocess.run(
+                [sys.executable, "-m", "conewidth.cli", "sweep", "--config", str(ROOT / "configs" / "mismatched.cfg"),
+                 "--out", str(outs[-1]), "n_grid=256,512", "trials=2", "mc_samples=200"],
+                env={**env, "OPENBLAS_NUM_THREADS": threads}, capture_output=True, check=True,
+            )
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert Path(f"{outs[0]}.trials.csv").read_bytes() == Path(f"{outs[1]}.trials.csv").read_bytes()
 
     def test_sweep_then_slope(self, matched_path, tmp_path, capsys):
         out = tmp_path / "agg.csv"

@@ -75,6 +75,7 @@ SMALL_OUTER_RADIUS = ExperimentConfig(
 )
 
 
+SHIPPED_MATCHED = Path(__file__).resolve().parents[1] / "configs" / "matched.cfg"
 SHIPPED_MISMATCHED = Path(__file__).resolve().parents[1] / "configs" / "mismatched.cfg"
 
 # CI's mismatched sweeps and the traced-benchmark test, as overrides of the
@@ -404,6 +405,17 @@ class TestSharedDirections:
             record = run_trial(config, n, 0, ctx)
             instance = make_instance(config, ctx.fset.theta_true, n, 0)
             assert record.mu_hat == bounds.rsc_estimate(instance, ctx.directions[t]).min()
+
+    @pytest.mark.parametrize(
+        "path, overrides",
+        [(SHIPPED_MATCHED, []), (SHIPPED_MISMATCHED, []), (SHIPPED_MISMATCHED, MISMATCHED_GEOMETRIES["logistic"])],
+        ids=["matched", "mismatched", "logistic-mismatched"],
+    )
+    def test_sets_hold_unit_columns(self, path, overrides):
+        # the probe takes each column's secant form as its curvature, undivided by its norm
+        ctx = prepare_sweep(load_config(str(path), overrides))
+        for E in ctx.directions.values():
+            assert np.all(np.abs(np.sum(E**2, axis=0) - 1.0) <= 4 * np.finfo(float).eps)
 
     def test_localized_sets_lie_in_the_bound_set(self):
         ctx = prepare_sweep(MISMATCHED_SMALL)

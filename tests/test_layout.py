@@ -7,8 +7,9 @@ top-level function and class, and each method that is not a dunder, to be
 referenced somewhere in those modules outside its own definition: as a name,
 an attribute, an import, or a string equal to the name (``TrialRecord``'s
 bound properties are read by ``getattr`` over the CSV column names).
-``__init__.py`` holds only the package docstring and version; a re-export
-there must not count, or every exported helper would pass.
+``__init__.py`` holds only the package docstring, the one-BLAS-thread pin
+and the version; a re-export there must not count, or every exported helper
+would pass.
 
 A second check keeps the form of a trial's data inside ``glm.py``: no other
 module reads an instance's ``.design``.  A third keeps the cone kernels'
