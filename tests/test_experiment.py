@@ -421,7 +421,6 @@ class TestSharedDirections:
         ctx = prepare_sweep(MISMATCHED_SMALL)
         for t, E in ctx.directions.items():
             assert E.shape == (MISMATCHED_SMALL.p, MISMATCHED_SMALL.rsc_directions)
-            assert np.all(np.abs(np.linalg.norm(E, axis=0) - 1.0) <= 1e-12)
             l1 = np.sum(np.abs(ctx.fset.theta_true[:, None] + t * E), axis=0)
             assert np.all(l1 <= ctx.fset.radius_c + 1e-12)
 
