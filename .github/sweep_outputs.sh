@@ -10,7 +10,8 @@
 # differ.  The sweeps are both shipped configs, the override sweeps below, and
 # the benchmark's matched and mismatched inputs at master seeds 41001-41003
 # (its mismatched-2proc workload is the mismatched input on two workers).
-# Each shipped config also leaves its width, solve and rsc CSVs.  The package
+# Each shipped config also leaves its width, solve and rsc CSVs, and NAME.slope.csv,
+# the slope subcommand's refit of its serial aggregate CSV.  The package
 # runs from this checkout's src/, so an empty `diff -r` of two checkouts'
 # OUTDIRs shows that a change moved no byte of any of them.
 set -euo pipefail
@@ -61,6 +62,7 @@ for seed in 41001 41002 41003; do
 done
 
 for name in matched mismatched; do
+  conewidth slope --csv "$out/$name.serial.csv" --out "$out/$name.slope.csv"
   for command in width solve rsc; do
     conewidth "$command" --config "configs/$name.cfg" --out "$out/$name.$command.csv"
   done

@@ -4,11 +4,10 @@ The core chain: restricted strong convexity with parameter mu on the
 feasible cone gives the sure inequality
 ``mu ||theta_hat - theta_true|| <= ||P_K(-grad f_n(theta_true))||``, and in
 expectation the projected gradient norm is controlled by the cone's Gaussian
-width, giving ``E ||theta_hat - theta_true|| <= 2 sqrt(2 pi) sigma_max
-omega_1 / (mu sqrt(n))`` for matched constraints and the t-localized
-analogue ``t + 2 sqrt(2 pi) sigma_max omega_1(t) / (mu sqrt(n))`` for
-mismatched ones.  Tuning t against the unlocalized width yields the
-``n^{-1/4}`` closed-form rate.
+width.  With ``C(n) = 2 sqrt(2 pi) sigma_max / (mu sqrt(n))`` from
+:func:`coefficient`, ``E ||theta_hat - theta_true|| <= t + C(n) omega_1(t)``:
+the matched bound at t = 0 and the mismatched one at t > 0.  Tuning t
+against the unlocalized width yields the ``n^{-1/4}`` closed-form rate.
 
 mu itself is never observable; :func:`rsc_estimate` returns the restricted
 curvature at the truth of each unit direction that :mod:`geometry` sampled
@@ -57,41 +56,35 @@ def rsc_estimate(instance: glm.Instance, E: np.ndarray) -> np.ndarray:
     return glm.secant_form_batch(instance, E)
 
 
-def mismatched_bound(t: float, sigma_max: float, localized_width1: float, mu: float, n: int) -> float:
-    """``t + 2 sqrt(2 pi) sigma_max omega_1(t) / (mu sqrt(n))``, and inf unless mu > 0.
+def coefficient(sigma_max: float, mu: float, n: int) -> float:
+    """The bound's coefficient ``C(n) = 2 sqrt(2 pi) sigma_max / (mu sqrt(n))``, and inf unless mu > 0.
 
-    At t = 0 this is the matched bound ``2 sqrt(2 pi) sigma_max omega_1 / (mu sqrt(n))``
-    bit for bit, since ``0.0 + x == x``.  The RSC chain bounds nothing
-    without positive curvature, so a mu that is 0, negative or nan gives inf.
+    The RSC chain bounds nothing without positive curvature, so a mu that is 0,
+    negative or nan gives inf, for the tuning mu and each trial's mu alike.
     """
     if not mu > 0:
         return math.inf
-    return t + BOUND_CONSTANT * sigma_max * localized_width1 / (mu * math.sqrt(n))
+    return BOUND_CONSTANT * sigma_max / (mu * math.sqrt(n))
 
 
 # perfbench/tracing.py spans this name as ``bounds.bound``
-def bound_report(t: float, width: WidthEstimate, mu: float, sigma_max: float, n: int) -> float:
-    """The mismatched bound at t with the width estimate's mean; t = 0 is the matched bound."""
-    return mismatched_bound(t, sigma_max, width.mean, mu, n)
+def bound_report(t: float, width: WidthEstimate, coef: float) -> float:
+    """The bound ``t + C(n) omega_1(t)`` at t with the width estimate's mean; t = 0 is the matched bound."""
+    return t + coef * width.mean
 
 
-def optimize_t(
-    widths: Mapping[float, WidthEstimate], global_width: float, sigma_max: float, mu: float, n: int
-) -> TunedBound:
-    """Minimize ``t + 2 sqrt(2 pi) sigma_max omega_1(t) / (mu sqrt(n))`` over the radii t >= 0.
+def optimize_t(widths: Mapping[float, WidthEstimate], global_width: float, coef: float) -> TunedBound:
+    """Minimize ``t + coef omega_1(t)`` over the radii t >= 0, for ``coef = C(n)`` of :func:`coefficient`.
 
     ``widths`` maps each candidate t to its width estimate, ``{0: cone
     width}`` for a matched constraint.  The first of tied candidates wins,
-    so at ``mu <= 0``, where every bound is infinite, the first one does.
+    so at ``coef = inf`` (mu <= 0), where every bound is infinite, it does.
 
-    Also reports the closed-form relaxation obtained by replacing the
-    localized width with ``global_width / t``, for the exact ``global_width
-    = E sup_F <h, v>``: the bound ``t + C global_width / (t sqrt(n))`` with
-    ``C = 2 sqrt(2 pi) sigma_max / mu`` is minimized at ``t* = sqrt(C
-    global_width / sqrt(n))`` with value ``2 t*``, which decays like
-    ``n^{-1/4}``; nan for a matched sweep's nan ``global_width``.
+    Also reports the closed-form relaxation with the localized width replaced
+    by ``global_width / t``, for the exact ``global_width = E sup_F <h, v>``:
+    ``t + C(n) global_width / t`` is minimized at ``t* = sqrt(C(n)
+    global_width)`` with value ``2 t*``, which decays like ``n^{-1/4}``; nan
+    for a matched sweep's nan ``global_width``.
     """
-    t_star = min(widths, key=lambda t: mismatched_bound(t, sigma_max, widths[t].mean, mu, n))
-    coef = BOUND_CONSTANT * sigma_max / mu if mu > 0 else math.inf
-    t_cf = math.sqrt(coef * global_width / math.sqrt(n))
-    return TunedBound(t_star, 2.0 * t_cf)
+    t_star = min(widths, key=lambda t: t + coef * widths[t].mean)
+    return TunedBound(t_star, 2.0 * math.sqrt(coef * global_width))

@@ -249,8 +249,8 @@ def prepare_sweep(config: ExperimentConfig) -> SweepContext:
         localized = geometry.localized_width(fset, radii, samples, stream(seed, "width", "localized"))
         widths = dict(zip(radii, localized))
         directions = {}
-    sigma_ref = glm.sigma_max_upper_bound(family, c)
-    tuned_by_n = {n: bounds.optimize_t(widths, global_width, sigma_ref, mu_theory, n) for n in config.n_grid}
+    coefs = {n: bounds.coefficient(glm.sigma_max_upper_bound(family, c), mu_theory, n) for n in config.n_grid}
+    tuned_by_n = {n: bounds.optimize_t(widths, global_width, coef) for n, coef in coefs.items()}
     for t in {tuned.t_star for tuned in tuned_by_n.values()} - directions.keys():
         rng = stream(seed, "rsc", list(widths).index(t))
         directions[t] = geometry.sample_localized_directions(fset, t, config.rsc_directions, rng)
@@ -325,7 +325,7 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int, ctx: SweepCont
         seed=seed,
         error_l2=error_l2,
         error_l1=error_l1,
-        bound=bounds.bound_report(t_star, width, mu_used, sigma_trial, n),
+        bound=bounds.bound_report(t_star, width, bounds.coefficient(sigma_trial, mu_used, n)),
         t_star=t_star,
         width_mean=width.mean,
         width_stderr=width.stderr,
@@ -593,8 +593,8 @@ def _aggregate_row(
     errors = np.array([r.error_l2 for r in kept])
     stderr = float(np.std(errors, ddof=1) / math.sqrt(errors.size)) if errors.size >= 2 else math.nan
     tuned = ctx.tuned_by_n[n]
-    naive = [r.grad_norm / r.mu_used for r in kept if r.mu_used > 0]
-    refined = [r.proj_grad_norm / r.mu_used for r in kept if r.mu_used > 0]
+    naive = [r.grad_norm / r.mu_used if r.mu_used > 0 else math.inf for r in kept]
+    refined = [r.proj_grad_norm / r.mu_used if r.mu_used > 0 else math.inf for r in kept]
     return SweepRow(
         n=n,
         mean_error=mean_over(kept, "error_l2"),

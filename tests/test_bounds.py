@@ -192,41 +192,43 @@ class TestProjectedGradientNormAtTruth:
 
 class TestBoundFormulas:
     def test_matched_bound_arithmetic(self):
-        value = bounds.mismatched_bound(0.0, 1.0, 3.0, 0.5, 100)
+        value = bounds.coefficient(1.0, 0.5, 100) * 3.0
         assert value == pytest.approx(6.0 * math.sqrt(2.0 * math.pi) / 5.0, rel=1e-12)
 
     def test_matched_bound_root_n_scaling(self):
-        assert bounds.mismatched_bound(0.0, 1.0, 3.0, 0.5, 400) == pytest.approx(
-            0.5 * bounds.mismatched_bound(0.0, 1.0, 3.0, 0.5, 100)
-        )
+        # sqrt(4n) = 2 sqrt(n) and the halving are exact in binary floating point
+        for sigma, mu, n in ((1.0, 0.5, 100), (0.7, 0.3, 37), (2.5, 1e-3, 1001)):
+            assert bounds.coefficient(sigma, mu, 4 * n) == bounds.coefficient(sigma, mu, n) / 2
 
     def test_matched_bound_zero_sigma(self):
-        assert bounds.mismatched_bound(0.0, 0.0, 3.0, 0.5, 100) == 0.0
+        assert bounds.coefficient(0.0, 0.5, 100) == 0.0
 
     def test_mismatched_arithmetic(self):
-        value = bounds.mismatched_bound(0.1, 1.0, 2.0, 1.0, 400)
+        value = bounds.bound_report(0.1, WidthEstimate(2.0, 0.01, 1000), bounds.coefficient(1.0, 1.0, 400))
         assert value == pytest.approx(0.1 + 4.0 * math.sqrt(2.0 * math.pi) / 20.0, rel=1e-12)
 
     def test_monotone_decreasing_in_n(self):
-        values = [bounds.mismatched_bound(0.2, 1.0, 2.0, 0.5, n) for n in (50, 100, 200, 400)]
+        values = [bounds.coefficient(1.0, 0.5, n) for n in (50, 100, 200, 400)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize("t", (0.0, 0.5))
-    @pytest.mark.parametrize("mu", (0.0, -1e-300))
+    @pytest.mark.parametrize("mu", (0.0, -1e-300, math.nan))
     def test_no_positive_curvature_is_infinite(self, t, mu):
-        assert bounds.mismatched_bound(t, 1.0, 3.0, mu, 100) == math.inf
+        coef = bounds.coefficient(1.0, mu, 100)
+        assert coef == math.inf
+        assert bounds.bound_report(t, WidthEstimate(3.0, 0.01, 1000), coef) == math.inf
 
 
 class TestOptimizeT:
     def test_closed_form_example(self):
-        # constants chosen so C * global_width = 4: minimizer t* = 1, bound 2 at n = 16
-        sigma = 1.0
-        mu = 2.0 * math.sqrt(2.0 * math.pi) / 2.0  # makes C = 2
+        # constants chosen so C(16) * global_width = 1: minimizer t* = 1, bound 2
+        mu = 2.0 * math.sqrt(2.0 * math.pi) / 2.0  # makes C(16) = 1/2
+        coef = bounds.coefficient(1.0, mu, 16)
         widths = {t: WidthEstimate(2.0 / t, 0.0, 2) for t in (0.5, 1.0, 2.0)}
-        tuned = bounds.optimize_t(widths, 2.0, sigma, mu, 16)
+        tuned = bounds.optimize_t(widths, 2.0, coef)
         assert tuned.bound_closed_form == pytest.approx(2.0)
         assert tuned.t_star == 1.0
-        assert bounds.mismatched_bound(tuned.t_star, sigma, widths[1.0].mean, mu, 16) == pytest.approx(2.0)
+        assert bounds.bound_report(tuned.t_star, widths[1.0], coef) == pytest.approx(2.0)
 
     def test_grid_minimizer_below_closed_form(self):
         # real Monte-Carlo widths on a mismatched set; grid includes the closed-form t*
@@ -234,15 +236,14 @@ class TestOptimizeT:
         theta[:2] = 0.5
         fset = FeasibleSet(theta, 1.5)
         wg = geometry.global_width_l1(fset)
-        sigma, mu, n = 1.0, 0.5, 64
-        coef = BOUND_CONSTANT * sigma / mu
-        t_cf = math.sqrt(coef * wg / math.sqrt(n))
+        coef = bounds.coefficient(1.0, 0.5, 64)
+        t_cf = math.sqrt(coef * wg)
         widths = {
             t: geometry.localized_width(fset, [t], 3000, stream(78, t))[0] for t in (0.25 * t_cf, t_cf, 4 * t_cf)
         }
-        tuned = bounds.optimize_t(widths, wg, sigma, mu, n)
-        mc_allowance = 3 * (BOUND_CONSTANT * sigma / (mu * math.sqrt(n))) * widths[t_cf].stderr
-        bound_star = bounds.mismatched_bound(tuned.t_star, sigma, widths[tuned.t_star].mean, mu, n)
+        tuned = bounds.optimize_t(widths, wg, coef)
+        mc_allowance = 3 * coef * widths[t_cf].stderr
+        bound_star = bounds.bound_report(tuned.t_star, widths[tuned.t_star], coef)
         assert bound_star <= tuned.bound_closed_form + mc_allowance
 
     def test_closed_form_rate_is_quarter(self):
@@ -250,48 +251,49 @@ class TestOptimizeT:
 
         sigma, mu, width = 0.7, 0.4, 11.0
         ns = [2**k for k in range(6, 15)]
-        closed_forms = [
-            bounds.optimize_t({1.0: WidthEstimate(width, 0.0, 2)}, width, sigma, mu, n).bound_closed_form for n in ns
-        ]
+        widths = {1.0: WidthEstimate(width, 0.0, 2)}
+        closed_forms = [bounds.optimize_t(widths, width, bounds.coefficient(sigma, mu, n)).bound_closed_form for n in ns]
         fit = fit_series(ns, closed_forms)
         assert fit.slope == pytest.approx(-0.25, abs=1e-12)
 
     def test_matched_candidate(self):
         # a matched sweep's one candidate: t* = 0, the matched bound, and no closed form
         w = WidthEstimate(3.0, 0.01, 1000)
-        tuned = bounds.optimize_t({0.0: w}, math.nan, 0.8, 0.4, 100)
+        coef = bounds.coefficient(0.8, 0.4, 100)
+        tuned = bounds.optimize_t({0.0: w}, math.nan, coef)
         assert tuned.t_star == 0.0
         assert math.isnan(tuned.bound_closed_form)
-        assert bounds.bound_report(tuned.t_star, w, 0.4, 0.8, 100) == (
-            BOUND_CONSTANT * 0.8 * 3.0 / (0.4 * 10.0)
-        )
+        assert bounds.bound_report(tuned.t_star, w, coef) == BOUND_CONSTANT * 0.8 / (0.4 * 10.0) * 3.0
 
     @pytest.mark.parametrize("global_width, closed_form", [(2.0, math.inf), (math.nan, math.nan)])
     def test_zero_mu_takes_first_candidate(self, global_width, closed_form):
         # every bound is infinite, so the first radius wins even where a later one is smaller
         widths = {1.0: WidthEstimate(5.0, 0.0, 2), 0.5: WidthEstimate(1.0, 0.0, 2)}
-        tuned = bounds.optimize_t(widths, global_width, 1.0, 0.0, 64)
+        tuned = bounds.optimize_t(widths, global_width, bounds.coefficient(1.0, 0.0, 64))
         assert tuned.t_star == 1.0
         assert tuned.bound_closed_form == pytest.approx(closed_form, nan_ok=True)
 
     def test_tie_takes_first_candidate(self):
-        # 0.5 + 2 and 1.5 + 1 tie exactly at C / sqrt(n) = 1
-        mu = BOUND_CONSTANT / 4.0
+        # 0.5 + 2 and 1.5 + 1 tie exactly at C(16) = 1
+        coef = bounds.coefficient(1.0, BOUND_CONSTANT / 4.0, 16)
+        assert coef == 1.0
         widths = {1.5: WidthEstimate(1.0, 0.0, 2), 0.5: WidthEstimate(2.0, 0.0, 2)}
-        assert bounds.mismatched_bound(1.5, 1.0, 1.0, mu, 16) == bounds.mismatched_bound(0.5, 1.0, 2.0, mu, 16)
-        assert bounds.optimize_t(widths, 1.0, 1.0, mu, 16).t_star == 1.5
-        assert bounds.optimize_t(dict(reversed(widths.items())), 1.0, 1.0, mu, 16).t_star == 0.5
+        assert bounds.bound_report(1.5, widths[1.5], coef) == bounds.bound_report(0.5, widths[0.5], coef)
+        assert bounds.optimize_t(widths, 1.0, coef).t_star == 1.5
+        assert bounds.optimize_t(dict(reversed(widths.items())), 1.0, coef).t_star == 0.5
 
 
 class TestBoundReport:
     def test_matched_report(self):
         # t = 0 adds exactly nothing, so the matched bound comes out bit for bit
         w = WidthEstimate(3.0, 0.01, 1000)
-        assert bounds.bound_report(0.0, w, 0.5, 1.0, 100) == bounds.mismatched_bound(0.0, 1.0, 3.0, 0.5, 100)
+        coef = bounds.coefficient(1.0, 0.5, 100)
+        assert bounds.bound_report(0.0, w, coef) == coef * w.mean
 
     def test_mismatched_report(self):
         w = WidthEstimate(2.0, 0.01, 1000)
-        assert bounds.bound_report(0.3, w, 0.5, 1.0, 100) == bounds.mismatched_bound(0.3, 1.0, 2.0, 0.5, 100)
+        coef = bounds.coefficient(1.0, 0.5, 100)
+        assert bounds.bound_report(0.3, w, coef) == 0.3 + coef * 2.0
 
 
 class TestSureInequality:

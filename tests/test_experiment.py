@@ -353,9 +353,22 @@ class TestRadiusDispatch:
         ctx = prepare_sweep(MATCHED_SMALL)
         for n in MATCHED_SMALL.n_grid:
             record = run_trial(MATCHED_SMALL, n, 1, ctx)
-            width = ctx.widths[0.0].mean
-            assert record.bound == bounds.mismatched_bound(0.0, record.sigma_max, width, record.mu_used, n)
+            coef = bounds.coefficient(record.sigma_max, record.mu_used, n)
+            assert record.bound == coef * ctx.widths[0.0].mean
             assert record.bound_matched == record.bound
+
+    def test_trial_bound_is_the_tuned_minimum(self):
+        # a gaussian trial's sigma and theoretical mu are the tuning ones, so tuning and
+        # the trial share one formula: the trial's bound is min_t t + C(n) omega(t) bit for bit
+        ctx = prepare_sweep(MISMATCHED_SMALL)
+        for n in MISMATCHED_SMALL.n_grid:
+            coef = bounds.coefficient(MISMATCHED_SMALL.noise_scale, ctx.mu_theoretical, n)
+            for trial in range(2):
+                record = run_trial(MISMATCHED_SMALL, n, trial, ctx)
+                assert record.sigma_max == MISMATCHED_SMALL.noise_scale
+                assert record.bound == min(t + coef * w.mean for t, w in ctx.widths.items())
+                assert record.bound == record.t_star + coef * ctx.widths[record.t_star].mean
+                assert record.bound_mismatched == record.bound
 
 
 class TestSharedDirections:
@@ -658,7 +671,7 @@ class TestEdgeSweeps:
             else:
                 assert row.t_star == 0.0 and math.isnan(row.bound_closed_form)
             if mu_mode == "theoretical":
-                assert row.bound == math.inf
+                assert row.bound == row.naive_bound == row.refined_bound == math.inf
 
     def test_full_support_below_p_discards_every_trial(self):
         # at s = p and n < p the descent cone is a half-space, which meets the
