@@ -15,7 +15,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import astuple, fields
+import typing
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -41,15 +42,10 @@ def _int_tuple(raw: str) -> tuple:
     return tuple(int(part.strip()) for part in raw.split(",")) if raw else ()
 
 
-# ExperimentConfig's annotations are strings (postponed evaluation)
-_TYPE_PARSERS = {
-    "int": int,
-    "float": float,
-    "str": str,
-    "tuple[int, ...]": _int_tuple,
+_PARSERS = {
+    key: _int_tuple if hint == tuple[int, ...] else hint
+    for key, hint in typing.get_type_hints(ExperimentConfig).items()
 }
-
-_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def _parse_pair(line: str, source: str) -> tuple[str, str]:

@@ -174,7 +174,7 @@ def make_instance(config: ExperimentConfig, theta: np.ndarray, n: int, trial_ind
 
 @dataclass(frozen=True)
 class SweepContext:
-    """Per-sweep quantities shared by all trials (derived from config only).
+    """Per-sweep quantities shared by all trials, derived from ``config`` alone.
 
     ``fset`` holds theta* and the l1 radius c.  ``widths`` maps each radius
     t to its width: ``{0: cone width}`` when matched, else the localized
@@ -185,6 +185,7 @@ class SweepContext:
     by every trial at it.
     """
 
+    config: ExperimentConfig
     fset: FeasibleSet
     cone: ConeModel | None
     mu_theoretical: float
@@ -254,7 +255,7 @@ def prepare_sweep(config: ExperimentConfig) -> SweepContext:
     for t in {tuned.t_star for tuned in tuned_by_n.values()} - directions.keys():
         rng = stream(seed, "rsc", list(widths).index(t))
         directions[t] = geometry.sample_localized_directions(fset, t, config.rsc_directions, rng)
-    return SweepContext(fset, cone, mu_theory, tuned_by_n, widths, global_width, directions)
+    return SweepContext(config, fset, cone, mu_theory, tuned_by_n, widths, global_width, directions)
 
 
 @dataclass(frozen=True)
@@ -292,12 +293,12 @@ class TrialRecord:
         return self.bound if self.t_star > 0.0 else math.nan
 
 
-def run_trial(config: ExperimentConfig, n: int, trial_index: int, ctx: SweepContext) -> TrialRecord:
-    """One seeded trial: generate data, solve, measure error, evaluate bounds.
+def run_trial(ctx: SweepContext, n: int, trial_index: int) -> TrialRecord:
+    """One seeded trial of ``ctx.config``: generate data, solve, measure error, evaluate bounds.
 
-    Deterministic given (master_seed, n, trial_index); ``ctx`` is the
-    :func:`prepare_sweep` output of ``config``.
+    Deterministic given (master_seed, n, trial_index).
     """
+    config = ctx.config
     seed = seed_fingerprint(config.master_seed, "trial", n, trial_index)
     theta = ctx.fset.theta_true
     instance = make_instance(config, theta, n, trial_index)
@@ -524,23 +525,19 @@ def resolve_workers() -> int:
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(config: ExperimentConfig, ctx: SweepContext) -> None:
-    _WORKER_STATE["config"] = config
+def _worker_init(ctx: SweepContext) -> None:
     _WORKER_STATE["ctx"] = ctx
 
 
 def _worker_run(task: tuple[int, int]) -> TrialRecord:
-    n, trial_index = task
-    config = _WORKER_STATE["config"]
-    ctx = _WORKER_STATE["ctx"]
-    return _safe_trial(config, n, trial_index, ctx)
+    return _safe_trial(_WORKER_STATE["ctx"], *task)
 
 
-def _safe_trial(config: ExperimentConfig, n: int, trial_index: int, ctx: SweepContext) -> TrialRecord:
+def _safe_trial(ctx: SweepContext, n: int, trial_index: int) -> TrialRecord:
     try:
-        return run_trial(config, n, trial_index, ctx)
+        return run_trial(ctx, n, trial_index)
     except (ValueError, RuntimeError, FloatingPointError) as exc:
-        seed = seed_fingerprint(config.master_seed, "trial", n, trial_index)
+        seed = seed_fingerprint(ctx.config.master_seed, "trial", n, trial_index)
         return TrialRecord(n=n, trial=trial_index, seed=seed, failed=True, error_message=str(exc))
 
 
@@ -557,12 +554,10 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # serial runs skip its import cost
 
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=(config, ctx)
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init, initargs=(ctx,)) as pool:
             records = list(pool.map(_worker_run, tasks))
     else:
-        records = [_safe_trial(config, n, j, ctx) for n, j in tasks]
+        records = [_safe_trial(ctx, n, j) for n, j in tasks]
 
     rows = []
     for n in config.n_grid:

@@ -378,10 +378,10 @@ class TestDispatch:
 
         run_trial = experiment.run_trial
 
-        def flaky(config, n, trial_index, ctx):
+        def flaky(ctx, n, trial_index):
             if (n, trial_index) in ((20, 1), (80, 3)):
                 raise ValueError(f"injected at {n}/{trial_index}")
-            return run_trial(config, n, trial_index, ctx)
+            return run_trial(ctx, n, trial_index)
 
         monkeypatch.setattr(experiment, "run_trial", flaky)
         # one failure in 5 stays under the 20% that aborts a grid point

@@ -29,7 +29,7 @@ PACKAGE = TESTS.parent / "src" / "conewidth"
 # record the config with it; until then only the config round-trip tests call it.
 # solver.py's Frank-Wolfe: no sweep runs it, but acceptance criterion 4 and
 # TestFrankWolfe use it as the reference solver, and perfbench/tracing.py wraps
-# it by name until ROADMAP item 4 changes the tracer; item 5 then moves it to
+# it by name until ROADMAP item 18 changes the tracer; item 5 then moves it to
 # tests/oracles.py.
 ALLOWED_UNUSED = {"cli.py:serialize_config", "solver.py:frank_wolfe"}
 
