@@ -11,9 +11,10 @@
 # the benchmark's matched and mismatched inputs at master seeds 41001-41003
 # (its mismatched-2proc workload is the mismatched input on two workers).
 # Each shipped config also leaves its width, solve and rsc CSVs, and NAME.slope.csv,
-# the slope subcommand's refit of its serial aggregate CSV.  The package
-# runs from this checkout's src/, so an empty `diff -r` of two checkouts'
-# OUTDIRs shows that a change moved no byte of any of them.
+# the slope subcommand's refit of its serial aggregate CSV; the short-directions
+# sweep leaves its rsc CSV.  The package runs from this checkout's src/, so an
+# empty `diff -r` of two checkouts' OUTDIRs shows that a change moved no byte
+# of any of them.
 set -euo pipefail
 
 mkdir -p "$1"
@@ -54,6 +55,11 @@ same_csvs underflow-matched configs/matched.cfg $underflow
 same_csvs underflow-mismatched configs/mismatched.cfg $underflow slack=1
 # gaussian trials on a Rademacher design keep their design at every n, below p and above it
 same_csvs gaussian-rademacher configs/mismatched.cfg ensemble=rademacher n_grid=128,256,1024 trials=3 mc_samples=500
+# the only sweep whose localized direction set comes up short: rsc counts 109 of 128 directions
+short="family=logistic ensemble=rademacher p=10 s=2 theta_magnitude=1.0 slack=4 n_grid=60,120,240 trials=2
+  mc_samples=300 mu_mode=theoretical"
+same_csvs short-directions configs/mismatched.cfg $short
+conewidth rsc --config configs/mismatched.cfg --out "$out/short-directions.rsc.csv" $short
 # the benchmark's inputs (perfbench/run.py's WORKLOADS)
 for seed in 41001 41002 41003; do
   same_csvs "bench-matched-$seed" configs/matched.cfg trials=5 "master_seed=$seed"

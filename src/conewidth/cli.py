@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import solver
+from . import bounds, solver
 from .experiment import (
     RSC_EPSILON,
     ConfigError,
@@ -29,7 +29,6 @@ from .experiment import (
     fit_series,
     make_instance,
     prepare_sweep,
-    probe_rsc,
     render_csv,
     run_sweep,
     sweep_truth,
@@ -106,10 +105,11 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 
 def _cmd_width(config: ExperimentConfig, out_path: str | None) -> None:
-    """The sweep's widths: the cone row at t = 0, else a localized row per t, then the exact global row."""
+    """The sweep's widths: when matched (slack = 0) the cone row, else a localized row per t and the global row."""
     ctx = prepare_sweep(config)
-    rows = [("cone" if t == 0.0 else "localized", t, w.mean, w.stderr, w.samples) for t, w in ctx.widths.items()]
-    if not math.isnan(ctx.global_width):
+    matched = config.slack == 0.0
+    rows = [("cone" if matched else "localized", t, w.mean, w.stderr, w.samples) for t, w in ctx.widths.items()]
+    if not matched:
         rows.append(("global", math.nan, ctx.global_width, 0.0, 0))
     _write_output(render_csv(("kind", "t", "width_mean", "width_stderr", "samples"), rows), out_path)
 
@@ -145,7 +145,8 @@ def _cmd_rsc(config: ExperimentConfig, out_path: str | None) -> None:
     ctx = prepare_sweep(config)
     rows = []
     for n in config.n_grid:
-        q = probe_rsc(ctx, make_instance(config, ctx.fset.theta_true, n, 0), n)
+        instance = make_instance(config, ctx.fset.theta_true, n, 0)
+        q = bounds.rsc_estimate(instance, ctx.directions[ctx.tuned_by_n[n].t_star])
         rows.append((n, np.min(q), np.quantile(q, 0.01), ctx.mu_theoretical, q.size, RSC_EPSILON, 1))
     columns = ("n", "mu_hat", "quantile_mu", "mu_theoretical", "directions", "epsilon", "alpha")
     _write_output(render_csv(columns, rows), out_path)

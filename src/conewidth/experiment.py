@@ -282,16 +282,6 @@ class TrialRecord:
     failed: bool = False
     error_message: str = ""
 
-    @property
-    def bound_matched(self) -> float:
-        """The bound of a matched trial (t* = 0), else nan."""
-        return self.bound if self.t_star == 0.0 else math.nan
-
-    @property
-    def bound_mismatched(self) -> float:
-        """The bound of a mismatched trial (t* > 0), else nan."""
-        return self.bound if self.t_star > 0.0 else math.nan
-
 
 def run_trial(ctx: SweepContext, n: int, trial_index: int) -> TrialRecord:
     """One seeded trial of ``ctx.config``: generate data, solve, measure error, evaluate bounds.
@@ -314,7 +304,7 @@ def run_trial(ctx: SweepContext, n: int, trial_index: int) -> TrialRecord:
     t_star = ctx.tuned_by_n[n].t_star
     width = ctx.widths[t_star]
     proj_norm = ctx.proj_grad_norm(-grad0, t_star)
-    mu_hat = float(np.min(probe_rsc(ctx, instance, n)))
+    mu_hat = float(np.min(bounds.rsc_estimate(instance, ctx.directions[t_star])))
 
     sigma_trial = glm.sigma_max(instance)
     mu_used = mu_hat if config.mu_mode == "empirical" else ctx.mu_theoretical
@@ -341,18 +331,6 @@ def run_trial(ctx: SweepContext, n: int, trial_index: int) -> TrialRecord:
         grad_norm=grad_norm,
         proj_grad_norm=proj_norm,
     )
-
-
-def probe_rsc(ctx: SweepContext, instance: glm.Instance, n: int) -> np.ndarray:
-    """Restricted curvatures of one trial over the directions its bound uses.
-
-    The directions are the sweep's set at t*(n), drawn by
-    :func:`prepare_sweep` from the bound's set: the descent cone in matched
-    sweeps, the localized set otherwise.  The CLI's ``rsc`` subcommand runs
-    the same probe.
-    """
-    t = ctx.tuned_by_n[n].t_star
-    return bounds.rsc_estimate(instance, ctx.directions[t])
 
 
 # Student-t 0.975 quantiles t_{0.975, nu} for nu = 1, ..., 30 residual degrees of freedom
@@ -448,8 +426,15 @@ class SweepResult:
     slope_bound_closed_form: SlopeFit | None
 
     def trials_csv(self) -> str:
-        kept = (r for r in self.records if not r.failed)
-        return render_csv(TRIAL_CSV_COLUMNS, ([getattr(r, c) for c in TRIAL_CSV_COLUMNS] for r in kept))
+        """One row per trial that did not fail.  The constraint picks its bound's column:
+        ``bound_matched`` when ``slack == 0``, else ``bound_mismatched``; the other reads nan."""
+        bound_column = "bound_matched" if self.context.config.slack == 0.0 else "bound_mismatched"
+
+        def cells(r: TrialRecord) -> list:
+            by_column = {"bound_matched": math.nan, "bound_mismatched": math.nan, bound_column: r.bound}
+            return [by_column[c] if c in by_column else getattr(r, c) for c in TRIAL_CSV_COLUMNS]
+
+        return render_csv(TRIAL_CSV_COLUMNS, (cells(r) for r in self.records if not r.failed))
 
     def aggregate_csv(self) -> str:
         footer = "".join(

@@ -17,6 +17,7 @@ from conewidth.experiment import (
     ConfigError,
     ExperimentConfig,
     SlopeFit,
+    SweepResult,
     fit_series,
     make_instance,
     prepare_sweep,
@@ -89,6 +90,12 @@ MISMATCHED_GEOMETRIES = {
     ],
     "perfbench-hooks": ["p=20", "s=2", "theta_magnitude=0.5", "slack=0.5", "master_seed=3", "rsc_directions=100"],
 }
+
+
+def trials_csv_row(ctx, record) -> dict:
+    """The trials CSV row that a sweep on ``ctx`` writes for ``record``, by column."""
+    header, row = SweepResult(ctx, (record,), (), None, None, None).trials_csv().splitlines()
+    return dict(zip(header.split(","), map(float, row.split(","))))
 
 
 class TestMakeTruth:
@@ -356,7 +363,7 @@ class TestRadiusDispatch:
             record = run_trial(ctx, n, 1)
             coef = bounds.coefficient(record.sigma_max, record.mu_used, n)
             assert record.bound == coef * ctx.widths[0.0].mean
-            assert record.bound_matched == record.bound
+            assert trials_csv_row(ctx, record)["bound_matched"] == record.bound
 
     def test_trial_bound_is_the_tuned_minimum(self):
         # a gaussian trial's sigma and theoretical mu are the tuning ones, so tuning and
@@ -369,7 +376,7 @@ class TestRadiusDispatch:
                 assert record.sigma_max == MISMATCHED_SMALL.noise_scale
                 assert record.bound == min(t + coef * w.mean for t, w in ctx.widths.items())
                 assert record.bound == record.t_star + coef * ctx.widths[record.t_star].mean
-                assert record.bound_mismatched == record.bound
+                assert trials_csv_row(ctx, record)["bound_mismatched"] == record.bound
 
 
 class TestSharedDirections:
@@ -491,18 +498,22 @@ class TestRunTrial:
         assert record.error_l2 <= 1e-4
 
     def test_matched_record_fields(self):
-        record = run_trial(prepare_sweep(MATCHED_SMALL), 30, 0)
+        ctx = prepare_sweep(MATCHED_SMALL)
+        record = run_trial(ctx, 30, 0)
+        row = trials_csv_row(ctx, record)
         assert record.t_star == 0.0
-        assert math.isnan(record.bound_mismatched)
-        assert record.bound_matched > 0
+        assert math.isnan(row["bound_mismatched"])
+        assert row["bound_matched"] > 0
         assert record.final_gap >= -1e-12
         assert record.proj_grad_norm <= record.grad_norm + 1e-12
 
     def test_mismatched_record_fields(self):
-        record = run_trial(prepare_sweep(MISMATCHED_SMALL), 40, 0)
+        ctx = prepare_sweep(MISMATCHED_SMALL)
+        record = run_trial(ctx, 40, 0)
+        row = trials_csv_row(ctx, record)
         assert record.t_star > 0
-        assert math.isnan(record.bound_matched)
-        assert record.bound_mismatched > record.t_star
+        assert math.isnan(row["bound_matched"])
+        assert row["bound_mismatched"] > record.t_star
 
 
 class TestRunSweep:
@@ -523,6 +534,20 @@ class TestRunSweep:
             "final_gap", "discarded",
         ]
         assert len(lines) == 1 + len(MATCHED_SMALL.n_grid) * MATCHED_SMALL.trials
+
+    @pytest.mark.parametrize(
+        "cfg, t_star, column",
+        [(MATCHED_SMALL, 0.0, "bound_matched"), (MISMATCHED_SMALL, 0.5, "bound_mismatched"),
+         (MISMATCHED_SMALL, 0.0, "bound_mismatched")],
+        ids=["matched", "mismatched", "mismatched-t-zero"],
+    )
+    def test_bound_column_follows_the_constraint(self, cfg, t_star, column):
+        # the constraint, not the radius, picks the column: a mismatched sweep may tune to t* = 0
+        record = experiment.TrialRecord(n=30, trial=0, seed=0, bound=1.5, t_star=t_star)
+        row = trials_csv_row(prepare_sweep(cfg), record)
+        other = "bound_matched" if column == "bound_mismatched" else "bound_mismatched"
+        assert row[column] == 1.5 and math.isnan(row[other])
+        assert row["t_star"] == t_star
 
     def test_aggregate_csv_schema(self):
         res = run_sweep(MATCHED_SMALL)

@@ -5,11 +5,9 @@ reference computations and test-only helpers).  This check parses every
 module of ``src/conewidth`` except ``__init__.py`` and requires each
 top-level function and class, and each method that is not a dunder, to be
 referenced somewhere in those modules outside its own definition: as a name,
-an attribute, an import, or a string equal to the name (``TrialRecord``'s
-bound properties are read by ``getattr`` over the CSV column names).
-``__init__.py`` holds only the package docstring, the one-BLAS-thread pin
-and the version; a re-export there must not count, or every exported helper
-would pass.
+an attribute or an import.  ``__init__.py`` holds only the package docstring,
+the one-BLAS-thread pin and the version; a re-export there must not count, or
+every exported helper would pass.
 
 A second check keeps the form of a trial's data inside ``glm.py``: no other
 module reads an instance's ``.design``.  A third keeps the cone kernels'
@@ -48,7 +46,7 @@ def _definitions(tree: ast.Module):
 
 
 def _references(tree: ast.Module):
-    """``(name, line)`` of every name, attribute, import and exact-name string."""
+    """``(name, line)`` of every name, attribute and import."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
@@ -56,8 +54,6 @@ def _references(tree: ast.Module):
             yield node.attr, node.lineno
         elif isinstance(node, ast.alias):
             yield node.name, node.lineno
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
-            yield node.value, node.lineno
 
 
 def test_every_definition_in_src_is_used_in_src():
