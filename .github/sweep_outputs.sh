@@ -7,9 +7,11 @@
 # Each sweep NAME leaves NAME.serial.csv and NAME.pool.csv (aggregates), their
 # .trials.csv files, and NAME.serial.err and NAME.pool.err (stderr); the run
 # stops at the first sweep that exits nonzero or whose serial and pooled files
-# differ.  The sweeps are both shipped configs, the override sweeps below, and
-# the benchmark's matched and mismatched inputs at master seeds 41001-41003
-# (its mismatched-2proc workload is the mismatched input on two workers).
+# differ, and if the p = 1 matched sweep's status line counts a trial that did
+# not converge or failed.  The sweeps are both shipped configs, the override
+# sweeps below, and the benchmark's matched and mismatched inputs at master
+# seeds 41001-41003 (its mismatched-2proc workload is the mismatched input on
+# two workers).
 # Each shipped config also leaves its width, solve and rsc CSVs, and NAME.slope.csv,
 # the slope subcommand's refit of its serial aggregate CSV; the short-directions
 # sweep leaves its rsc CSV.  The package runs from this checkout's src/, so an
@@ -60,6 +62,12 @@ short="family=logistic ensemble=rademacher p=10 s=2 theta_magnitude=1.0 slack=4 
   mc_samples=300 mu_mode=theoretical"
 same_csvs short-directions configs/mismatched.cfg $short
 conewidth rsc --config configs/mismatched.cfg --out "$out/short-directions.rsc.csv" $short
+# a p = 1 matched sweep: the slowest geometry for the localized sampler to fill, and
+# one where a momentum step clipped back onto a vertex once stalled two solves
+same_csvs p1-matched configs/matched.cfg p=1 s=1 theta_magnitude=1.0 n_grid=4,8,16,32 trials=3 \
+  mc_samples=500 rsc_directions=100
+grep -qx "sweep: 12 trials, 0 not converged, 0 failed" "$out/p1-matched.serial.err" \
+  || { cat "$out/p1-matched.serial.err"; exit 1; }
 # the benchmark's inputs (perfbench/run.py's WORKLOADS)
 for seed in 41001 41002 41003; do
   same_csvs "bench-matched-$seed" configs/matched.cfg trials=5 "master_seed=$seed"

@@ -11,12 +11,12 @@ against the unlocalized width yields the ``n^{-1/4}`` closed-form rate.
 
 mu itself is never observable; :func:`rsc_estimate` returns the restricted
 curvature at the truth of each unit direction that :mod:`geometry` sampled
-from the bound's set (the cone, or the localized set), whose minimum a sweep
-uses as mu-hat, and the theoretical values (``1 - eps`` for the gaussian
-model, ``nu (1 - eps)`` for bounded-curvature GLMs) are available alongside.
-The sampled minimum overstates the set's infimum and is no certificate: at
-n = 40 on the shipped matched config it reads 0.502 where a search finds
-0.046 (ROADMAP item 2).
+from the bound's set (the localized set, drawn at the tangent radius for
+the cone), whose minimum a sweep uses as mu-hat, and the theoretical values
+(``1 - eps`` for the gaussian model, ``nu (1 - eps)`` for bounded-curvature
+GLMs) are available alongside.  The sampled minimum overstates the set's
+infimum and is no certificate: at n = 40 on the shipped matched config it
+averages 0.460, and a search over the cone found 0.046 (ROADMAP item 2).
 """
 
 from __future__ import annotations

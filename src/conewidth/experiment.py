@@ -182,7 +182,7 @@ class SweepContext:
     ``global_width`` is the exact ``E sup_F <h, v>`` (nan when matched).
     Grid n has radius ``tuned_by_n[n].t_star``, and ``directions[t]`` is the
     RSC probe's (p, m) set of unit directions at each distinct t*, shared
-    by every trial at it.
+    by every trial at it (drawn at the tangent radius when t = 0).
     """
 
     config: ExperimentConfig
@@ -216,19 +216,20 @@ def prepare_sweep(config: ExperimentConfig) -> SweepContext:
     """Ground truth, constraint, widths, the radius t*(n) of every grid n,
     and the RSC probe's directions at each distinct t*.
 
-    The constraint is branched on once.  A matched one (``slack == 0``) puts
-    theta* on the sphere of the l1 ball, whose tangent cone there is the
-    descent cone: its one radius is t = 0, with the cone width and the cone
-    directions from stream ``("rsc", "cone")``.  A mismatched one has as
-    radii the ``LOCALIZED_RADII`` interior points of the geometric grid from
-    F's inner radius ``r_in = slack / sqrt(p)`` to its outer radius R_F:
-    for ``t <= r_in``, ``F ∩ tB = tB`` needs curvature over all of R^p, and
-    for ``t >= R_F`` the set ``F \\ tB`` is empty.  It has the localized
-    width at every radius, all from one draw on stream ``("width",
-    "localized")``, and the exact global width, which draws nothing.  The
-    rest is one path: :func:`bounds.optimize_t` picks every t*(n) among the
-    radii, and a localized set is drawn for each distinct t* > 0, at the
-    i-th radius from stream ``("rsc", i)``.
+    The constraint is branched on once, for the radii and their widths.  A
+    matched one (``slack == 0``) puts theta* on the sphere of the l1 ball,
+    whose tangent cone there is the descent cone: its one radius is t = 0,
+    with the cone width.  A mismatched one has as radii the
+    ``LOCALIZED_RADII`` interior points of the geometric grid from F's inner
+    radius ``r_in = slack / sqrt(p)`` to its outer radius R_F: for
+    ``t <= r_in``, ``F ∩ tB = tB`` needs curvature over all of R^p, and for
+    ``t >= R_F`` the set ``F \\ tB`` is empty.  It has the localized width at
+    every radius, all from one draw on stream ``("width", "localized")``, and
+    the exact global width, which draws nothing.  The rest is one path:
+    :func:`bounds.optimize_t` picks every t*(n) among the radii, and a
+    localized set is drawn for each distinct t*, at the i-th radius from
+    stream ``("rsc", i)``, and for a matched t* = 0 at the tangent radius
+    ``min_S |theta*_i|``, where it is the descent cone's.
     """
     config.validate()
     theta, c = sweep_truth(config)
@@ -240,8 +241,6 @@ def prepare_sweep(config: ExperimentConfig) -> SweepContext:
         cone = geometry.descent_cone(theta)
         widths = {0.0: geometry.gaussian_width_cone(cone, samples, stream(seed, "width", "cone"))}
         global_width = math.nan
-        rng = stream(seed, "rsc", "cone")
-        directions = {0.0: geometry.sample_cone_directions(cone, config.rsc_directions, rng)}
     else:
         cone = None
         global_width = geometry.global_width_l1(fset)
@@ -249,12 +248,13 @@ def prepare_sweep(config: ExperimentConfig) -> SweepContext:
         radii = np.geomspace(r_in, fset.outer_radius, LOCALIZED_RADII + 2)[1:-1].tolist()
         localized = geometry.localized_width(fset, radii, samples, stream(seed, "width", "localized"))
         widths = dict(zip(radii, localized))
-        directions = {}
     coefs = {n: bounds.coefficient(glm.sigma_max_upper_bound(family, c), mu_theory, n) for n in config.n_grid}
     tuned_by_n = {n: bounds.optimize_t(widths, global_width, coef) for n, coef in coefs.items()}
-    for t in {tuned.t_star for tuned in tuned_by_n.values()} - directions.keys():
+    tangent_radius = float(np.min(np.abs(theta), initial=math.inf, where=theta != 0.0))
+    directions = {}
+    for t in {tuned.t_star for tuned in tuned_by_n.values()}:
         rng = stream(seed, "rsc", list(widths).index(t))
-        directions[t] = geometry.sample_localized_directions(fset, t, config.rsc_directions, rng)
+        directions[t] = geometry.sample_localized_directions(fset, t or tangent_radius, config.rsc_directions, rng)
     return SweepContext(config, fset, cone, mu_theory, tuned_by_n, widths, global_width, directions)
 
 

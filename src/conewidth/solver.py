@@ -118,11 +118,13 @@ def projected_gradient(
 
     Each step is a backtracked projected-gradient step from the extrapolated
     point ``z = theta + beta (theta - theta_prev)``.  When that step would
-    raise the objective, the momentum is dropped and the step is retaken
+    not lower the objective, the momentum is dropped and the step is retaken
     from ``theta`` (function-value restart), so accepted iterates are
-    monotone.  The solve stops once the Frank-Wolfe gap at the iterate is at
-    most ``gap_tol`` (default :func:`default_gap_tol`, an absolute 1e-6), or
-    when an accepted step is below ``tol`` relative to ``||theta||``.
+    monotone.  A tie counts: at a vertex the projection can clip the step
+    from z back onto theta, a zero move that would end the solve as stalled.
+    The solve stops once the Frank-Wolfe gap at the iterate is at most
+    ``gap_tol`` (default :func:`default_gap_tol`, an absolute 1e-6), or when
+    an accepted step is below ``tol`` relative to ``||theta||``.
 
     Predictors (:func:`glm.predictor`, ``A theta`` on a design) are cached
     per accepted iterate and the extrapolated predictor is the same
@@ -162,7 +164,7 @@ def projected_gradient(
                 z_value = np.inf
             if np.isfinite(z_value) and np.isfinite(z_grad).all():
                 accepted = _backtrack(instance, c, z, z_value, z_grad, step, k)
-                if accepted[2] > value:
+                if accepted[2] >= value:
                     accepted = None
         if accepted is None:  # first step, or restart: no momentum
             momentum_next = 0.5 * (1.0 + math.sqrt(5.0))

@@ -4,15 +4,14 @@ Everything here evaluates the quantity under test by a different route than
 the library (finite differences, dense grids, rejection sampling, vertex
 enumeration, projected ascent, golden-section search, Gauss-Legendre
 quadrature of a density, bisection of a closed-form distribution function)
-so that agreement is meaningful.  It also holds
-the helpers that only tests use (membership margins, the cumulant triple,
-the duality gap at an arbitrary point, the c1 calibration of acceptance
-criterion 9, the local slopes and power-law chi2 of an error curve), which
-the package does not carry, the single-draw forms of
-the library's blocked Monte-Carlo kernels, which draw and evaluate every
-row or column in one array, and the row-block
-Gram instance of a gaussian design, whose law the library's Wishart draw
-reproduces.
+so that agreement is meaningful.  It also holds the helpers that only
+tests use (membership margins, the cumulant triple, the duality gap at an
+arbitrary point, the c1 calibration of acceptance criterion 9, the local
+slopes and power-law chi2 of an error curve, unit directions of a descent
+cone), which the package does not carry, the single-draw forms of the
+library's blocked Monte-Carlo kernels, which draw and evaluate every row or
+column in one array, and the row-block Gram instance of a gaussian design,
+whose law the library's Wishart draw reproduces.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import numpy as np
 from conewidth import glm
 from conewidth.experiment import Z975
 from conewidth.geometry import (
-    CONE_SAMPLE_MAX_ROUNDS,
     LOCALIZED_SAMPLE_MAX_BATCHES,
     ConvergenceError,
     WidthEstimate,
@@ -528,23 +526,24 @@ def full_width_project_batch(cone, H):
     return proj, np.linalg.norm(proj, axis=1)
 
 
-def batched_cone_directions(cone, num, rng, batch=512):
-    """Unit cone directions drawn in fixed batches of ``batch`` gaussian rows.
+def single_draw_cone_directions(cone, num, rng, max_rounds=100):
+    """Unit cone directions: the first ``num`` nonzero projections of one gaussian stream, as a (p, num) array.
 
-    The library draws only the rows still missing; both keep the first
-    ``num`` nonzero projections of the stream.
+    Each round draws all ``num - have`` missing rows in one array.  A
+    descent cone's polar lies in a half-space, so a gaussian projects to
+    zero with probability at most 1/2, and ``max_rounds`` rounds leave a
+    direction missing with probability at most ``2^-max_rounds``.
     """
     collected = []
     have = 0
-    while have < num:
-        H = rng.standard_normal((batch, cone.ambient_dim))
-        proj, norms = cone.project_batch(H)
+    for _ in range(max_rounds):
+        if have == num:
+            break
+        proj, norms = cone.project_batch(rng.standard_normal((num - have, cone.ambient_dim)))
         keep = norms > 1e-12
-        if np.any(keep):
-            unit = proj[keep] / norms[keep, None]
-            collected.append(unit)
-            have += unit.shape[0]
-    return np.concatenate(collected, axis=0)[:num].T
+        collected.append(proj[keep] / norms[keep, None])
+        have += int(np.count_nonzero(keep))
+    return np.concatenate(collected, axis=0).T
 
 
 # ---------------------------------------------------------------------------
@@ -562,20 +561,6 @@ def single_draw_width_localized(fset, radii, samples, rng):
     H = rng.standard_normal((samples, fset.ambient_dim))
     values = _sup_localized_dual_rows(H, fset, radii) / np.asarray(radii)
     return [WidthEstimate.from_samples(column) for column in values.T]
-
-
-def single_draw_cone_directions(cone, num, rng, max_rounds=CONE_SAMPLE_MAX_ROUNDS):
-    """Each round draws all ``num - have`` missing rows in one array."""
-    collected = []
-    have = 0
-    for _ in range(max_rounds):
-        if have == num:
-            break
-        proj, norms = cone.project_batch(rng.standard_normal((num - have, cone.ambient_dim)))
-        keep = norms > 1e-12
-        collected.append(proj[keep] / norms[keep, None])
-        have += int(np.count_nonzero(keep))
-    return np.concatenate(collected, axis=0).T
 
 
 def single_draw_localized_directions(fset, t, num, rng, max_rounds=LOCALIZED_SAMPLE_MAX_BATCHES):

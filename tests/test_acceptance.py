@@ -26,6 +26,7 @@ from oracles import (
     projected_gradient_norm_at_truth,
     realized_secant_form,
     sample_size_threshold,
+    single_draw_cone_directions,
 )
 
 BOUND_CONSTANT = 2.0 * math.sqrt(2.0 * math.pi)
@@ -330,7 +331,7 @@ def test_criterion_9_rsc_sample_size_threshold():
         rng = stream(109, role, seed, n)
         design = glm.sample_design(n, p, "gaussian", rng)
         inst = glm.ProblemInstance(design, np.zeros(n), theta, family)
-        q = bounds.rsc_estimate(inst, geometry.sample_cone_directions(cone, 400, rng))
+        q = bounds.rsc_estimate(inst, single_draw_cone_directions(cone, 400, rng))
         return q.min() >= 1.0 - epsilon
 
     c1 = calibrate_c1(

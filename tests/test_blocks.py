@@ -1,6 +1,6 @@
 """Blocked Monte-Carlo and probe kernels: the same bits as one draw, in bounded memory.
 
-The widths, the direction samplers and the secant probe work on blocks of
+The widths, the direction sampler and the secant probe work on blocks of
 about ``geometry.BLOCK_ELEMENTS`` values.  With the budget shrunk so that
 p = 20 spans many blocks, each kernel must equal its single-draw form in
 ``tests/oracles.py`` bit for bit at sample counts of one block minus one,
@@ -102,13 +102,6 @@ class TestSingleDrawIdentity:
         assert np.array_equal(blocked, single)
 
     @pytest.mark.parametrize("num", counts(ROWS))
-    def test_cone_directions(self, small_budget, num):
-        blocked = geometry.sample_cone_directions(CONE, num, np.random.default_rng(num))
-        single = oracles.single_draw_cone_directions(CONE, num, np.random.default_rng(num))
-        assert np.array_equal(blocked, single)
-        assert blocked.flags.f_contiguous and single.flags.f_contiguous
-
-    @pytest.mark.parametrize("num", counts(ROWS))
     def test_localized_directions(self, small_budget, num):
         blocked = geometry.sample_localized_directions(FSET, T, num, np.random.default_rng(num))
         single = oracles.single_draw_localized_directions(FSET, T, num, np.random.default_rng(num))
@@ -141,9 +134,11 @@ class TestShippedBudget:
         blocked = geometry.gaussian_width_cone(self.cone, 4_000, np.random.default_rng(4000))
         assert blocked == oracles.single_draw_width_cone(self.cone, 4_000, np.random.default_rng(4000))
 
-    def test_cone_directions(self):
-        blocked = geometry.sample_cone_directions(self.cone, 800, np.random.default_rng(800))
-        single = oracles.single_draw_cone_directions(self.cone, 800, np.random.default_rng(800))
+    def test_localized_directions_at_tangent_radius(self):
+        # a matched sweep's set: 800 directions at theta*'s smallest magnitude
+        fset = geometry.FeasibleSet(self.theta, 1.0)
+        blocked = geometry.sample_localized_directions(fset, 0.2, 800, np.random.default_rng(800))
+        single = oracles.single_draw_localized_directions(fset, 0.2, 800, np.random.default_rng(800))
         assert np.array_equal(blocked, single)
 
 
@@ -160,7 +155,7 @@ class TestSecantFormIdentity:
     @pytest.mark.parametrize("m", (COLS - 1, COLS, COLS + 1, 4 * COLS))
     def test_matches_single_call(self, small_budget, family, m):
         instance = probe_instance(family)
-        E = geometry.sample_cone_directions(CONE, m, np.random.default_rng(m))
+        E = oracles.single_draw_cone_directions(CONE, m, np.random.default_rng(m))
         for directions in (E, np.ascontiguousarray(E)):
             single = oracles.single_call_secant_form(instance, directions)
             assert np.array_equal(glm.secant_form_batch(instance, directions), single)
@@ -172,7 +167,7 @@ class TestSecantFormIdentity:
         # keep their bits
         m = 3 * COLS + 5
         instance = probe_instance(family)
-        E = geometry.sample_cone_directions(CONE, m, np.random.default_rng(m))
+        E = oracles.single_draw_cone_directions(CONE, m, np.random.default_rng(m))
         blocked = glm.secant_form_batch(instance, E)
         single = oracles.single_call_secant_form(instance, E)
         assert np.array_equal(blocked[: m - m % 8], single[: m - m % 8])
@@ -217,7 +212,7 @@ class TestBoundedMemory:
         design = rng.standard_normal((4096, 200))
         family = glm.GlmFamily("gaussian", 0.5)
         instance = glm.ProblemInstance(design, glm.sample_responses(design, self.theta, family, rng), self.theta, family)
-        E = geometry.sample_cone_directions(geometry.descent_cone(self.theta), 800, rng)
+        E = oracles.single_draw_cone_directions(geometry.descent_cone(self.theta), 800, rng)
         assert traced_peak(lambda: glm.secant_form_batch(instance, E)) < CAP_BYTES
 
     @pytest.mark.parametrize("n", (4096, 40_960))

@@ -1,27 +1,23 @@
 """Bound formulas, restricted-convexity probes, and the sure inequality."""
 
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conewidth import bounds, geometry, glm, solver
-from conewidth.cli import load_config
-from conewidth.experiment import sweep_truth
 from conewidth.geometry import FeasibleSet, WidthEstimate, descent_cone, gaussian_width_cone
 from conewidth.rng import stream
 
 from oracles import (
-    batched_cone_directions,
     calibrate_c1,
     feasible_margin,
     projected_gradient_norm_at_truth,
     realized_secant_form,
     sample_size_threshold,
+    single_draw_cone_directions,
 )
 
-SHIPPED_MATCHED = Path(__file__).resolve().parents[1] / "configs" / "matched.cfg"
 BOUND_CONSTANT = 2.0 * math.sqrt(2.0 * math.pi)
 
 
@@ -37,14 +33,14 @@ class TestRscEstimate:
         n = 6
         theta = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         inst = glm.ProblemInstance(np.eye(n), np.zeros(n), theta, glm.GlmFamily("gaussian", 1.0))
-        q = bounds.rsc_estimate(inst, geometry.sample_cone_directions(descent_cone(theta), 200, stream(70, "id")))
+        q = bounds.rsc_estimate(inst, single_draw_cone_directions(descent_cone(theta), 200, stream(70, "id")))
         assert q.shape == (200,)
         assert q == pytest.approx(np.full(200, 1.0 / n), rel=1e-12)
 
     def test_zero_design_gives_zero(self):
         theta = np.array([1.0, 0.0, 0.0])
         inst = glm.ProblemInstance(np.zeros((5, 3)), np.zeros(5), theta, glm.GlmFamily("gaussian", 1.0))
-        q = bounds.rsc_estimate(inst, geometry.sample_cone_directions(descent_cone(theta), 150, stream(71, "z")))
+        q = bounds.rsc_estimate(inst, single_draw_cone_directions(descent_cone(theta), 150, stream(71, "z")))
         assert np.all(q == 0.0)
 
     def test_well_sampled_regime_clears_threshold(self):
@@ -54,7 +50,7 @@ class TestRscEstimate:
         theta = np.zeros(p)
         theta[:s] = 1.0
         inst = gaussian_instance(rng, n, p, theta)
-        q = bounds.rsc_estimate(inst, geometry.sample_cone_directions(descent_cone(theta), 500, rng))
+        q = bounds.rsc_estimate(inst, single_draw_cone_directions(descent_cone(theta), 500, rng))
         assert q.min() >= 0.5
         assert q.min() <= np.quantile(q, 0.01)
 
@@ -63,45 +59,6 @@ class TestRscEstimate:
         inst = glm.ProblemInstance(np.eye(2), np.zeros(2), theta, glm.GlmFamily("gaussian", 1.0))
         E = np.tile(np.array([[-1.0], [0.0]]), (1, 120))
         assert bounds.rsc_estimate(inst, E) == pytest.approx(np.full(120, 0.5))
-
-
-class HalfZeroCone:
-    """Duck-typed cone that keeps each gaussian row whose first entry is positive."""
-
-    ambient_dim = 7
-
-    def project_batch(self, H, buffers=None):
-        proj = np.where(H[:, :1] > 0, H, 0.0)
-        return proj, np.linalg.norm(proj, axis=1)
-
-
-class TestConeDirectionSampler:
-    def test_matches_batched_reference_at_shipped_geometry(self):
-        theta, _ = sweep_truth(load_config(str(SHIPPED_MATCHED)))
-        cone = descent_cone(theta)
-        for key in range(3):
-            E = geometry.sample_cone_directions(cone, 800, stream(90, "rsc", key))
-            reference = batched_cone_directions(cone, 800, stream(90, "rsc", key))
-            assert np.array_equal(E, reference)
-            assert E.strides == reference.strides  # same layout, so the same matmul rounding
-
-    def test_zero_rows_skipped_in_stream_order(self):
-        for num in (1, 300, 1500):
-            E = geometry.sample_cone_directions(HalfZeroCone(), num, stream(91, "z", num))
-            assert np.array_equal(E, batched_cone_directions(HalfZeroCone(), num, stream(91, "z", num)))
-            assert E.shape == (7, num)
-            assert np.all(E[0] > 0)
-            assert np.allclose(np.linalg.norm(E, axis=0), 1.0, atol=1e-15)
-
-    def test_all_zero_cone_raises(self):
-        class ZeroCone:
-            ambient_dim = 3
-
-            def project_batch(self, H, buffers=None):
-                return np.zeros_like(H), np.zeros(H.shape[0])
-
-        with pytest.raises(ValueError, match="0 of 200 nonzero projections"):
-            geometry.sample_cone_directions(ZeroCone(), 200, stream(92, "z"))
 
 
 class TestLocalizedDirectionSampler:

@@ -91,6 +91,17 @@ MISMATCHED_GEOMETRIES = {
     "perfbench-hooks": ["p=20", "s=2", "theta_magnitude=0.5", "slack=0.5", "master_seed=3", "rsc_directions=100"],
 }
 
+# CI's matched sweeps, as overrides of the shipped config
+MATCHED_GEOMETRIES = {
+    "shipped": [],
+    "logistic": ["family=logistic", "ensemble=rademacher", "p=100", "s=3", "theta_magnitude=1.0", "rsc_directions=400"],
+    "poisson": ["family=poisson", "p=100", "s=3", "theta_magnitude=0.1"],
+    "mu-underflow": [
+        "family=logistic", "ensemble=rademacher", "p=20", "s=2", "theta_magnitude=400", "rsc_directions=100"
+    ],
+    "p1": ["p=1", "s=1", "theta_magnitude=1.0", "rsc_directions=100"],
+}
+
 
 def trials_csv_row(ctx, record) -> dict:
     """The trials CSV row that a sweep on ``ctx`` writes for ``record``, by column."""
@@ -309,7 +320,6 @@ class TestPrepareSweep:
             (geometry, "gaussian_width_cone"),
             (geometry, "global_width_l1"),
             (geometry, "localized_width"),
-            (geometry, "sample_cone_directions"),
             (geometry, "sample_localized_directions"),
         ):
             monkeypatch.setattr(module, name, draw)
@@ -385,29 +395,25 @@ class TestSharedDirections:
     @pytest.mark.parametrize("cfg", [MATCHED_SMALL, MISMATCHED_SMALL], ids=["matched", "mismatched"])
     def test_one_draw_per_distinct_t_star(self, cfg, monkeypatch):
         drawn = []
-        cone_sampler, localized_sampler = geometry.sample_cone_directions, geometry.sample_localized_directions
+        sampler = geometry.sample_localized_directions
 
-        def counting_cone(cone, num, rng):
-            drawn.append(0.0)
-            return cone_sampler(cone, num, rng)
-
-        def counting_localized(fset, t, num, rng):
+        def counting(fset, t, num, rng):
             drawn.append(t)
-            return localized_sampler(fset, t, num, rng)
+            return sampler(fset, t, num, rng)
 
-        monkeypatch.setattr(geometry, "sample_cone_directions", counting_cone)
-        monkeypatch.setattr(geometry, "sample_localized_directions", counting_localized)
+        monkeypatch.setattr(geometry, "sample_localized_directions", counting)
         res = run_sweep(dataclasses.replace(cfg, trials=2))
         distinct = {tuned.t_star for tuned in res.context.tuned_by_n.values()}
-        assert sorted(drawn) == sorted(distinct)
+        # a matched t* = 0 draws at the tangent radius: theta*'s entries are +-theta_magnitude
+        assert sorted(drawn) == sorted(t or cfg.theta_magnitude for t in distinct)
         assert set(res.context.directions) == distinct
         assert len(distinct) == (1 if cfg is MATCHED_SMALL else 3)
 
     def test_sets_come_from_their_streams(self):
         ctx = prepare_sweep(MATCHED_SMALL)
         num = MATCHED_SMALL.rsc_directions
-        cone = geometry.descent_cone(ctx.fset.theta_true)
-        expected = geometry.sample_cone_directions(cone, num, stream(MATCHED_SMALL.master_seed, "rsc", "cone"))
+        rng = stream(MATCHED_SMALL.master_seed, "rsc", 0)
+        expected = geometry.sample_localized_directions(ctx.fset, MATCHED_SMALL.theta_magnitude, num, rng)
         assert np.array_equal(ctx.directions[0.0], expected)
         ctx = prepare_sweep(MISMATCHED_SMALL)
         for i, t in enumerate(ctx.widths):
@@ -415,6 +421,17 @@ class TestSharedDirections:
                 rng = stream(MISMATCHED_SMALL.master_seed, "rsc", i)
                 expected = geometry.sample_localized_directions(ctx.fset, t, num, rng)
                 assert np.array_equal(ctx.directions[t], expected)
+
+    @pytest.mark.parametrize("name", sorted(MATCHED_GEOMETRIES))
+    def test_matched_sets_fill_with_cone_directions(self, name):
+        # a short set would go unreported, so every matched geometry CI sweeps must fill its set
+        config = load_config(str(SHIPPED_MATCHED), [*MATCHED_GEOMETRIES[name], "mc_samples=2"])
+        ctx = prepare_sweep(config)
+        (E,) = ctx.directions.values()
+        assert E.shape == (config.p, config.rsc_directions)
+        assert np.all(np.abs(np.linalg.norm(E, axis=0) - 1.0) <= 1e-12)
+        projections, _ = geometry.descent_cone(ctx.fset.theta_true).project_batch(E.T)
+        assert np.max(np.abs(projections - E.T)) <= 1e-12
 
     def test_trials_at_one_radius_probe_one_set(self):
         # two grid n close enough to share a t*

@@ -22,7 +22,7 @@ from conewidth.geometry import (
     project_l1_ball,
     project_onto_descent_cone,
 )
-from conewidth.experiment import sweep_truth
+from conewidth.experiment import prepare_sweep, sweep_truth
 from conewidth.rng import stream
 
 from oracles import (
@@ -564,7 +564,8 @@ class TestStatisticalDimension:
     def test_mean_square_projection_in_band(self):
         # Amelunxen, Lotz, McCoy & Tropp 2014, Thm 4.3:
         # delta <= inf_tau J(tau) <= delta + 2 sqrt(p) / (||theta||_1 / ||theta||_2)
-        theta, _ = sweep_truth(load_config(str(SHIPPED_MATCHED)))
+        config = load_config(str(SHIPPED_MATCHED))
+        theta, _ = sweep_truth(config)
         p, s = theta.size, int(np.count_nonzero(theta))
         lo, hi = 0.0, 10.0  # J is convex in tau
         for _ in range(200):
@@ -580,6 +581,9 @@ class TestStatisticalDimension:
         mean = float(np.mean(squares))
         se = float(np.std(squares, ddof=1) / math.sqrt(squares.size))
         assert inf_j - slack - 3.0 * se <= mean <= inf_j + 3.0 * se
+        # and by Jensen the width E ||P_K g|| is at most sqrt(delta): a check of the sweep's width that draws nothing
+        (width,) = prepare_sweep(config).widths.values()
+        assert width.mean <= math.sqrt(inf_j) + 3.0 * width.stderr
 
 
 class TestWidthEstimators:

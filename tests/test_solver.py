@@ -1,11 +1,15 @@
 """Frank-Wolfe and projected gradient over the l1 ball."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conewidth import glm, solver
+from conewidth.cli import load_config
+from conewidth.experiment import make_instance, sweep_truth
 from conewidth.rng import stream
 
 from oracles import duality_gap, grid_min_objective_l1
@@ -13,6 +17,7 @@ from oracles import duality_gap, grid_min_objective_l1
 GAUSSIAN = glm.GlmFamily("gaussian", 0.5)
 LOGISTIC = glm.GlmFamily("logistic")
 POISSON = glm.GlmFamily("poisson")
+SHIPPED_MATCHED = Path(__file__).resolve().parents[1] / "configs" / "matched.cfg"
 
 
 def small_instance(rng, family, n=40, p=5, magnitude=0.4):
@@ -173,6 +178,14 @@ class TestProjectedGradient:
         self.poisoned_gradients(monkeypatch, {2})
         report = solver.projected_gradient(inst, 1.0)
         assert report.converged and np.isfinite(report.theta_hat).all()
+
+    @pytest.mark.parametrize("n, trial", [(8, 0), (32, 1)])
+    def test_tie_at_a_vertex_restarts(self, n, trial):
+        # trials of a p = 1 matched sweep where the momentum step from z projects back onto
+        # theta at a vertex: accepting that zero move ended the solve as stalled, uncertified
+        config = load_config(str(SHIPPED_MATCHED), ["p=1", "s=1", "theta_magnitude=1.0"])
+        theta, c = sweep_truth(config)
+        assert solver.projected_gradient(make_instance(config, theta, n, trial), c).converged
 
     def test_iteration_cap_reports_not_converged(self):
         rng = stream(65, "pg")
