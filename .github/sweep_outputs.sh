@@ -12,11 +12,12 @@
 # sweeps below, and the benchmark's matched and mismatched inputs at master
 # seeds 41001-41003 (its mismatched-2proc workload is the mismatched input on
 # two workers).
-# Each shipped config also leaves its width, solve and rsc CSVs, and NAME.slope.csv,
-# the slope subcommand's refit of its serial aggregate CSV; the short-directions
-# sweep leaves its rsc CSV.  The package runs from this checkout's src/, so an
-# empty `diff -r` of two checkouts' OUTDIRs shows that a change moved no byte
-# of any of them.
+# Each shipped config and each override sweep also leaves NAME.width.csv,
+# NAME.solve.csv and NAME.rsc.csv, and NAME.slope.csv, the slope subcommand's
+# refit of its serial aggregate CSV, so every subcommand's CSV is compared on
+# every family, design and constraint.  The package runs from this checkout's
+# src/, so an empty `diff -r` of two checkouts' OUTDIRs shows that a change
+# moved no byte of any of them.
 set -euo pipefail
 
 mkdir -p "$1"
@@ -37,34 +38,41 @@ same_csvs() {  # name, config, overrides...
   cmp "$base.serial.err" "$base.pool.err"
 }
 
-same_csvs matched configs/matched.cfg
-same_csvs mismatched configs/mismatched.cfg
+every_csv() {  # name, config, overrides...: same_csvs, then the slope, width, solve and rsc CSVs
+  same_csvs "$@"
+  conewidth slope --csv "$out/$1.serial.csv" --out "$out/$1.slope.csv"
+  for command in width solve rsc; do
+    conewidth "$command" --config "$2" --out "$out/$1.$command.csv" "${@:3}"
+  done
+}
+
+every_csv matched configs/matched.cfg
+every_csv mismatched configs/mismatched.cfg
 # perfbench's logistic-matched overrides
-same_csvs logistic-matched configs/matched.cfg family=logistic ensemble=rademacher p=100 s=3 \
+every_csv logistic-matched configs/matched.cfg family=logistic ensemble=rademacher p=100 s=3 \
   theta_magnitude=1.0 n_grid=60,120,240 mu_mode=theoretical rsc_directions=400 trials=3
 # a mismatched non-gaussian sweep: rademacher designs tie the localized gradient magnitudes
-same_csvs logistic-mismatched configs/mismatched.cfg family=logistic ensemble=rademacher p=100 s=3 \
+every_csv logistic-mismatched configs/mismatched.cfg family=logistic ensemble=rademacher p=100 s=3 \
   theta_magnitude=1.0 slack=1.5 n_grid=60,120,240 trials=3 mc_samples=500
 # the poisson family under both constraints
-same_csvs poisson-matched configs/matched.cfg family=poisson p=100 s=3 theta_magnitude=0.1 \
+every_csv poisson-matched configs/matched.cfg family=poisson p=100 s=3 theta_magnitude=0.1 \
   n_grid=60,120,240 trials=3
-same_csvs poisson-mismatched configs/mismatched.cfg family=poisson p=100 s=3 theta_magnitude=0.1 \
+every_csv poisson-mismatched configs/mismatched.cfg family=poisson p=100 s=3 theta_magnitude=0.1 \
   slack=0.5 n_grid=60,120,240 trials=3 mc_samples=500
 # theta_magnitude=400 underflows the theoretical mu to 0: the only sweeps whose bounds are all inf
 underflow="family=logistic ensemble=rademacher p=20 s=2 theta_magnitude=400 n_grid=40,60,90 trials=2
   mc_samples=300 rsc_directions=100 mu_mode=theoretical"
-same_csvs underflow-matched configs/matched.cfg $underflow
-same_csvs underflow-mismatched configs/mismatched.cfg $underflow slack=1
+every_csv underflow-matched configs/matched.cfg $underflow
+every_csv underflow-mismatched configs/mismatched.cfg $underflow slack=1
 # gaussian trials on a Rademacher design keep their design at every n, below p and above it
-same_csvs gaussian-rademacher configs/mismatched.cfg ensemble=rademacher n_grid=128,256,1024 trials=3 mc_samples=500
+every_csv gaussian-rademacher configs/mismatched.cfg ensemble=rademacher n_grid=128,256,1024 trials=3 mc_samples=500
 # the only sweep whose localized direction set comes up short: rsc counts 109 of 128 directions
 short="family=logistic ensemble=rademacher p=10 s=2 theta_magnitude=1.0 slack=4 n_grid=60,120,240 trials=2
   mc_samples=300 mu_mode=theoretical"
-same_csvs short-directions configs/mismatched.cfg $short
-conewidth rsc --config configs/mismatched.cfg --out "$out/short-directions.rsc.csv" $short
+every_csv short-directions configs/mismatched.cfg $short
 # a p = 1 matched sweep: the slowest geometry for the localized sampler to fill, and
 # one where a momentum step clipped back onto a vertex once stalled two solves
-same_csvs p1-matched configs/matched.cfg p=1 s=1 theta_magnitude=1.0 n_grid=4,8,16,32 trials=3 \
+every_csv p1-matched configs/matched.cfg p=1 s=1 theta_magnitude=1.0 n_grid=4,8,16,32 trials=3 \
   mc_samples=500 rsc_directions=100
 grep -qx "sweep: 12 trials, 0 not converged, 0 failed" "$out/p1-matched.serial.err" \
   || { cat "$out/p1-matched.serial.err"; exit 1; }
@@ -75,9 +83,3 @@ for seed in 41001 41002 41003; do
     mc_samples=250 "master_seed=$seed"
 done
 
-for name in matched mismatched; do
-  conewidth slope --csv "$out/$name.serial.csv" --out "$out/$name.slope.csv"
-  for command in width solve rsc; do
-    conewidth "$command" --config "configs/$name.cfg" --out "$out/$name.$command.csv"
-  done
-done

@@ -3,8 +3,8 @@
 Configs are flat ``key = value`` text files ('#' starts a comment); every
 key is a field of :class:`conewidth.experiment.ExperimentConfig` and can be
 overridden on the command line with trailing ``key=value`` arguments.
-Results are CSV, rendered by :func:`conewidth.experiment.render_csv` and
-written to ``--out`` or standard output.
+Every CSV is built by :mod:`conewidth.experiment`; this module only reads
+the config or CSV file and writes the result to ``--out`` or standard output.
 
 Exit codes: 0 success, 2 configuration error (message names the offending
 key), 1 runtime failure.
@@ -13,26 +13,11 @@ key), 1 runtime failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import typing
-from dataclasses import astuple
 from pathlib import Path
 
-import numpy as np
-
-from . import bounds, solver
-from .experiment import (
-    RSC_EPSILON,
-    ConfigError,
-    ExperimentConfig,
-    fit_series,
-    make_instance,
-    prepare_sweep,
-    render_csv,
-    run_sweep,
-    sweep_truth,
-)
+from .experiment import ConfigError, ExperimentConfig, prepare_sweep, run_sweep, slope_csv, solve_csv
 
 
 def _int_tuple(raw: str) -> tuple:
@@ -104,54 +89,6 @@ def _write_output(text: str, out_path: str | None) -> None:
         Path(out_path).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _cmd_width(config: ExperimentConfig, out_path: str | None) -> None:
-    """The sweep's widths: when matched (slack = 0) the cone row, else a localized row per t and the global row."""
-    ctx = prepare_sweep(config)
-    matched = config.slack == 0.0
-    rows = [("cone" if matched else "localized", t, w.mean, w.stderr, w.samples) for t, w in ctx.widths.items()]
-    if not matched:
-        rows.append(("global", math.nan, ctx.global_width, 0.0, 0))
-    _write_output(render_csv(("kind", "t", "width_mean", "width_stderr", "samples"), rows), out_path)
-
-
-def _cmd_solve(config: ExperimentConfig, out_path: str | None) -> None:
-    n = config.n_grid[0]
-    theta, c = sweep_truth(config)
-    instance = make_instance(config, theta, n, 0)
-    report = solver.projected_gradient(instance, c)
-    err = report.theta_hat - instance.theta_true
-    row = (
-        n,
-        "projected_gradient",
-        report.final_objective,
-        float(np.linalg.norm(err)),
-        float(np.sum(np.abs(err))),
-        report.iterations,
-        report.final_gap,
-        float(np.sum(np.abs(report.theta_hat))),
-    )
-    columns = ("n", "method", "objective", "error_l2", "error_l1", "iterations", "final_gap", "l1_norm")
-    _write_output(render_csv(columns, [row]), out_path)
-
-
-def _cmd_rsc(config: ExperimentConfig, out_path: str | None) -> None:
-    """The probe of each grid n's trial 0, exactly as the sweep runs it.
-
-    ``mu_hat``, ``quantile_mu`` and ``directions`` are the minimum, the 1%
-    quantile and the size of its one curvature vector.  The ``epsilon``
-    column is always ``RSC_EPSILON`` and the ``alpha`` column always 1; they
-    stay so that the CSV keeps its documented columns.
-    """
-    ctx = prepare_sweep(config)
-    rows = []
-    for n in config.n_grid:
-        instance = make_instance(config, ctx.fset.theta_true, n, 0)
-        q = bounds.rsc_estimate(instance, ctx.directions[ctx.tuned_by_n[n].t_star])
-        rows.append((n, np.min(q), np.quantile(q, 0.01), ctx.mu_theoretical, q.size, RSC_EPSILON, 1))
-    columns = ("n", "mu_hat", "quantile_mu", "mu_theoretical", "directions", "epsilon", "alpha")
-    _write_output(render_csv(columns, rows), out_path)
-
-
 def _cmd_sweep(config: ExperimentConfig, out_path: str | None) -> None:
     result = run_sweep(config)
     _write_output(result.aggregate_csv(), out_path)
@@ -160,25 +97,12 @@ def _cmd_sweep(config: ExperimentConfig, out_path: str | None) -> None:
     print(result.status_line(), file=sys.stderr)
 
 
-def _cmd_slope(csv_path: str, out_path: str | None) -> None:
-    """Refit the slopes of an aggregate CSV with the rule of its footer."""
-    lines = Path(csv_path).read_text(encoding="utf-8").splitlines()
-    rows = [line.split(",") for line in lines if line and not line.startswith("#")]
-    names = ("mean_error", "bound")
-    try:
-        header, *data = rows
-        n_col, *cols = (header.index(name) for name in ("n", *names))
-        ns = [int(parts[n_col]) for parts in data]
-        if any(b <= a for a, b in zip([0, *ns], ns)):  # every sweep's n_grid rule
-            raise ValueError(f"n must be >= 1 and strictly increasing, got {', '.join(map(str, ns))}")
-        series = [[float(parts[col]) for parts in data] for col in cols]
-    except (IndexError, ValueError) as exc:  # no header, a short row, a non-numeric cell or a bad n column
-        raise RuntimeError(f"{csv_path} is not an aggregate sweep CSV: {exc}") from exc
-    out = []
-    for name, values in zip(names, series):
-        fit = fit_series(ns, values)
-        out.append((name, *(astuple(fit) if fit else (math.nan,) * 3)))
-    _write_output(render_csv(("series", "slope", "intercept", "half_width"), out), out_path)
+# the CSV text of each subcommand but sweep that reads a config
+_CSV_COMMANDS = {
+    "width": lambda config: prepare_sweep(config).width_csv(),
+    "solve": solve_csv,
+    "rsc": lambda config: prepare_sweep(config).rsc_csv(),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,10 +135,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         if ns.subcommand == "slope":
-            _cmd_slope(ns.csv, ns.out)
+            _write_output(slope_csv(Path(ns.csv).read_text(encoding="utf-8"), ns.csv), ns.out)
+        elif ns.subcommand == "sweep":
+            _cmd_sweep(load_config(ns.config, ns.overrides), ns.out)
         else:
-            handlers = {"width": _cmd_width, "solve": _cmd_solve, "rsc": _cmd_rsc, "sweep": _cmd_sweep}
-            handlers[ns.subcommand](load_config(ns.config, ns.overrides), ns.out)
+            _write_output(_CSV_COMMANDS[ns.subcommand](load_config(ns.config, ns.overrides)), ns.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

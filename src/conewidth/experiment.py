@@ -1,4 +1,4 @@
-"""Rate-verification sweeps: seeded trials, aggregation, slope fits, CSV output.
+"""Rate-verification sweeps: seeded trials, aggregation, slope fits, and every CSV the package writes.
 
 A sweep fixes a ground truth (derived from the master seed), then for each
 sample size n runs independent seeded trials: draw a design and responses,
@@ -204,6 +204,34 @@ class SweepContext:
             return geometry.project_onto_descent_cone(self.cone, g)[1]
         return float(geometry._sup_localized_dual_rows(g[None, :], self.fset, (t,))[0, 0] / t)
 
+    def probe(self, instance: glm.Instance, n: int) -> np.ndarray:
+        """The secant curvatures of ``instance`` along the direction set at t*(n)."""
+        return bounds.rsc_estimate(instance, self.directions[self.tuned_by_n[n].t_star])
+
+    def width_csv(self) -> str:
+        """The ``width`` subcommand's CSV: when matched (slack = 0) the cone row,
+        else a localized row per t and then the global row."""
+        matched = self.config.slack == 0.0
+        rows = [("cone" if matched else "localized", t, w.mean, w.stderr, w.samples) for t, w in self.widths.items()]
+        if not matched:
+            rows.append(("global", math.nan, self.global_width, 0.0, 0))
+        return render_csv(("kind", "t", "width_mean", "width_stderr", "samples"), rows)
+
+    def rsc_csv(self) -> str:
+        """The ``rsc`` subcommand's CSV: the probe of each grid n's trial 0, exactly as the sweep runs it.
+
+        ``mu_hat``, ``quantile_mu`` and ``directions`` are the minimum, the 1%
+        quantile and the size of its one curvature vector.  The ``epsilon``
+        column is always ``RSC_EPSILON`` and the ``alpha`` column always 1; they
+        stay so that the CSV keeps its documented columns.
+        """
+        rows = []
+        for n in self.config.n_grid:
+            q = self.probe(make_instance(self.config, self.fset.theta_true, n, 0), n)
+            rows.append((n, np.min(q), np.quantile(q, 0.01), self.mu_theoretical, q.size, RSC_EPSILON, 1))
+        columns = ("n", "mu_hat", "quantile_mu", "mu_theoretical", "directions", "epsilon", "alpha")
+        return render_csv(columns, rows)
+
 
 # The theoretical curvature is (1 - RSC_EPSILON) times the family's Hessian
 # weight bound over the constraint ball.
@@ -283,6 +311,26 @@ class TrialRecord:
     error_message: str = ""
 
 
+def solve_trial(config: ExperimentConfig, fset: FeasibleSet, n: int, trial_index: int) -> tuple:
+    """A trial up to its solve: the seeded instance, the projected-gradient
+    report over F's l1 ball, and the error's l2 and l1 norms."""
+    instance = make_instance(config, fset.theta_true, n, trial_index)
+    report = solver.projected_gradient(instance, fset.radius_c)
+    err = report.theta_hat - fset.theta_true
+    return instance, report, float(np.linalg.norm(err)), float(np.sum(np.abs(err)))
+
+
+def solve_csv(config: ExperimentConfig) -> str:
+    """The ``solve`` subcommand's CSV: the sweep's solve of trial 0 at the first
+    grid n.  It needs the truth alone, so it builds no :class:`SweepContext`."""
+    n = config.n_grid[0]
+    _, report, error_l2, error_l1 = solve_trial(config, FeasibleSet(*sweep_truth(config)), n, 0)
+    iterations, gap, l1_norm = report.iterations, report.final_gap, float(np.sum(np.abs(report.theta_hat)))
+    row = (n, "projected_gradient", report.final_objective, error_l2, error_l1, iterations, gap, l1_norm)
+    columns = ("n", "method", "objective", "error_l2", "error_l1", "iterations", "final_gap", "l1_norm")
+    return render_csv(columns, [row])
+
+
 def run_trial(ctx: SweepContext, n: int, trial_index: int) -> TrialRecord:
     """One seeded trial of ``ctx.config``: generate data, solve, measure error, evaluate bounds.
 
@@ -290,21 +338,14 @@ def run_trial(ctx: SweepContext, n: int, trial_index: int) -> TrialRecord:
     """
     config = ctx.config
     seed = seed_fingerprint(config.master_seed, "trial", n, trial_index)
-    theta = ctx.fset.theta_true
-    instance = make_instance(config, theta, n, trial_index)
+    instance, report, error_l2, error_l1 = solve_trial(config, ctx.fset, n, trial_index)
 
-    report = solver.projected_gradient(instance, ctx.fset.radius_c)
-
-    err = report.theta_hat - theta
-    error_l2 = float(np.linalg.norm(err))
-    error_l1 = float(np.sum(np.abs(err)))
-
-    grad0 = glm.gradient(instance, theta)
+    grad0 = glm.gradient(instance, ctx.fset.theta_true)
     grad_norm = float(np.linalg.norm(grad0))
     t_star = ctx.tuned_by_n[n].t_star
     width = ctx.widths[t_star]
     proj_norm = ctx.proj_grad_norm(-grad0, t_star)
-    mu_hat = float(np.min(bounds.rsc_estimate(instance, ctx.directions[t_star])))
+    mu_hat = float(np.min(ctx.probe(instance, n)))
 
     sigma_trial = glm.sigma_max(instance)
     mu_used = mu_hat if config.mu_mode == "empirical" else ctx.mu_theoretical
@@ -389,6 +430,28 @@ def fit_series(ns, values) -> SlopeFit | None:
     sigma2 = float(residuals @ residuals) / dof
     half_width = t975(dof) * math.sqrt(max(sigma2, 0.0) / sxx)
     return SlopeFit(slope, intercept, half_width)
+
+
+def slope_csv(text: str, source: str) -> str:
+    """The ``slope`` subcommand's CSV: the slopes of an aggregate CSV's ``text``,
+    refitted with the rule of its footer.  ``source`` names the CSV in the
+    error raised when the text is not an aggregate CSV."""
+    rows = [line.split(",") for line in text.splitlines() if line and not line.startswith("#")]
+    names = ("mean_error", "bound")
+    try:
+        header, *data = rows
+        n_col, *cols = (header.index(name) for name in ("n", *names))
+        ns = [int(parts[n_col]) for parts in data]
+        if any(b <= a for a, b in zip([0, *ns], ns)):  # every sweep's n_grid rule
+            raise ValueError(f"n must be >= 1 and strictly increasing, got {', '.join(map(str, ns))}")
+        series = [[float(parts[col]) for parts in data] for col in cols]
+    except (IndexError, ValueError) as exc:  # no header, a short row, a non-numeric cell or a bad n column
+        raise RuntimeError(f"{source} is not an aggregate sweep CSV: {exc}") from exc
+    out = []
+    for name, values in zip(names, series):
+        fit = fit_series(ns, values)
+        out.append((name, *(astuple(fit) if fit else (math.nan,) * 3)))
+    return render_csv(("series", "slope", "intercept", "half_width"), out)
 
 
 @dataclass(frozen=True)

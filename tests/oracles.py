@@ -452,6 +452,70 @@ def max_face_distance(h, fset):
     return math.sqrt(float(np.sum((c * w - c * target) ** 2) + np.sum(theta[~top] ** 2)))
 
 
+def gaussian_excess_square(k):
+    """``J(k) = E (g - k)_+^2 = (1 + k^2) Q(k) - k phi(k)`` for a standard gaussian g,
+    with Q its upper tail and phi its density."""
+    density = math.exp(-0.5 * k * k) / math.sqrt(2.0 * math.pi)
+    return (1.0 + k * k) * 0.5 * math.erfc(k / math.sqrt(2.0)) - k * density
+
+
+def l1_descent_dimension_bound(p, s, tau):
+    """``J(tau) = E dist^2(g, tau * subdiff ||.||_1)`` at an s-sparse point of R^p."""
+    return s * (1.0 + tau * tau) + 2.0 * (p - s) * gaussian_excess_square(tau)
+
+
+def golden_section_min(f, lo, hi, steps=30):
+    """The least value of ``f`` seen by ``steps`` golden-section steps on ``[lo, hi]``."""
+    x1, x2 = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    best = min(f1, f2)
+    for _ in range(steps):
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INVPHI * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INVPHI * (hi - lo)
+            f2 = f(x2)
+        best = min(best, f1, f2)
+    return best
+
+
+def width_envelope(fset, t):
+    """An upper bound on the localized width ``omega(t)`` that draws nothing.
+
+    Weak duality, with a multiplier lam >= 0 on ``||theta* + v||_1 <= c`` and
+    nu / 2 > 0 on ``||v||^2 <= t^2``, then the expectation over g, gives for
+    every (lam, nu)::
+
+        E sup {<g, v> : v in F, ||v|| <= t} <= lam c + nu (t^2 - ||theta*||^2) / 2
+            + (1 / 2 nu) sum_i [J(lam - nu |theta*_i|) + J(lam + nu |theta*_i|)]
+
+    with J of :func:`gaussian_excess_square` (Amelunxen, Lotz, McCoy & Tropp
+    2014).  The sum runs over theta*'s distinct
+    magnitudes with their counts.  The right side is jointly convex, so a
+    golden-section search over log nu, of golden-section searches over lam,
+    picks the pair; any pair is an upper bound, so a coarse search only
+    loosens the envelope.  Returns the minimum divided by t.
+    """
+    magnitudes, counts = np.unique(np.abs(fset.theta_true), return_counts=True)
+    terms = list(zip(magnitudes.tolist(), counts.tolist()))
+    c, ball = fset.radius_c, t * t - float(fset.theta_true @ fset.theta_true)
+    J = gaussian_excess_square
+
+    def dual(lam, nu):
+        tail = sum(count * (J(lam - nu * a) + J(lam + nu * a)) for a, count in terms)
+        return lam * c + 0.5 * nu * ball + tail / (2.0 * nu)
+
+    def over_lam(log_nu):
+        nu = math.exp(log_nu)
+        return golden_section_min(lambda lam: dual(lam, nu), 0.0, nu * terms[-1][0] + 10.0)
+
+    scale = math.log(math.sqrt(fset.ambient_dim) / t)  # nu is about ||g|| / t
+    return golden_section_min(over_lam, scale - 7.0, scale + 7.0) / t
+
+
 def water_level_bisection(a, offset, target):
     """The root ``x >= 0`` of ``sum_j (a_j - x)_+ = offset x - target`` by bisection, or 0 when there is none.
 

@@ -360,6 +360,28 @@ class TestDispatch:
         assert main(["slope", "--csv", str(path)]) == 1
         assert f"error: {path} is not an aggregate sweep CSV" in capsys.readouterr().err
 
+    def test_slope_of_a_missing_csv_exits_one_naming_it(self, tmp_path, capsys):
+        missing = tmp_path / "absent.csv"
+        assert main(["slope", "--csv", str(missing)]) == 1
+        assert str(missing) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ("width", "solve", "rsc", "slope"))
+    @pytest.mark.parametrize("fixture", ("matched_path", "mismatched_path"))
+    def test_out_file_holds_the_printed_bytes(self, request, fixture, command, tmp_path, capsys):
+        config = request.getfixturevalue(fixture)
+        args = ["--config", config]
+        if command == "slope":
+            agg = tmp_path / "agg.csv"
+            assert main(["sweep", "--config", config, "--out", str(agg), "n_grid=20,40,80", "trials=2"]) == 0
+            args = ["--csv", str(agg)]
+        capsys.readouterr()
+        assert main([command, *args]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / f"{command}.csv"
+        assert main([command, *args, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode("utf-8")
+
     def test_sweep_reports_unconverged_trials(self, matched_path, tmp_path, capsys, monkeypatch):
         assert main(["sweep", "--config", matched_path, "--out", str(tmp_path / "a.csv")]) == 0
         assert capsys.readouterr().err == "sweep: 12 trials, 0 not converged, 0 failed\n"

@@ -10,9 +10,11 @@ the one-BLAS-thread pin and the version; a re-export there must not count, or
 every exported helper would pass.
 
 A second check keeps the form of a trial's data inside ``glm.py``: no other
-module reads an instance's ``.design``.  A third keeps the cone kernels'
+module reads an instance's ``.design``.  A third keeps ``cli.py`` a shell:
+from the package it imports only names that ``experiment.py`` defines, and
+it imports neither numpy nor math.  A fourth keeps the cone kernels'
 scratch arrays inside ``geometry.py``: no other module names
-``BlockBuffers``.  A fourth holds ``tests/oracles.py`` to the first rule:
+``BlockBuffers``.  A fifth holds ``tests/oracles.py`` to the first rule:
 each of its top-level functions is referenced from a test module or from
 another oracle.
 """
@@ -86,6 +88,30 @@ def test_only_glm_reads_a_design():
         if isinstance(node, ast.Attribute) and node.attr == "design"
     }
     assert readers == set()
+
+
+def test_cli_imports_only_experiment_names():
+    # the shell keeps argv, config files and file I/O; every instance, solve,
+    # probe and CSV column comes from experiment, so cli needs no numerics
+    experiment = ast.parse((PACKAGE / "experiment.py").read_text(encoding="utf-8")).body
+    defined = {node.name for node in experiment if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {
+        target.id
+        for node in experiment
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    }
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            module = "conewidth." * node.level + (node.module or "")
+            imported |= {f"{module}:{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    allowed = {f"conewidth.experiment:{name}" for name in defined}
+    outside = {name for name in imported if name.partition(":")[0].split(".")[0] in ("conewidth", "numpy", "math")}
+    assert outside - allowed == set()
 
 
 def test_only_geometry_names_block_buffers():
